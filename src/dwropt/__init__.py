@@ -25,7 +25,6 @@ from .fem import (
     Factorization,
     SparseSystem,
     Space,
-    assemble,
     assemble_matrix,
     assemble_vector,
     build_space,
@@ -48,6 +47,7 @@ from .reduced import (
     KKTTriple,
     NewtonLog,
     SpacePair,
+    goal_gradient,
     hessvec,
     make_consistent,
     newton_reduced_adaptive,
@@ -61,16 +61,14 @@ from .reduced import (
 from .estimator import (
     AdjointTriple,
     ErrorBreakdown,
-    compute_eta_h2,
     compute_eta_k,
     effectivities,
-    goal_gradient,
     localize_pu,
     recover_v,
     recover_y,
     solve_reduced_adjoint,
 )
 from .multigoal import CombinedGoal, build_combined, weighting_default
-from .driver import Config, LevelReport, emit_outputs, preset_config, run_adaptive, run_uniform
+from .driver import Config, LevelReport, emit_outputs, preset_config, run_adaptive
 
 __version__ = "0.1.0"

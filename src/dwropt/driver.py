@@ -10,12 +10,12 @@ and finally marks and refines.  Levels are strictly sequential.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, fields, replace
 
-
-from .errors import ConfigError, DwroptError
+from .errors import ConfigError, DwroptError, SizingError
 from .estimator import (
     AdjointTriple,
     compute_eta_k,
@@ -26,7 +26,7 @@ from .estimator import (
     solve_reduced_adjoint,
 )
 from .fem import build_space, interpolate, transfer
-from .mesh import CellSet, DOMAINS, build_initial, dorfler_mark, refine
+from .mesh import CellSet, DOMAINS, build_initial, check_cell_size, dorfler_mark, refine
 from .multigoal import build_combined
 from .problem import make_goals, make_plaplace_control, make_poisson_control
 from .reduced import SpacePair, newton_reduced_adaptive, newton_standard
@@ -48,11 +48,10 @@ class Config:
     newton_tol_abs: float = 1e-7
     newton_tol_rel: float = 8e-5
     krylov_tol: float = 1e-10
-    quad_extra: int = 1
     smoothing_delta: float = 1e-8
     output_dir: str = "out"
     stopping: str = "adaptive"  # adaptive | standard
-    reference_source: str = "analytic"  # analytic | file | none
+    reference_source: str = "analytic"  # analytic | none
     refinement: str = "adaptive"  # adaptive | uniform
     target_dofs_state: float = float("inf")
     target_dofs_total: float = float("inf")
@@ -62,6 +61,19 @@ class Config:
     def validate(self):
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}")
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if isinstance(val, float) and not (
+                math.isfinite(val) or (val == math.inf and f.name in _INF_KEYS)
+            ):
+                raise ConfigError(f"{f.name} must be finite, got {val}")
+        if self.max_levels < 1:
+            raise ConfigError("max_levels must be at least 1")
+        if self.cell_size is not None:
+            try:
+                check_cell_size(DOMAINS[PRESETS[self.preset].domain], self.cell_size)
+            except SizingError as exc:
+                raise ConfigError(str(exc)) from exc
         if not 0.0 < self.theta <= 1.0:
             raise ConfigError("theta must lie in (0, 1]")
         for key in ("gamma", "newton_tol_abs", "newton_tol_rel", "krylov_tol",
@@ -74,8 +86,8 @@ class Config:
             raise ConfigError("stopping must be adaptive or standard")
         if self.refinement not in ("adaptive", "uniform"):
             raise ConfigError("refinement must be adaptive or uniform")
-        if self.reference_source not in ("analytic", "file", "none"):
-            raise ConfigError("reference_source must be analytic, file or none")
+        if self.reference_source not in ("analytic", "none"):
+            raise ConfigError("reference_source must be analytic or none")
         if self.degree not in (1, 2):
             raise ConfigError("degree must be 1 or 2 (enrichment adds one)")
         return self
@@ -106,12 +118,13 @@ def preset_config(name, **overrides):
 
 _CONFIG_KEYS = {f.name for f in fields(Config)}
 _STR_KEYS = ("preset", "output_dir", "stopping", "reference_source", "refinement")
-_INT_KEYS = ("max_levels", "quad_extra", "degree")
+_INT_KEYS = ("max_levels", "degree")
+_INF_KEYS = ("tol_dis", "target_dofs_state", "target_dofs_total")
 
 
 def parse_config(text):
     """Flat key = value configuration; unknown keys are rejected."""
-    values = {}
+    cfg = Config()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -121,15 +134,17 @@ def parse_config(text):
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {ln}: unknown configuration key {key!r}")
-        values[key] = val
-    cfg = Config()
-    for key, val in values.items():
         if key in _STR_KEYS:
             setattr(cfg, key, val)
-        elif key in _INT_KEYS:
-            setattr(cfg, key, int(val))
-        else:
-            setattr(cfg, key, float(val))
+            continue
+        kind = int if key in _INT_KEYS else float
+        try:
+            setattr(cfg, key, kind(val))
+        except ValueError:
+            raise ConfigError(
+                f"line {ln}: {key} must be {'an integer' if kind is int else 'a number'}, "
+                f"got {val!r}"
+            ) from None
     return cfg.validate()
 
 
@@ -318,11 +333,8 @@ def _make_report(level, mesh, sol, config):
     )
 
 
-def _run(config, uniform, capture=None):
+def _run(config, capture=None):
     config.validate()
-    from .fem import set_quad_extra
-
-    set_quad_extra(config.quad_extra)
     problem, goals, mesh = instantiate(config)
     q_prev = None
     q2_prev = None
@@ -349,7 +361,7 @@ def _run(config, uniform, capture=None):
             or level == config.max_levels - 1
         )
         if not stop:
-            if uniform:
+            if config.refinement == "uniform":
                 marked = CellSet(frozenset(range(mesh.ncells)), mesh.generation)
             else:
                 marked = dorfler_mark(bd.indicators, config.theta, mesh)
@@ -367,17 +379,19 @@ def _run(config, uniform, capture=None):
         q2_prev = sol["triple2"].q
         if abs(bd.eta_h2) > 0:
             eta_prev = abs(bd.eta_h2)
+        # the KKT triples, their LU factors and the spaces' caches are not
+        # needed by the next level; free them before it allocates its own
+        del sol, bd
     return reports
 
 
 def run_adaptive(config):
-    """Estimator-driven marking and refinement until a stop rule fires."""
-    return _run(config, uniform=(config.refinement == "uniform"))
+    """Solve, estimate, mark and refine until a stop rule fires.
 
-
-def run_uniform(config):
-    """Identical pipeline with global refinement instead of marking."""
-    return _run(config, uniform=True)
+    ``config.refinement`` selects Dörfler marking (adaptive) or marking
+    every cell (uniform).
+    """
+    return _run(config)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +587,7 @@ def self_reference_values(config, extra_refinements=2):
     from .mesh import refine_all
 
     capture = {}
-    _run(config, uniform=(config.refinement == "uniform"), capture=capture)
+    _run(config, capture=capture)
     problem, goals, _ = instantiate(config)
     mesh = capture["mesh"]
     q_warm = capture["q2"]

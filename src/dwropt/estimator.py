@@ -23,6 +23,7 @@ import numpy as np
 
 from . import kernels
 from .fem import (
+    QUAD_EXTRA,
     FormContext,
     _chunks,
     _tabulated,
@@ -32,7 +33,7 @@ from .fem import (
 )
 from .reduced import (
     assemble_terms,
-    goal_gradient_dual,
+    goal_gradient,
     reduced_gradient,
     solve_reduced_system,
 )
@@ -92,11 +93,6 @@ class EffectivityIndices:
 
 # ---------------------------------------------------------------------------
 # goal adjoint chain
-
-
-def goal_gradient(problem, goal, triple):
-    """Derivative of the reduced goal functional (dual control vector)."""
-    return goal_gradient_dual(problem, goal, triple)
 
 
 def solve_reduced_adjoint(problem, goal, triple, krylov_tol=1e-10,
@@ -235,7 +231,7 @@ _PART_ORDER = {"y": 0, "p": 1, "v": 2, "z": 3, "u": 4, "q": 5}
 _PART_ATTR = ("rho_u", "rho_q", "rho_z", "rho_v", "rho_y", "rho_p")
 
 
-def _estimator_sweep(problem, goal, low, enriched, pu_space=None):
+def _estimator_sweep(problem, goal, low, enriched, pu_space):
     """One pass over the mesh: global residual parts and PU vertex vector."""
     low_kkt, low_adj = low
     enr_kkt, enr_adj = enriched
@@ -249,15 +245,12 @@ def _estimator_sweep(problem, goal, low, enriched, pu_space=None):
         "u2": enr_kkt.u, "q2": enr_kkt.q, "z2": enr_kkt.z,
         "v2": enr_adj.v, "p2": enr_adj.p, "y2": enr_adj.y,
     }
-    from .fem import DEFAULT_QUAD_EXTRA
-    n1d = max(f.space.degree for f in funcs.values()) + 1 + DEFAULT_QUAD_EXTRA
-    qpts, w, _, _ = _tabulated(1, n1d)
+    n1d = max(f.space.degree for f in funcs.values()) + 1 + QUAD_EXTRA
+    qpts, w, phi_pu, gphi_pu = _tabulated(1, n1d)
     h_all = mesh.cell_h()
 
     part_sums = np.zeros(6)
-    pu_raw = np.zeros(pu_space.ndofs) if pu_space is not None else None
-    if pu_space is not None:
-        _, _, phi_pu, gphi_pu = _tabulated(1, n1d)
+    pu_raw = np.zeros(pu_space.ndofs)
 
     for cells in _chunks(np.arange(mesh.ncells), len(w)):
         ctx = FormContext(mesh, cells, qpts, funcs, n1d)
@@ -276,46 +269,29 @@ def _estimator_sweep(problem, goal, low, enriched, pu_space=None):
             part_sums[_PART_ORDER[wname]] += float(
                 kernels.cell_integrals(wdet, F).sum()
             )
-            if pu_space is not None:
-                G_acc = F if G_acc is None else G_acc + F
-                Hw = None if h is None else h * wv[..., None]
-                if Hw is not None:
-                    H_acc = Hw if H_acc is None else H_acc + Hw
-        if pu_space is not None:
-            loc = kernels.local_vector(
-                wdet, phi_pu, gphi_pu, ctx.inv_h,
-                0.5 * G_acc, None if H_acc is None else 0.5 * H_acc,
-            )
-            np.add.at(pu_raw, pu_space.cell_dofs[cells].ravel(), loc.ravel())
+            G_acc = F if G_acc is None else G_acc + F
+            if h is not None:
+                Hw = h * wv[..., None]
+                H_acc = Hw if H_acc is None else H_acc + Hw
+        loc = kernels.local_vector(
+            wdet, phi_pu, gphi_pu, ctx.inv_h,
+            0.5 * G_acc, None if H_acc is None else 0.5 * H_acc,
+        )
+        np.add.at(pu_raw, pu_space.cell_dofs[cells].ravel(), loc.ravel())
 
-    vertex = pu_space.C.T @ pu_raw if pu_space is not None else None
-    return part_sums, vertex
+    return part_sums, pu_space.C.T @ pu_raw
 
 
-def _breakdown_from_parts(part_sums):
-    bd = ErrorBreakdown()
-    for name, val in zip(_PART_ATTR, part_sums):
-        setattr(bd, name, float(val))
-    bd.eta_h2 = 0.5 * float(part_sums.sum())
-    return bd
+def localize_pu(problem, goal, low, enriched):
+    """Six-part estimate with its partition-of-unity localization.
 
-
-def compute_eta_h2(problem, goal, low, enriched):
-    """Global discretization estimate: half the sum of the six pairings."""
-    part_sums, _ = _estimator_sweep(problem, goal, low, enriched)
-    return _breakdown_from_parts(part_sums)
-
-
-def localize_pu(problem, goal, low, enriched, pu_space=None):
-    """Partition-of-unity localization to vertices and cells.
-
-    Returns (cell_indicators, vertex_values); the signed vertex sum
-    equals the global estimate.  Hanging-vertex contributions fold into
-    their masters through the Q1 constraint weights.
+    Returns an :class:`ErrorBreakdown` carrying the global parts, the
+    vertex values (their signed sum equals the global estimate) and the
+    cell indicators.  Hanging-vertex contributions fold into their
+    masters through the Q1 constraint weights.
     """
     mesh = low[0].u.space.mesh
-    if pu_space is None:
-        pu_space = build_space(mesh, "cg", 1, constrain_dirichlet=False)
+    pu_space = build_space(mesh, "cg", 1, constrain_dirichlet=False)
     part_sums, vertex = _estimator_sweep(problem, goal, low, enriched, pu_space)
 
     # cell indicators: |vertex value| split by the number of adjacent cells
@@ -330,9 +306,10 @@ def localize_pu(problem, goal, low, enriched, pu_space=None):
         valid = col[:, j] >= 0
         indicators[valid] += absval[col[valid, j]] / deg[col[valid, j]]
 
-    bd = _breakdown_from_parts(part_sums)
-    bd.indicators = indicators
-    bd.vertex_values = vertex
+    bd = ErrorBreakdown(indicators=indicators, vertex_values=vertex)
+    for name, val in zip(_PART_ATTR, part_sums):
+        setattr(bd, name, float(val))
+    bd.eta_h2 = 0.5 * float(part_sums.sum())
     return bd
 
 
@@ -340,27 +317,6 @@ def compute_eta_k(problem, goal_combined, triple, p):
     """Iteration-error estimate: minus the reduced gradient paired with p."""
     g = reduced_gradient(problem, triple)
     return -float(g @ p.coefs[triple.q.space.free_dofs])
-
-
-def dump_indicators(indicators):
-    """Per-cell indicator dump, format "dwrind v1": lines of cell id, value."""
-    lines = ["dwrind v1"]
-    lines.extend(f"{i} {float(v)!r}" for i, v in enumerate(indicators))
-    return "\n".join(lines) + "\n"
-
-
-def load_indicators(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "dwrind v1":
-        raise ValueError("not a dwrind v1 dump")
-    out = {}
-    for ln in lines[1:]:
-        cid, val = ln.split()
-        out[int(cid)] = float(val)
-    arr = np.zeros(max(out) + 1 if out else 0)
-    for cid, val in out.items():
-        arr[cid] = val
-    return arr
 
 
 def effectivities(breakdown, true_error):

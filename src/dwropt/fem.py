@@ -37,14 +37,8 @@ from .mesh import LBITS, TAG_NONE
 
 _CHUNK_POINTS = 1_000_000  # cells-per-chunk chosen so ncells*nq stays near this
 
-# extra quadrature orders beyond degree+1; overridable per run (config key)
-DEFAULT_QUAD_EXTRA = 1
-
-
-def set_quad_extra(n):
-    """Set the process-wide default for the extra quadrature order."""
-    global DEFAULT_QUAD_EXTRA
-    DEFAULT_QUAD_EXTRA = int(n)
+# Gauss points per direction beyond degree + 1
+QUAD_EXTRA = 1
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +311,7 @@ class Space:
 
 
 def build_space(mesh, family, degree, constrain_dirichlet=True):
-    key = {"continuous": "cg", "discontinuous": "dg"}.get(family, family)
-    return Space(mesh, key, degree, constrain_dirichlet=constrain_dirichlet)
+    return Space(mesh, family, degree, constrain_dirichlet=constrain_dirichlet)
 
 
 @dataclass
@@ -429,15 +422,13 @@ class FormContext:
         return np.zeros(self.x.shape[:2])
 
 
-def _quad_order(spaces, functions, nquad, quad_extra):
+def _quad_order(spaces, functions, nquad):
     if nquad is not None:
         return nquad
-    if quad_extra is None:
-        quad_extra = DEFAULT_QUAD_EXTRA
     degs = [s.degree for s in spaces if s is not None]
     for f in (functions or {}).values():
         degs.append(f.space.degree)
-    return max(max(degs, default=1), 1) + 1 + quad_extra
+    return max(max(degs, default=1), 1) + 1 + QUAD_EXTRA
 
 
 def _check_finite(arr, cells, what):
@@ -464,9 +455,7 @@ def _selected_cells(mesh, region):
     return np.nonzero(mask)[0]
 
 
-def assemble_matrix(
-    form, test, trial, coeffs=None, nquad=None, quad_extra=None, region=None
-):
+def assemble_matrix(form, test, trial, coeffs=None, nquad=None, region=None):
     """Assemble a bilinear form into a condensed sparse matrix.
 
     Returns a csr matrix of shape (test.nfree, trial.nfree); constrained
@@ -475,7 +464,7 @@ def assemble_matrix(
     mesh = test.mesh
     if trial.mesh is not mesh:
         raise AssemblyError("test and trial spaces live on different meshes")
-    n1d = _quad_order((test, trial), coeffs, nquad, quad_extra)
+    n1d = _quad_order((test, trial), coeffs, nquad)
     _, w, phi_t, gphi_t = _tabulated(test.degree, n1d)
     qpts, _, phi_r, gphi_r = _tabulated(trial.degree, n1d)
     cells_all = _selected_cells(mesh, region)
@@ -505,10 +494,10 @@ def assemble_matrix(
     return (test.C.T @ A @ trial.C).tocsr()
 
 
-def assemble_vector(form, test, coeffs=None, nquad=None, quad_extra=None, region=None):
+def assemble_vector(form, test, coeffs=None, nquad=None, region=None):
     """Assemble a linear functional into a condensed vector (test.nfree,)."""
     mesh = test.mesh
-    n1d = _quad_order((test,), coeffs, nquad, quad_extra)
+    n1d = _quad_order((test,), coeffs, nquad)
     qpts, w, phi_t, gphi_t = _tabulated(test.degree, n1d)
     cells_all = _selected_cells(mesh, region)
     h_all = mesh.cell_h()
@@ -526,13 +515,13 @@ def assemble_vector(form, test, coeffs=None, nquad=None, quad_extra=None, region
     return test.C.T @ out
 
 
-def integrate(form, mesh, coeffs=None, nquad=None, quad_extra=None, region=None, per_cell=False):
+def integrate(form, mesh, coeffs=None, nquad=None, region=None, per_cell=False):
     """Integrate a pointwise scalar field over the mesh (or a region box).
 
     form(ctx) must return an (ncells, nq) array.  A region that selects no
     cells integrates to zero with a warning.
     """
-    n1d = _quad_order((), coeffs, nquad, quad_extra)
+    n1d = _quad_order((), coeffs, nquad)
     qpts, w, _, _ = _tabulated(1, n1d)
     cells_all = _selected_cells(mesh, region)
     if len(cells_all) == 0:
@@ -551,27 +540,6 @@ def integrate(form, mesh, coeffs=None, nquad=None, quad_extra=None, region=None,
         if per_cell:
             cellvals[cells] = vals
     return (total, cellvals) if per_cell else total
-
-
-def assemble(form, test, trial=None, coeffs=None, nquad=None, quad_extra=None,
-             region=None, rhs_form=None):
-    """Assemble a weak form over a test (and optional trial) space.
-
-    With a trial space the result is a :class:`SparseSystem` whose right
-    hand side comes from ``rhs_form`` (zero when omitted); without one,
-    the assembled functional vector is returned directly.
-    """
-    if trial is None:
-        return assemble_vector(form, test, coeffs=coeffs, nquad=nquad,
-                               quad_extra=quad_extra, region=region)
-    matrix = assemble_matrix(form, test, trial, coeffs=coeffs, nquad=nquad,
-                             quad_extra=quad_extra, region=region)
-    if rhs_form is None:
-        rhs = np.zeros(test.nfree)
-    else:
-        rhs = assemble_vector(rhs_form, test, coeffs=coeffs, nquad=nquad,
-                              quad_extra=quad_extra, region=region)
-    return SparseSystem(matrix=matrix, rhs=rhs)
 
 
 # common elementary forms

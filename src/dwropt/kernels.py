@@ -1,11 +1,4 @@
-"""Hot assembly kernels.
-
-Every kernel exists twice: a numba ``@njit`` version and a pure-numpy
-fallback.  The active set is chosen at import time by the environment
-variable ``DWROPT_NUMBA`` ("0" forces the numpy path; anything else, or
-unset, uses numba when it is importable).  ``DWROPT_THREADS`` caps the
-numba threading layer (0 = automatic); assembly itself is sequential so
-results are bitwise reproducible.
+"""Hot assembly kernels (numpy).
 
 All kernels work on one chunk of same-shaped cells:
 
@@ -15,36 +8,10 @@ All kernels work on one chunk of same-shaped cells:
     inv_h  (nc,)           1/h per cell (maps reference to physical gradients)
 """
 
-import os
-
 import numpy as np
 
-_WANT_NUMBA = os.environ.get("DWROPT_NUMBA", "1") != "0"
 
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via DWROPT_NUMBA=0 instead
-    numba = None
-    HAS_NUMBA = False
-
-USE_NUMBA = _WANT_NUMBA and HAS_NUMBA
-
-if USE_NUMBA:
-    _threads = os.environ.get("DWROPT_THREADS", "0")
-    if _threads not in ("", "0"):
-        try:
-            numba.set_num_threads(max(1, int(_threads)))
-        except (ValueError, RuntimeError):
-            pass
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def local_matrix_numpy(wdet, phi_t, gphi_t, phi_r, gphi_r, inv_h, K, cf):
+def local_matrix(wdet, phi_t, gphi_t, phi_r, gphi_r, inv_h, K, cf):
     """Element matrices  sum_g w [ grad(test)·K·grad(trial) + c test·trial ].
 
     K is (nc, nq, 2, 2) or None, cf is (nc, nq) or None.  Returns
@@ -63,7 +30,7 @@ def local_matrix_numpy(wdet, phi_t, gphi_t, phi_r, gphi_r, inv_h, K, cf):
     return out
 
 
-def local_vector_numpy(wdet, phi_t, gphi_t, inv_h, gf, hf):
+def local_vector(wdet, phi_t, gphi_t, inv_h, gf, hf):
     """Element vectors  sum_g w [ g test + h·grad(test) ].
 
     gf is (nc, nq) or None, hf is (nc, nq, 2) or None.  Returns (nc, nloc).
@@ -79,12 +46,12 @@ def local_vector_numpy(wdet, phi_t, gphi_t, inv_h, gf, hf):
     return out
 
 
-def eval_values_numpy(dofs, coefs, phi):
+def eval_values(dofs, coefs, phi):
     """Coefficient-function values at quadrature points: (nc, nq)."""
     return coefs[dofs] @ phi.T
 
 
-def eval_gradients_numpy(dofs, coefs, gphi, inv_h):
+def eval_gradients(dofs, coefs, gphi, inv_h):
     """Coefficient-function gradients at quadrature points: (nc, nq, 2)."""
     loc = coefs[dofs]
     out = np.einsum("cj,gjd->cgd", loc, gphi, optimize=True)
@@ -92,148 +59,6 @@ def eval_gradients_numpy(dofs, coefs, gphi, inv_h):
     return out
 
 
-def cell_integrals_numpy(wdet, field):
+def cell_integrals(wdet, field):
     """Per-cell integrals of a pointwise field: (nc,)."""
     return np.einsum("cg,cg->c", wdet, field, optimize=True)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same loop nests, jitted)
-
-
-def _local_matrix_loops(wdet, phi_t, gphi_t, phi_r, gphi_r, inv_h, K, has_K, cf, has_c):
-    nc, nq = wdet.shape
-    nt = phi_t.shape[1]
-    nr = phi_r.shape[1]
-    out = np.zeros((nc, nt, nr))
-    for c in range(nc):
-        ih2 = inv_h[c] * inv_h[c]
-        for g in range(nq):
-            w = wdet[c, g]
-            for i in range(nt):
-                for j in range(nr):
-                    acc = 0.0
-                    if has_K:
-                        s = 0.0
-                        for d1 in range(2):
-                            for d2 in range(2):
-                                s += gphi_t[g, i, d1] * K[c, g, d1, d2] * gphi_r[g, j, d2]
-                        acc += s * ih2
-                    if has_c:
-                        acc += cf[c, g] * phi_t[g, i] * phi_r[g, j]
-                    out[c, i, j] += w * acc
-    return out
-
-
-def _local_vector_loops(wdet, phi_t, gphi_t, inv_h, gf, has_g, hf, has_h):
-    nc, nq = wdet.shape
-    nt = phi_t.shape[1]
-    out = np.zeros((nc, nt))
-    for c in range(nc):
-        ih = inv_h[c]
-        for g in range(nq):
-            w = wdet[c, g]
-            for i in range(nt):
-                acc = 0.0
-                if has_g:
-                    acc += gf[c, g] * phi_t[g, i]
-                if has_h:
-                    acc += ih * (hf[c, g, 0] * gphi_t[g, i, 0] + hf[c, g, 1] * gphi_t[g, i, 1])
-                out[c, i] += w * acc
-    return out
-
-
-def _eval_values_loops(dofs, coefs, phi):
-    nc, nloc = dofs.shape
-    nq = phi.shape[0]
-    out = np.zeros((nc, nq))
-    for c in range(nc):
-        for g in range(nq):
-            acc = 0.0
-            for j in range(nloc):
-                acc += coefs[dofs[c, j]] * phi[g, j]
-            out[c, g] = acc
-    return out
-
-
-def _eval_gradients_loops(dofs, coefs, gphi, inv_h):
-    nc, nloc = dofs.shape
-    nq = gphi.shape[0]
-    out = np.zeros((nc, nq, 2))
-    for c in range(nc):
-        ih = inv_h[c]
-        for g in range(nq):
-            gx = 0.0
-            gy = 0.0
-            for j in range(nloc):
-                cj = coefs[dofs[c, j]]
-                gx += cj * gphi[g, j, 0]
-                gy += cj * gphi[g, j, 1]
-            out[c, g, 0] = gx * ih
-            out[c, g, 1] = gy * ih
-    return out
-
-
-def _cell_integrals_loops(wdet, field):
-    nc, nq = wdet.shape
-    out = np.zeros(nc)
-    for c in range(nc):
-        acc = 0.0
-        for g in range(nq):
-            acc += wdet[c, g] * field[c, g]
-        out[c] = acc
-    return out
-
-
-if USE_NUMBA:
-    _local_matrix_jit = numba.njit(cache=True)(_local_matrix_loops)
-    _local_vector_jit = numba.njit(cache=True)(_local_vector_loops)
-    _eval_values_jit = numba.njit(cache=True)(_eval_values_loops)
-    _eval_gradients_jit = numba.njit(cache=True)(_eval_gradients_loops)
-    _cell_integrals_jit = numba.njit(cache=True)(_cell_integrals_loops)
-
-_DUMMY_K = np.zeros((1, 1, 2, 2))
-_DUMMY_F = np.zeros((1, 1))
-_DUMMY_H = np.zeros((1, 1, 2))
-
-
-def local_matrix_numba(wdet, phi_t, gphi_t, phi_r, gphi_r, inv_h, K, cf):
-    return _local_matrix_jit(
-        wdet, phi_t, gphi_t, phi_r, gphi_r, inv_h,
-        K if K is not None else _DUMMY_K, K is not None,
-        cf if cf is not None else _DUMMY_F, cf is not None,
-    )
-
-
-def local_vector_numba(wdet, phi_t, gphi_t, inv_h, gf, hf):
-    return _local_vector_jit(
-        wdet, phi_t, gphi_t, inv_h,
-        gf if gf is not None else _DUMMY_F, gf is not None,
-        hf if hf is not None else _DUMMY_H, hf is not None,
-    )
-
-
-def eval_values_numba(dofs, coefs, phi):
-    return _eval_values_jit(dofs, coefs, phi)
-
-
-def eval_gradients_numba(dofs, coefs, gphi, inv_h):
-    return _eval_gradients_jit(dofs, coefs, gphi, inv_h)
-
-
-def cell_integrals_numba(wdet, field):
-    return _cell_integrals_jit(wdet, field)
-
-
-if USE_NUMBA:
-    local_matrix = local_matrix_numba
-    local_vector = local_vector_numba
-    eval_values = eval_values_numba
-    eval_gradients = eval_gradients_numba
-    cell_integrals = cell_integrals_numba
-else:
-    local_matrix = local_matrix_numpy
-    local_vector = local_vector_numpy
-    eval_values = eval_values_numpy
-    eval_gradients = eval_gradients_numpy
-    cell_integrals = cell_integrals_numpy

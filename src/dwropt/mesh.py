@@ -11,6 +11,7 @@ Corner order within a cell: (0,0), (1,0), (0,1), (1,1) in local coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -220,8 +221,22 @@ class Mesh:
 
 
 def _fits(extent, cell_size):
+    if not cell_size > 0:
+        return False
     n = extent / cell_size
-    return abs(n - round(n)) < 1e-9 and round(n) >= 1
+    return math.isfinite(n) and abs(n - round(n)) < 1e-9 and round(n) >= 1
+
+
+def check_cell_size(domain, cell_size):
+    """Raise SizingError unless square cells of this size tile the domain."""
+    if not (_fits(domain.extent[0], cell_size) and _fits(domain.extent[1], cell_size)):
+        raise SizingError(
+            f"cell size {cell_size} does not divide domain extent {domain.extent}"
+        )
+    for box in domain.holes:
+        for v in box:
+            if not _fits(max(abs(v), cell_size), cell_size) and abs(v) > 1e-12:
+                raise SizingError(f"cell size {cell_size} not aligned with hole at {box}")
 
 
 def build_initial(domain, cell_size):
@@ -231,14 +246,7 @@ def build_initial(domain, cell_size):
             domain = DOMAINS[domain]
         except KeyError:
             raise SizingError(f"unknown domain {domain!r}")
-    if not (_fits(domain.extent[0], cell_size) and _fits(domain.extent[1], cell_size)):
-        raise SizingError(
-            f"cell size {cell_size} does not divide domain extent {domain.extent}"
-        )
-    for box in domain.holes:
-        for v in box:
-            if not _fits(max(abs(v), cell_size), cell_size) and abs(v) > 1e-12:
-                raise SizingError(f"cell size {cell_size} not aligned with hole at {box}")
+    check_cell_size(domain, cell_size)
 
     nx = round(domain.extent[0] / cell_size)
     ny = round(domain.extent[1] / cell_size)

@@ -8,8 +8,8 @@ derivative forms follow the field conventions of :mod:`dwropt.fem`.
 Two instances ship: a linear Poisson control problem with a known exact
 minimizer, and a regularized p-Laplacian control problem on a rectangle
 with six holes.  Control enters both operators linearly and the cost is
-separable, so all cross and control-control operator derivatives vanish;
-those slots are structurally None.
+separable, so all cross and control-control operator derivatives vanish
+and have no slot here.
 """
 
 from __future__ import annotations
@@ -60,12 +60,6 @@ class ProblemDefinition:
     a_u_is_constant: bool
     a_q_c: float = -1.0  # a_q(dq, v) = a_q_c * integral(dq * v)
     j_uu_c: float = 1.0  # J_uu(d1, d2) = j_uu_c * integral(d1 * d2)
-    # structurally zero blocks for both shipped instances
-    a_uq_fields: None = None
-    a_qu_fields: None = None
-    a_qq_fields: None = None
-    j_uq_c: None = None
-    j_qu_c: None = None
 
     @property
     def j_qq_c(self):

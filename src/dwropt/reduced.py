@@ -212,7 +212,11 @@ def make_consistent(problem, q, pair, warm_u=None, tol_abs=1e-10, tol_rel=1e-12,
 
 
 def reduced_cost(problem, q, pair, warm_u=None):
-    """Cost of the reduced problem at q (one state solve)."""
+    """Cost of the reduced problem at q (one state solve).
+
+    Returns (j, u, lin, its): the cost, the state, its factorized
+    linearization and the state-Newton iteration count.
+    """
     u, lin, its = _solve_state_impl(problem, q, pair.state, warm_u)
     return problem.j_value(u, q), u, lin, its
 
@@ -234,8 +238,8 @@ def reduced_gradient(problem, triple):
     )
 
 
-def goal_gradient_dual(problem, goal, triple):
-    """Assembled derivative of the reduced goal i(q) = I(S(q), q)."""
+def goal_gradient(problem, goal, triple):
+    """Assembled derivative of the reduced goal i(q) = I(S(q), q) (dual vector)."""
     triple.require_consistent()
     coeffs = {"u": triple.u, "q": triple.q}
     ctrl = triple.q.space
@@ -349,7 +353,7 @@ def _newton_update(problem, triple, pair, g, krylov_tol):
     s = 1.0
     for _ in range(MAX_BACKTRACKS):
         q_trial = DiscreteFunction(pair.control, triple.q.coefs + s * dq.coefs)
-        j_trial, u_trial, lin_trial, its = _reduced_cost_state(
+        j_trial, u_trial, lin_trial, its = reduced_cost(
             problem, q_trial, pair, warm_u=triple.u
         )
         if j_trial <= j0 + ARMIJO_C * s * slope + j_noise:
@@ -359,11 +363,6 @@ def _newton_update(problem, triple, pair, g, krylov_tol):
             return new_triple, s
         s *= BACKTRACK_FACTOR
     raise LineSearchError("reduced Newton line search failed")
-
-
-def _reduced_cost_state(problem, q, pair, warm_u=None):
-    u, lin, its = _solve_state_impl(problem, q, pair.state, warm_u)
-    return problem.j_value(u, q), u, lin, its
 
 
 def newton_standard(problem, pair, q0, tol_abs=1e-7, tol_rel=8e-5,
@@ -413,7 +412,7 @@ def newton_reduced_adaptive(problem, goal_combined, pair, q0, gamma, eta_prev,
     ng0 = None
     while True:
         goal_k = goal_combined.refreeze(triple.u, triple.q)
-        ig = goal_gradient_dual(problem, goal_k, triple)
+        ig = goal_gradient(problem, goal_k, triple)
         # truncation: far-from-converged iterates may see an indefinite
         # reduced Hessian; an inexact p only loosens the stopping guard
         p = solve_reduced_system(

@@ -1,7 +1,10 @@
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dwropt.cli import main as cli_main
 from dwropt.driver import (
@@ -14,7 +17,6 @@ from dwropt.driver import (
     render_comparison_csv,
     render_csv,
     run_adaptive,
-    run_uniform,
 )
 from dwropt.errors import ConfigError
 
@@ -52,6 +54,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             preset_config("example99")
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from([f.name for f in fields(Config)] + ["bogus"]),
+        st.one_of(
+            st.text(alphabet="0123456789abcdefinx.+-e_ ", max_size=8),
+            st.floats(allow_nan=True, allow_infinity=True).map(repr),
+            st.integers(-3, 50).map(str),
+        ),
+    ), max_size=4))
+    def test_any_text_parses_or_raises_config_error(self, entries):
+        text = "\n".join(f"{k} = {v}" for k, v in entries)
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
+        assert cfg.validate() is cfg
+
     def test_defaults_match_documented_constants(self):
         cfg = Config()
         assert cfg.gamma == 1e-2
@@ -75,15 +94,17 @@ class TestRun:
         assert reports[0].marked is None
 
     def test_uniform_dof_growth(self):
-        cfg = preset_config("example1_cost", max_levels=3)
-        reports = run_uniform(cfg)
+        cfg = preset_config("example1_cost", max_levels=3, refinement="uniform")
+        reports = run_adaptive(cfg)
         cells = [r.cells for r in reports]
         assert cells[1] == 4 * cells[0]
         assert cells[2] == 4 * cells[1]
 
     def test_level0_rows_match_between_modes(self, small_run):
         cfg, adaptive = small_run
-        uniform = run_uniform(preset_config("example1_cost", max_levels=1))
+        uniform = run_adaptive(
+            preset_config("example1_cost", max_levels=1, refinement="uniform")
+        )
         row_a = render_csv([adaptive[0]]).splitlines()[1]
         row_u = render_csv([uniform[0]]).splitlines()[1]
         assert row_a == row_u
@@ -221,10 +242,30 @@ class TestCli:
     def test_missing_config_exit_2(self):
         assert cli_main(["run", "/nonexistent/path.cfg"]) == 2
 
-    def test_bad_config_exit_2(self, tmp_path):
+    @pytest.mark.parametrize("line", [
+        "nonsense_key = 1",
+        "max_levels = abc",
+        "alpha = none",
+        "gamma = nan",
+        "max_levels = 0",
+        "krylov_tol = inf",
+        "cell_size = 0.3",
+        "cell_size = 0",
+        "cell_size = 5e-324",
+        "reference_source = file",
+        "quad_extra = 1",
+    ])
+    def test_bad_config_exit_2(self, tmp_path, capsys, line):
         cfgfile = tmp_path / "bad.cfg"
-        cfgfile.write_text("nonsense_key = 1\n")
+        cfgfile.write_text(f"preset = example1_cost\n{line}\n")
         assert cli_main(["run", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_zero_max_levels_preset_exit_2(self, capsys):
+        assert cli_main(["preset", "example1_cost", "--max-levels", "0"]) == 2
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
     def test_compare_stopping_cli(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"

@@ -5,10 +5,8 @@ from dwropt.errors import DwroptError
 from dwropt.estimator import (
     AdjointTriple,
     adjoint_chain,
-    compute_eta_h2,
     compute_eta_k,
     effectivities,
-    goal_gradient,
     localize_pu,
     recover_v,
     recover_y,
@@ -29,6 +27,7 @@ from dwropt.problem import GoalFunctional, make_goals, make_poisson_control
 from dwropt.reduced import (
     KKTTriple,
     SpacePair,
+    goal_gradient,
     hessvec,
     make_consistent,
     newton_standard,
@@ -236,7 +235,7 @@ class TestEstimator:
     def test_zero_weights_zero_parts(self, ex1_level):
         sol = ex1_level
         enriched = _transferred_enriched(sol)
-        bd = compute_eta_h2(
+        bd = localize_pu(
             sol["problem"], sol["combined"],
             (sol["triple"], sol["adj_low"]), enriched,
         )
@@ -292,8 +291,8 @@ class TestEstimator:
         np.testing.assert_allclose(
             low2[1].p.coefs, c * low1[1].p.coefs, rtol=0, atol=1e-12 * scale_p
         )
-        bd1 = compute_eta_h2(prob, goal, low1, enr1)
-        bd2 = compute_eta_h2(prob, scaled, low2, enr2)
+        bd1 = localize_pu(prob, goal, low1, enr1)
+        bd2 = localize_pu(prob, scaled, low2, enr2)
         for a, b in zip(bd1.parts(), bd2.parts()):
             assert b == pytest.approx(c * a, rel=1e-11, abs=1e-14)
         assert bd2.eta_h2 == pytest.approx(c * bd1.eta_h2, rel=1e-11)

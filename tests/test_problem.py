@@ -75,14 +75,6 @@ class TestPoissonInstance:
         assert prob.a_uu_fields is None
         assert prob.a_u_is_constant
 
-    def test_structural_zero_blocks(self):
-        prob = make_poisson_control(ALPHA)
-        assert prob.a_uq_fields is None
-        assert prob.a_qu_fields is None
-        assert prob.a_qq_fields is None
-        assert prob.j_uq_c is None
-        assert prob.j_qu_c is None
-
 
 def _residual_vec(prob, space, u, q):
     return assemble_vector(
