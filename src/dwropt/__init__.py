@@ -54,7 +54,6 @@ from .reduced import (
     newton_standard,
     reduced_cost,
     reduced_gradient,
-    solve_adjoint_like,
     solve_reduced_system,
     solve_state,
 )

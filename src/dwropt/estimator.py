@@ -27,13 +27,14 @@ from .fem import (
     FormContext,
     _chunks,
     _tabulated,
-    assemble_vector,
     build_space,
     region_cell_mask,
 )
 from .reduced import (
     assemble_terms,
+    coupling,
     goal_gradient,
+    lagrangian_uu,
     reduced_gradient,
     solve_reduced_system,
 )
@@ -108,31 +109,16 @@ def solve_reduced_adjoint(problem, goal, triple, krylov_tol=1e-10,
 def recover_v(problem, triple, p):
     """Tangent state of the goal adjoint direction p."""
     triple.require_consistent()
-
-    def fields(ctx):
-        return -problem.a_q_c * ctx.val("p"), None
-
-    rhs = assemble_vector(fields, triple.u.space, coeffs={"p": p})
-    return triple.lin.solve(rhs)
+    B = coupling(problem, triple.u.space, triple.q.space)
+    return triple.lin.solve(-(B @ p.coefs[triple.q.space.free_dofs]))
 
 
 def recover_y(problem, goal, triple, v, p):
     """Second adjoint from the first row of the adjoint optimality system."""
     triple.require_consistent()
     state = triple.u.space
-    coeffs = {"u": triple.u, "q": triple.q}
-    rhs = assemble_terms(goal.iu_terms, state, coeffs)
-
-    def juu(ctx):
-        return problem.j_uu_c * ctx.val("v"), None
-
-    rhs += assemble_vector(juu, state, coeffs={"v": v})
-    if problem.a_uu_fields is not None:
-        rhs -= assemble_vector(
-            lambda ctx: problem.a_uu_fields(ctx, "w", "zfun"),
-            state,
-            coeffs={"u": triple.u, "w": v, "zfun": triple.z},
-        )
+    rhs = assemble_terms(goal.iu_terms, state, {"u": triple.u, "q": triple.q})
+    rhs += lagrangian_uu(problem, triple) @ v.coefs[state.free_dofs]
     return triple.lin.solve_transposed(rhs)
 
 
@@ -177,52 +163,39 @@ def _part_fields(problem, goal, ctx, mesh, cells):
     All forms are linearized at the low-order solutions, which the
     context exposes under the names u, q, z, v, p, y; enriched solutions
     carry a "2" suffix.  Weight names refer to enriched-minus-low pairs.
+    Both operators take the control as a_q(q, .) = -(q, .), so J_uu is
+    the mass and J_qq alpha times it.
     """
-    aq = problem.a_q_c
-    K, c_mass = problem.a_u_fields(ctx)  # linearized at the low state
+    K, _ = problem.a_u_fields(ctx)  # linearized at the low state
 
     parts = []
 
     # rho_u = L'_z = -a(u, q)(.)   weighted by y2 - y
     g_res, h_res = problem.residual_fields(ctx)
-    parts.append((None if g_res is None else -g_res,
-                  None if h_res is None else -h_res, "y"))
+    parts.append((-g_res, -h_res, "y"))
 
     # rho_q = L'_q = J_q(.) - a_q(., z)   weighted by p2 - p
     g_jq, _ = problem.j_q_fields(ctx)
-    parts.append((g_jq - aq * ctx.val("z"), None, "p"))
+    parts.append((g_jq + ctx.val("z"), None, "p"))
 
     # rho_z = L'_u = J_u(.) - a_u(., z)   weighted by v2 - v
     g_ju, _ = problem.j_u_fields(ctx)
-    h = -_apply_K(K, ctx.grad("z")) if K is not None else None
-    g = g_ju - (c_mass * ctx.val("z") if c_mass is not None else 0.0)
-    parts.append((g, h, "v"))
+    parts.append((g_ju, -_apply_K(K, ctx.grad("z")), "v"))
 
     # rho_v = -a_u(v, .) - a_q(p, .)   weighted by z2 - z
-    h = -_apply_K(K, ctx.grad("v")) if K is not None else None
-    g = -aq * ctx.val("p") - (c_mass * ctx.val("v") if c_mass is not None else 0.0)
-    parts.append((g, h, "z"))
+    parts.append((ctx.val("p"), -_apply_K(K, ctx.grad("v")), "z"))
 
     # rho_y = I_u(.) + J_uu(v, .) - a_uu(v, .)(z) - a_u(., y)   weighted by u2 - u
     g, h = _goal_term_fields(goal.iu_terms, ctx, mesh, cells)
-    g = g + problem.j_uu_c * ctx.val("v")
+    hy = -_apply_K(K, ctx.grad("y"))
     if problem.a_uu_fields is not None:
-        g2, h2 = problem.a_uu_fields(ctx, "v", "z")
-        if g2 is not None:
-            g = g - g2
-        if h2 is not None:
-            h = -h2 if h is None else h - h2
-    if K is not None:
-        hy = -_apply_K(K, ctx.grad("y"))
-        h = hy if h is None else h + hy
-    if c_mass is not None:
-        g = g - c_mass * ctx.val("y")
-    parts.append((g, h, "u"))
+        K_uu, _ = problem.a_uu_fields(ctx)
+        hy -= _apply_K(K_uu, ctx.grad("v"))
+    parts.append((g + ctx.val("v"), hy if h is None else h + hy, "u"))
 
     # rho_p = I_q(.) + J_qq(p, .) - a_q(., y)   weighted by q2 - q
     g, h = _goal_term_fields(goal.iq_terms, ctx, mesh, cells)
-    g = g + problem.j_qq_c * ctx.val("p") - aq * ctx.val("y")
-    parts.append((g, h, "q"))
+    parts.append((g + problem.alpha * ctx.val("p") + ctx.val("y"), h, "q"))
 
     return parts
 

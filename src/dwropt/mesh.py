@@ -366,8 +366,10 @@ def refine_all(mesh):
 def dorfler_mark(indicators, theta, mesh=None):
     """Smallest cell set carrying a theta-fraction of the total indicator.
 
-    Ties are broken by descending indicator then ascending cell id.  An
-    all-zero indicator field yields the empty set (nothing to refine).
+    Cells are taken by descending indicator rounded to 10 significant
+    digits, ties by ascending cell id, so indicators of symmetric cells
+    that differ only by roundoff do not decide the order.  An all-zero
+    indicator field yields the empty set (nothing to refine).
     """
     eta = np.asarray(indicators, dtype=np.float64)
     if eta.ndim != 1:
@@ -380,7 +382,8 @@ def dorfler_mark(indicators, theta, mesh=None):
     total = float(eta.sum())
     if total == 0.0:
         return CellSet(frozenset(), gen)
-    order = np.lexsort((np.arange(len(eta)), -eta))
+    m, e = np.frexp(eta)
+    order = np.lexsort((np.arange(len(eta)), -np.ldexp(np.round(m, 10), e)))
     target = theta * total
     acc = 0.0
     chosen = []

@@ -7,9 +7,11 @@ derivative forms follow the field conventions of :mod:`dwropt.fem`.
 
 Two instances ship: a linear Poisson control problem with a known exact
 minimizer, and a regularized p-Laplacian control problem on a rectangle
-with six holes.  Control enters both operators linearly and the cost is
-separable, so all cross and control-control operator derivatives vanish
-and have no slot here.
+with six holes.  Control enters both operators as a_q(q, v) = -(q, v)
+and the cost is the separable tracking functional, so J_uu is the state
+mass, J_qq alpha times the control mass, and all cross and
+control-control operator derivatives vanish; none of these has a slot
+here.
 """
 
 from __future__ import annotations
@@ -40,11 +42,10 @@ GOAL_PRESETS = ("example1_cost", "example1_l1", "example2_uq", "example3")
 class ProblemDefinition:
     """Weak forms of the state operator and cost with their derivatives.
 
-    Matrix/vector form callables follow fem's field conventions.  The
-    trilinear second derivative of the operator is exposed through
-    ``a_uu_fields(ctx, w, z)`` which fixes one direction (coefficient
-    name ``w``) and the dual weight (name ``z``) and leaves the test slot
-    open; it is None when the operator is linear in the state.
+    Every form callable follows fem's field conventions.  The second
+    derivative of the operator, a_uu(u)(., .; z), is a matrix form that
+    reads the state and the dual weight from coefficients ``u`` and
+    ``z``; it is None when the operator is linear in the state.
     """
 
     name: str
@@ -57,13 +58,6 @@ class ProblemDefinition:
     residual_fields: Callable
     a_u_fields: Callable
     a_uu_fields: Callable | None
-    a_u_is_constant: bool
-    a_q_c: float = -1.0  # a_q(dq, v) = a_q_c * integral(dq * v)
-    j_uu_c: float = 1.0  # J_uu(d1, d2) = j_uu_c * integral(d1 * d2)
-
-    @property
-    def j_qq_c(self):
-        return self.alpha
 
     def j_u_fields(self, ctx):
         """dJ/du directional form: g = u - u_des."""
@@ -129,7 +123,6 @@ def make_poisson_control(alpha):
         residual_fields=residual_fields,
         a_u_fields=a_u_fields,
         a_uu_fields=None,
-        a_u_is_constant=True,
     )
 
 
@@ -177,21 +170,19 @@ def make_plaplace_control(alpha, p, eps):
         K[..., 1, 1] += kap
         return K, None
 
-    def a_uu_fields(ctx, w="w", z="zfun"):
-        gu = ctx.grad("u")
-        gw = ctx.grad(w)
-        gz = ctx.grad(z)
+    def a_uu_fields(ctx):
+        gu, gz = ctx.grad("u"), ctx.grad("z")
         s = _s(gu)
-        kap4 = s ** ((p - 4) / 2)
-        kap6 = s ** ((p - 6) / 2)
-        uw = np.einsum("cgd,cgd->cg", gu, gw)
         uz = np.einsum("cgd,cgd->cg", gu, gz)
-        wz = np.einsum("cgd,cgd->cg", gw, gz)
-        h = (p - 2) * kap4[..., None] * (
-            wz[..., None] * gu + uz[..., None] * gw + uw[..., None] * gz
+        kap4 = (p - 2) * s ** ((p - 4) / 2)
+        kap6 = (p - 2) * (p - 4) * s ** ((p - 6) / 2)
+        K = kap4[..., None, None] * (
+            gu[..., :, None] * gz[..., None, :] + gz[..., :, None] * gu[..., None, :]
         )
-        h += ((p - 2) * (p - 4) * kap6 * uw * uz)[..., None] * gu
-        return None, h
+        K += (kap6 * uz)[..., None, None] * gu[..., :, None] * gu[..., None, :]
+        K[..., 0, 0] += kap4 * uz
+        K[..., 1, 1] += kap4 * uz
+        return K, None
 
     return ProblemDefinition(
         name="plaplace_control",
@@ -204,7 +195,6 @@ def make_plaplace_control(alpha, p, eps):
         residual_fields=residual_fields,
         a_u_fields=a_u_fields,
         a_uu_fields=a_uu_fields,
-        a_u_is_constant=False,
     )
 
 

@@ -3,8 +3,11 @@
 The control-to-state map is realized by a damped Newton iteration on the
 nonlinear state residual.  Its linearization is factorized once per
 point and reused for every adjoint, tangent and Hessian-vector solve at
-that point, which makes the matrix-free CG on the reduced Hessian cheap:
-one Hessian application costs two triangular solve pairs.
+that point.  The reduced Hessian and the goal-adjoint chain are composed
+from that factorization and three assembled sparse operators: the
+control-to-state coupling and the control mass (cached per space) and
+the Lagrangian's state Hessian (one per KKT point).  One Hessian
+application costs two triangular solve pairs and four sparse mat-vecs.
 
 Dual vectors (assembled functionals) are always condensed, i.e. indexed
 by the unconstrained DOFs of their test space.
@@ -45,21 +48,32 @@ class SpacePair:
     control: object
 
 
+def _cached(space, key, build):
+    """build() stored on the space under key; built on first use."""
+    if key not in space._cache:
+        space._cache[key] = build()
+    return space._cache[key]
+
+
 class LinearizedState:
-    """Factorized state Jacobian at a fixed linearization point."""
+    """Factorized state Jacobian at a fixed linearization point.
+
+    A linear operator has a constant Jacobian, factorized once per space.
+    """
 
     def __init__(self, problem, u, q):
         space = u.space
-        key = ("a_u_const", problem.name)
-        if problem.a_u_is_constant and key in space._cache:
-            self.matrix, self.fac = space._cache[key]
-        else:
-            self.matrix = assemble_matrix(
+
+        def build():
+            matrix = assemble_matrix(
                 problem.a_u_fields, space, space, coeffs={"u": u, "q": q}
             )
-            self.fac = Factorization(self.matrix)
-            if problem.a_u_is_constant:
-                space._cache[key] = (self.matrix, self.fac)
+            return matrix, Factorization(matrix)
+
+        if problem.a_uu_fields is None:
+            self.matrix, self.fac = _cached(space, ("a_u_const", problem.name), build)
+        else:
+            self.matrix, self.fac = build()
         self.space = space
 
     def solve(self, rhs_dual):
@@ -81,6 +95,7 @@ class KKTTriple:
     lin: LinearizedState | None = None
     consistent: bool = False
     state_iterations: int = 0
+    l_uu: object = None  # lagrangian_uu, built on first use
 
     def require_consistent(self):
         if not self.consistent:
@@ -127,10 +142,49 @@ def _ju_vector(problem, u, q):
 
 def control_mass(control_space):
     """Control mass matrix and its factorization (cached on the space)."""
-    if "mass" not in control_space._cache:
+
+    def build():
         M = assemble_matrix(mass_fields, control_space, control_space)
-        control_space._cache["mass"] = (M, Factorization(M))
-    return control_space._cache["mass"]
+        return M, Factorization(M)
+
+    return _cached(control_space, "mass", build)
+
+
+def coupling(problem, state, ctrl):
+    """a_q as a condensed matrix: state-test rows, control-trial columns.
+
+    Control enters both shipped operators as -integral(q v), so this is
+    minus the mixed mass matrix, cached on the state space per control
+    space.
+    """
+    return _cached(
+        state, ("coupling", ctrl), lambda: -assemble_matrix(mass_fields, state, ctrl)
+    )
+
+
+def lagrangian_uu(problem, triple):
+    """State Hessian of the Lagrangian, J_uu - a_uu(u)(., .; z), as a matrix.
+
+    Built on first use at a consistent triple and kept on it.  For a
+    linear operator it is the state mass, cached on the space.
+    """
+    triple.require_consistent()
+    if triple.l_uu is None:
+        state = triple.u.space
+        if problem.a_uu_fields is None:
+            triple.l_uu = _cached(
+                state, "state_mass", lambda: assemble_matrix(mass_fields, state, state)
+            )
+        else:
+
+            def fields(ctx):
+                K, _ = problem.a_uu_fields(ctx)
+                return -K, np.ones(ctx.x.shape[:2])
+
+            triple.l_uu = assemble_matrix(
+                fields, state, state, coeffs={"u": triple.u, "z": triple.z}
+            )
+    return triple.l_uu
 
 
 def dual_norm(control_space, g):
@@ -171,7 +225,7 @@ def _solve_state_impl(problem, q, space, warm_start=None, tol_abs=1e-10,
                 f"state Newton line search stalled at residual {norm:.3e}"
             )
         u, res, norm = trial, res_trial, norm_trial
-        if not problem.a_u_is_constant:
+        if problem.a_uu_fields is not None:
             lin = None  # Jacobian is stale after the update
     raise NonConvergenceError(
         f"state Newton did not reach tolerance in {max_iter} iterations "
@@ -183,19 +237,6 @@ def solve_state(problem, q, space, warm_start=None, tol_abs=1e-10, tol_rel=1e-12
     """Damped Newton solve of the state equation; returns the state."""
     u, _, _ = _solve_state_impl(problem, q, space, warm_start, tol_abs, tol_rel)
     return u
-
-
-def solve_adjoint_like(problem, u, q, rhs, lin=None):
-    """Solve the transposed linearized state equation.
-
-    rhs is either a condensed dual vector over the state test space or a
-    fields callable (assembled with coefficients u, q).
-    """
-    if lin is None:
-        lin = LinearizedState(problem, u, q)
-    if callable(rhs):
-        rhs = assemble_vector(rhs, u.space, coeffs={"u": u, "q": q})
-    return lin.solve_transposed(rhs)
 
 
 def make_consistent(problem, q, pair, warm_u=None, tol_abs=1e-10, tol_rel=1e-12,
@@ -228,64 +269,39 @@ def reduced_cost(problem, q, pair, warm_u=None):
 def reduced_gradient(problem, triple):
     """Assembled first derivative of the reduced cost (dual vector)."""
     triple.require_consistent()
-
-    def fields(ctx):
-        g, _ = problem.j_q_fields(ctx)
-        return g - problem.a_q_c * ctx.val("z"), None
-
-    return assemble_vector(
-        fields, triple.q.space, coeffs={"q": triple.q, "z": triple.z}
-    )
+    state, ctrl = triple.u.space, triple.q.space
+    g = assemble_vector(problem.j_q_fields, ctrl, coeffs={"q": triple.q})
+    return g - coupling(problem, state, ctrl).T @ triple.z.coefs[state.free_dofs]
 
 
 def goal_gradient(problem, goal, triple):
     """Assembled derivative of the reduced goal i(q) = I(S(q), q) (dual vector)."""
     triple.require_consistent()
     coeffs = {"u": triple.u, "q": triple.q}
-    ctrl = triple.q.space
+    state, ctrl = triple.u.space, triple.q.space
     out = assemble_terms(goal.iq_terms, ctrl, coeffs)
     if goal.iu_terms:
-        rhs = assemble_terms(goal.iu_terms, triple.u.space, coeffs)
-        w = triple.lin.solve_transposed(rhs)
-
-        def fields(ctx):
-            return -problem.a_q_c * ctx.val("w"), None
-
-        out += assemble_vector(fields, ctrl, coeffs={"w": w})
+        rhs = assemble_terms(goal.iu_terms, state, coeffs)
+        w = triple.lin.fac.solve_transposed(rhs)
+        out -= coupling(problem, state, ctrl).T @ w
     return out
 
 
 def hessvec(problem, triple, dq):
-    """Matrix-free application of the reduced Hessian to a control direction.
+    """Application of the reduced Hessian to a control direction.
 
-    Runs the tangent solve, the second-order adjoint solve, and collects
-    the control-space terms; returns a dual vector.
+    A tangent solve and a second-order adjoint solve with the cached
+    factorization, joined by the coupling, the Lagrangian's state
+    Hessian and the control mass; returns a dual vector.
     """
     triple.require_consistent()
-    state = triple.u.space
     ctrl = triple.q.space
-
-    def tangent_rhs(ctx):
-        return -problem.a_q_c * ctx.val("dq"), None
-
-    du = triple.lin.solve(assemble_vector(tangent_rhs, state, coeffs={"dq": dq}))
-
-    def adj_rhs(ctx):
-        return problem.j_uu_c * ctx.val("du"), None
-
-    rhs2 = assemble_vector(adj_rhs, state, coeffs={"du": du})
-    if problem.a_uu_fields is not None:
-        rhs2 -= assemble_vector(
-            lambda ctx: problem.a_uu_fields(ctx, "w", "zfun"),
-            state,
-            coeffs={"u": triple.u, "w": du, "zfun": triple.z},
-        )
-    dz = triple.lin.solve_transposed(rhs2)
-
-    def out_fields(ctx):
-        return problem.j_qq_c * ctx.val("dq") - problem.a_q_c * ctx.val("dz"), None
-
-    return assemble_vector(out_fields, ctrl, coeffs={"dq": dq, "dz": dz})
+    B = coupling(problem, triple.u.space, ctrl)
+    M, _ = control_mass(ctrl)
+    x = dq.coefs[ctrl.free_dofs]
+    du = triple.lin.fac.solve(-(B @ x))
+    dz = triple.lin.fac.solve_transposed(lagrangian_uu(problem, triple) @ du)
+    return problem.alpha * (M @ x) - B.T @ dz
 
 
 def solve_reduced_system(problem, triple, rhs, krylov_tol=1e-10, max_iter=500,
@@ -348,6 +364,7 @@ def _newton_update(problem, triple, pair, g, krylov_tol):
         problem, triple, -g, krylov_tol=krylov_tol, truncate_on_negative=True
     )
     slope = float(g @ dq.coefs[pair.control.free_dofs])
+    triple.l_uu = None  # the trial solves below peak in memory; free it first
     j0 = problem.j_value(triple.u, triple.q)
     j_noise = 1e-12 * max(1.0, abs(j0))
     s = 1.0

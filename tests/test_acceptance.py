@@ -391,10 +391,9 @@ class TestCriterion6:
             e1 = np.max(np.abs(fd1 - A @ d1.coefs[space.free_dofs]))
             e1 /= max(1.0, np.max(np.abs(fd1)))
 
-            auu = assemble_vector(
-                lambda ctx: prob.a_uu_fields(ctx, "w", "zfun"), space,
-                coeffs={"u": u, "w": d1, "zfun": d2}, nquad=5,
-            )
+            auu = assemble_matrix(
+                prob.a_uu_fields, space, space, coeffs={"u": u, "z": d2}, nquad=5,
+            ) @ d1.coefs[space.free_dofs]
 
             def a_u_dir(ub):
                 M = assemble_matrix(prob.a_u_fields, space, space,

@@ -1,4 +1,5 @@
 import os
+import tempfile
 from dataclasses import fields
 
 import numpy as np
@@ -19,6 +20,21 @@ from dwropt.driver import (
     run_adaptive,
 )
 from dwropt.errors import ConfigError
+
+#: random "key = value" entries: every Config field plus an unknown key,
+#: with numbers, non-numbers and non-finite values
+CONFIG_ENTRIES = st.lists(st.tuples(
+    st.sampled_from([f.name for f in fields(Config)] + ["bogus"]),
+    st.one_of(
+        st.text(alphabet="0123456789abcdefinx.+-e_ ", max_size=8),
+        st.floats(allow_nan=True, allow_infinity=True).map(repr),
+        st.integers(-3, 50).map(str),
+    ),
+), max_size=4)
+
+
+def _config_text(entries):
+    return "\n".join(f"{k} = {v}" for k, v in entries)
 
 
 class TestConfig:
@@ -55,16 +71,9 @@ class TestConfig:
             preset_config("example99")
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(
-        st.sampled_from([f.name for f in fields(Config)] + ["bogus"]),
-        st.one_of(
-            st.text(alphabet="0123456789abcdefinx.+-e_ ", max_size=8),
-            st.floats(allow_nan=True, allow_infinity=True).map(repr),
-            st.integers(-3, 50).map(str),
-        ),
-    ), max_size=4))
+    @given(CONFIG_ENTRIES)
     def test_any_text_parses_or_raises_config_error(self, entries):
-        text = "\n".join(f"{k} = {v}" for k, v in entries)
+        text = _config_text(entries)
         try:
             cfg = parse_config(text)
         except ConfigError:
@@ -262,6 +271,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert len(err.strip().splitlines()) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(CONFIG_ENTRIES)
+    def test_any_config_exits_0_1_or_2(self, entries):
+        # a coarse one-level run, so any config that parses solves quickly
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "any.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(_config_text(entries) + (
+                    "\npreset = example1_cost\ncell_size = 0.5\nmax_levels = 1\n"
+                    f"output_dir = {os.path.join(tmp, 'out')}\n"
+                ))
+            assert cli_main(["run", path]) in (0, 1, 2)
 
     def test_zero_max_levels_preset_exit_2(self, capsys):
         assert cli_main(["preset", "example1_cost", "--max-levels", "0"]) == 2

@@ -145,6 +145,16 @@ class TestDorfler:
     def test_all_zero(self):
         assert len(dorfler_mark([0.0, 0.0], 0.5)) == 0
 
+    def test_roundoff_does_not_reorder(self):
+        # indicators of symmetric cells agree only up to roundoff
+        a, b = 1.0, np.nextafter(1.0, 2.0)
+        assert set(dorfler_mark([a, b, 0.5], 0.3).ids) == {0}
+        assert set(dorfler_mark([b, a, 0.5], 0.3).ids) == {0}
+
+    @pytest.mark.parametrize("tiny", [1e-12, 5e-324])
+    def test_zero_never_before_positive(self, tiny):
+        assert set(dorfler_mark([0.0, tiny, tiny], 1.0).ids) == {1, 2}
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=1, max_size=40),

@@ -2,21 +2,30 @@ import numpy as np
 import pytest
 
 from dwropt.errors import NegativeCurvatureError, StaleTripleError
-from dwropt.fem import DiscreteFunction, build_space, integrate, interpolate, zero_function
-from dwropt.mesh import HOLED_RECT, UNIT_SQUARE, build_initial, refine_all
+from dwropt.fem import (
+    DiscreteFunction,
+    assemble_vector,
+    build_space,
+    integrate,
+    interpolate,
+    zero_function,
+)
+from dwropt.estimator import recover_v, recover_y
+from dwropt.mesh import CellSet, HOLED_RECT, UNIT_SQUARE, build_initial, refine, refine_all
 from dwropt.multigoal import build_combined
 from dwropt.problem import make_goals, make_plaplace_control, make_poisson_control
 from dwropt.reduced import (
     KKTTriple,
     SpacePair,
+    assemble_terms,
     dual_norm,
+    goal_gradient,
     hessvec,
     make_consistent,
     newton_reduced_adaptive,
     newton_standard,
     reduced_cost,
     reduced_gradient,
-    solve_adjoint_like,
     solve_reduced_system,
     solve_state,
     state_residual,
@@ -84,21 +93,20 @@ class TestAdjoint:
     def test_zero_rhs_gives_zero(self):
         prob, mesh, pair = poisson_setup()
         q = zero_function(pair.control)
-        u = solve_state(prob, q, pair.state)
-        z = solve_adjoint_like(prob, u, q, np.zeros(pair.state.nfree))
+        triple = make_consistent(prob, q, pair)
+        z = triple.lin.solve_transposed(np.zeros(pair.state.nfree))
         assert np.max(np.abs(z.coefs)) == 0.0
 
     def test_manufactured_adjoint(self):
         # rhs integral(sin(pi x) sin(pi y) v) -> z = sin sin / (2 pi^2) + O(h^2)
         prob, mesh, pair = poisson_setup(cell=0.0625)
-        q = zero_function(pair.control)
-        u = solve_state(prob, q, pair.state)
+        triple = make_consistent(prob, zero_function(pair.control), pair)
 
         def rhs(ctx):
             x, y = ctx.x[..., 0], ctx.x[..., 1]
             return np.sin(np.pi * x) * np.sin(np.pi * y), None
 
-        z = solve_adjoint_like(prob, u, q, rhs)
+        z = triple.lin.solve_transposed(assemble_vector(rhs, pair.state))
 
         def err(ctx):
             x, y = ctx.x[..., 0], ctx.x[..., 1]
@@ -223,8 +231,6 @@ class TestHessvec:
         def tangent_rhs(ctx):
             return ctx.val("dq"), None
 
-        from dwropt.fem import assemble_vector
-
         du = triple.lin.solve(assemble_vector(tangent_rhs, pair.state, coeffs={"dq": dq}))
         ndq = integrate(lambda ctx: ctx.val("f") ** 2, mesh, coeffs={"f": dq})
         ndu = integrate(lambda ctx: ctx.val("f") ** 2, mesh, coeffs={"f": du})
@@ -327,3 +333,113 @@ class TestNewtonAdaptive:
         assert log.stop_reason == "adaptive"
         g = reduced_gradient(prob, triple)
         assert abs(float(g @ p.coefs[pair.control.free_dofs])) <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# reference: the quadrature-closure formulations the assembled operators
+# replaced.  Both problems take the control as a_q(q, v) = -(q, v), with
+# J_uu the mass and J_qq alpha times it.
+
+
+def _ref_a_uu_vector(prob):
+    """Vector form a_uu(u)(w, .; z) of the p-Laplacian, coefficients u, w, z."""
+    p, eps = prob.p, prob.eps
+
+    def fields(ctx):
+        gu, gw, gz = ctx.grad("u"), ctx.grad("w"), ctx.grad("z")
+        s = eps**2 + gu[..., 0] ** 2 + gu[..., 1] ** 2
+        kap4 = s ** ((p - 4) / 2)
+        kap6 = s ** ((p - 6) / 2)
+        uw = np.einsum("cgd,cgd->cg", gu, gw)
+        uz = np.einsum("cgd,cgd->cg", gu, gz)
+        wz = np.einsum("cgd,cgd->cg", gw, gz)
+        h = (p - 2) * kap4[..., None] * (
+            wz[..., None] * gu + uz[..., None] * gw + uw[..., None] * gz
+        )
+        h += ((p - 2) * (p - 4) * kap6 * uw * uz)[..., None] * gu
+        return None, h
+
+    return fields
+
+
+def _ref_l_uu(prob, t, d):
+    """J_uu(d, .) - a_uu(u)(d, .; z) at the triple t."""
+    state = t.u.space
+    rhs = assemble_vector(lambda ctx: (ctx.val("d"), None), state, coeffs={"d": d})
+    if prob.a_uu_fields is not None:
+        rhs -= assemble_vector(
+            _ref_a_uu_vector(prob), state, coeffs={"u": t.u, "w": d, "z": t.z}
+        )
+    return rhs
+
+
+def _ref_reduced_gradient(prob, t):
+    def fields(ctx):
+        g, _ = prob.j_q_fields(ctx)
+        return g + ctx.val("z"), None
+
+    return assemble_vector(fields, t.q.space, coeffs={"q": t.q, "z": t.z})
+
+
+def _ref_goal_gradient(prob, goal, t):
+    coeffs = {"u": t.u, "q": t.q}
+    out = assemble_terms(goal.iq_terms, t.q.space, coeffs)
+    w = t.lin.solve_transposed(assemble_terms(goal.iu_terms, t.u.space, coeffs))
+    return out + assemble_vector(
+        lambda ctx: (ctx.val("w"), None), t.q.space, coeffs={"w": w}
+    )
+
+
+def _ref_recover_v(prob, t, p):
+    return t.lin.solve(
+        assemble_vector(lambda ctx: (ctx.val("p"), None), t.u.space, coeffs={"p": p})
+    )
+
+
+def _ref_hessvec(prob, t, dq):
+    du = _ref_recover_v(prob, t, dq)
+    dz = t.lin.solve_transposed(_ref_l_uu(prob, t, du))
+
+    def fields(ctx):
+        return prob.alpha * ctx.val("dq") + ctx.val("dz"), None
+
+    return assemble_vector(fields, t.q.space, coeffs={"dq": dq, "dz": dz})
+
+
+def _ref_recover_y(prob, goal, t, v):
+    rhs = assemble_terms(goal.iu_terms, t.u.space, {"u": t.u, "q": t.q})
+    return t.lin.solve_transposed(rhs + _ref_l_uu(prob, t, v))
+
+
+def _assert_close(got, ref):
+    ref = np.asarray(ref)
+    np.testing.assert_allclose(
+        got, ref, rtol=1e-12, atol=1e-12 * max(1.0, np.max(np.abs(ref)))
+    )
+
+
+class TestAssembledOperatorsMatchClosures:
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("which", ["poisson", "plaplace"])
+    def test_against_closure_reference(self, which, degree):
+        mesh = build_initial(UNIT_SQUARE, 0.25)
+        mesh = refine(mesh, CellSet(frozenset({0, 5}), mesh.generation))
+        pair = SpacePair(
+            build_space(mesh, "cg", degree), build_space(mesh, "dg", degree - 1)
+        )
+        if which == "poisson":
+            prob = make_poisson_control(ALPHA)
+        else:
+            prob = make_plaplace_control(0.1, 4.0, 1.0)
+        (goal,) = make_goals("example2_uq", prob)
+        rng = np.random.default_rng(13)
+        t = make_consistent(prob, random_control(pair.control, rng), pair)
+        dq = random_control(pair.control, rng)
+
+        _assert_close(reduced_gradient(prob, t), _ref_reduced_gradient(prob, t))
+        _assert_close(goal_gradient(prob, goal, t), _ref_goal_gradient(prob, goal, t))
+        _assert_close(hessvec(prob, t, dq), _ref_hessvec(prob, t, dq))
+        v = recover_v(prob, t, dq)
+        _assert_close(v.coefs, _ref_recover_v(prob, t, dq).coefs)
+        y = recover_y(prob, goal, t, v, dq)
+        _assert_close(y.coefs, _ref_recover_y(prob, goal, t, v).coefs)
