@@ -33,7 +33,7 @@ from .errors import (
     SingularSystemError,
     UnrelatedMeshError,
 )
-from .mesh import LBITS, TAG_NONE
+from .mesh import TAG_NONE, KeyTable
 
 _CHUNK_POINTS = 1_000_000  # cells-per-chunk chosen so ncells*nq stays near this
 
@@ -108,11 +108,6 @@ def _tabulated(degree, n1d):
     return _TAB_CACHE[key]
 
 
-# face -> (corner_start, corner_end) in local corner numbering, oriented by
-# ascending coordinate along the face
-_FACE_CORNERS = {0: (0, 1), 1: (1, 3), 2: (2, 3), 3: (0, 2)}
-
-
 # ---------------------------------------------------------------------------
 # spaces
 
@@ -140,157 +135,85 @@ class Space:
             self.cell_dofs = np.arange(self.ndofs, dtype=np.int64).reshape(
                 mesh.ncells, nloc
             )
-            self.constraints = {}
+            self._build_constraints(None)
         else:
-            self.cell_dofs, keys = self._number_cg_nodes()
-            self.ndofs = len(keys)
-            self.constraints = self._build_constraints(keys)
+            nodes = KeyTable(*mesh.node_lattice(degree))
+            self.cell_dofs = nodes.ids
+            self.ndofs = len(nodes.keys)
+            self._build_constraints(nodes)
 
-        self._finalize_constraints()
-        self.node_xy = self._node_coordinates()
+        n1 = degree + 1
+        frac = np.arange(n1) / degree if degree else np.array([0.5])
+        org = mesh.cell_origin()
+        h = mesh.cell_h()[:, None]
+        self.node_xy = np.empty((self.ndofs, 2))
+        # a node shared by several cells takes its coordinates from the last
+        self.node_xy[self.cell_dofs, 0] = org[:, 0:1] + np.tile(frac, n1) * h
+        self.node_xy[self.cell_dofs, 1] = org[:, 1:2] + np.repeat(frac, n1) * h
 
     # -- construction ---------------------------------------------------
 
-    def _node_keys_of_cell(self, ci):
-        r = self.degree
-        mesh = self.mesh
-        s = 1 << (LBITS - int(mesh.level[ci]))
-        x0 = int(mesh.ix[ci]) * r
-        y0 = int(mesh.iy[ci]) * r
-        return [(x0 + a * s, y0 + b * s) for b in range(r + 1) for a in range(r + 1)]
+    def _build_constraints(self, nodes):
+        """Constraint map C (ndofs x nfree) from the CG node table (or None).
 
-    def _number_cg_nodes(self):
-        mesh = self.mesh
-        allkeys = set()
-        for ci in range(mesh.ncells):
-            allkeys.update(self._node_keys_of_cell(ci))
-        keys = sorted(allkeys, key=lambda k: (k[1], k[0]))
-        kid = {k: i for i, k in enumerate(keys)}
-        cell_dofs = np.empty((mesh.ncells, self.nloc), dtype=np.int64)
-        for ci in range(mesh.ncells):
-            for j, k in enumerate(self._node_keys_of_cell(ci)):
-                cell_dofs[ci, j] = kid[k]
-        self._key_to_dof = kid
-        return cell_dofs, keys
-
-    def _face_node_keys(self, ci, face, step_div=1):
-        """Keys of the nodes on one face, ordered by ascending coordinate.
-
-        step_div=2 yields the refined-side node lattice (twice as dense).
+        Free DOFs get identity rows, Dirichlet DOFs empty rows, and hanging
+        DOFs the weights of the coarse edge trace at their position.
         """
-        r = self.degree
-        mesh = self.mesh
-        s = 1 << (LBITS - int(mesh.level[ci]))
-        x0 = int(mesh.ix[ci]) * r
-        y0 = int(mesh.iy[ci]) * r
-        c0, _ = _FACE_CORNERS[face]
-        sx = x0 + (s * r if c0 in (1, 3) else 0)
-        sy = y0 + (s * r if c0 in (2, 3) else 0)
-        dx, dy = ((s, 0) if face in (0, 2) else (0, s))
-        step = s // step_div
-        n = r * step_div
-        ux, uy = (1, 0) if face in (0, 2) else (0, 1)
-        return [(sx + ux * m * step, sy + uy * m * step) for m in range(n + 1)]
+        n, r, mesh = self.ndofs, self.degree, self.mesh
+        zero = np.zeros(n, dtype=bool)
+        slaves = np.empty(0, dtype=np.int64)
+        masters = np.empty((0, r + 1), dtype=np.int64)
+        weights = np.empty((0, r + 1))
+        if nodes is not None:
+            # local nodes on faces 0-3, by ascending coordinate along each
+            a = np.arange(r + 1)
+            face = np.array([a, a * (r + 1) + r, r * (r + 1) + a, a * (r + 1)])
+            if self.constrain_dirichlet:
+                c, f = np.nonzero(mesh.btags != TAG_NONE)
+                zero[self.cell_dofs[c[:, None], face[f]]] = True
 
-    def _build_constraints(self, keys):
-        r = self.degree
-        mesh = self.mesh
-        kid = self._key_to_dof
-        raw = {}
+            # a face is split by finer neighbors exactly when its first odd
+            # fine-lattice point is a node of the space
+            x, y = mesh.node_lattice(r)
+            x0, y0 = x[:, face[:, 0]], y[:, face[:, 0]]
+            along_x = np.array([1, 0, 1, 0])
+            half = (mesh.lattice_size() >> 1)[:, None]
+            probe = nodes.find(x0 + along_x * half, y0 + (1 - along_x) * half)
+            c, f = np.nonzero((probe >= 0) & (half > 0))
+            odd = np.arange(1, 2 * r, 2)
+            step = half[c] * odd
+            slaves = nodes.find(
+                x0[c, f, None] + along_x[f, None] * step,
+                y0[c, f, None] + (1 - along_x[f, None]) * step,
+            )
+            missing = np.nonzero((slaves < 0).any(axis=1))[0]
+            if missing.size:
+                k = missing[0]
+                raise AssemblyError(f"hanging node missing on face {f[k]} of cell {c[k]}")
+            wts, _ = lagrange_1d(r, odd / (2.0 * r))
+            slaves = slaves.ravel()
+            masters = np.repeat(self.cell_dofs[c[:, None], face[f]], r, axis=0)
+            weights = np.tile(wts, (len(c), 1))
+            live = ~zero[slaves]
+            slaves, masters, weights = slaves[live], masters[live], weights[live]
 
-        # hanging nodes: for every face split by finer neighbors, the odd
-        # fine-lattice nodes interpolate the coarse edge trace
-        tpts = np.arange(1, 2 * r, 2) / (2.0 * r)
-        wts, _ = lagrange_1d(r, tpts)
-        for ci in range(mesh.ncells):
-            for face in range(4):
-                kind, _ = mesh.across(ci, face)
-                if kind != "finer":
-                    continue
-                masters = [kid[k] for k in self._face_node_keys(ci, face)]
-                fine = self._face_node_keys(ci, face, step_div=2)
-                for row, m in enumerate(range(1, 2 * r, 2)):
-                    slave = kid.get(fine[m])
-                    if slave is None:
-                        raise AssemblyError(
-                            f"hanging node {fine[m]} missing on face {face} of cell {ci}"
-                        )
-                    raw[slave] = tuple(
-                        (md, float(wts[row, k])) for k, md in enumerate(masters)
-                    )
-
-        if self.constrain_dirichlet:
-            for ci in range(mesh.ncells):
-                for face in range(4):
-                    if mesh.btags[ci, face] == TAG_NONE:
-                        continue
-                    for k in self._face_node_keys(ci, face):
-                        raw[kid[k]] = ()
-
-        # resolve chains: hanging masters may themselves be constrained
-        resolved = {}
-
-        def resolve(dof, depth=0):
-            if depth > LBITS + 2:
-                raise AssemblyError("constraint chain too deep")
-            if dof in resolved:
-                return resolved[dof]
-            entry = raw[dof]
-            out = {}
-            for md, w in entry:
-                if md in raw:
-                    for md2, w2 in resolve(md, depth + 1):
-                        out[md2] = out.get(md2, 0.0) + w * w2
-                else:
-                    out[md] = out.get(md, 0.0) + w
-            flat = tuple(sorted(out.items()))
-            resolved[dof] = flat
-            return flat
-
-        return {d: resolve(d) for d in raw}
-
-    def _finalize_constraints(self):
-        n = self.ndofs
-        constrained = self.constraints
-        self.free_dofs = np.array(
-            [d for d in range(n) if d not in constrained], dtype=np.int64
-        )
+        hanging = np.zeros(n, dtype=bool)
+        hanging[slaves] = True
+        # in a 1-irregular mesh a hanging node's masters are never hanging
+        if np.any(hanging[masters]):
+            raise AssemblyError("a hanging node's master is itself hanging")
+        self.free_dofs = np.nonzero(~(zero | hanging))[0]
         self.nfree = len(self.free_dofs)
         col_of = np.full(n, -1, dtype=np.int64)
         col_of[self.free_dofs] = np.arange(self.nfree)
         self._col_of = col_of
-        rows, cols, data = [], [], []
-        for d in range(n):
-            if d in constrained:
-                for md, w in constrained[d]:
-                    rows.append(d)
-                    cols.append(col_of[md])
-                    data.append(w)
-            else:
-                rows.append(d)
-                cols.append(col_of[d])
-                data.append(1.0)
+        rows = np.concatenate([self.free_dofs, np.repeat(slaves, r + 1)])
+        cols = np.concatenate([np.arange(self.nfree), col_of[masters].ravel()])
+        data = np.concatenate([np.ones(self.nfree), weights.ravel()])
+        keep = cols >= 0  # Dirichlet masters contribute zero
         self.C = sp.csr_matrix(
-            (data, (rows, cols)), shape=(n, self.nfree)
+            (data[keep], (rows[keep], cols[keep])), shape=(n, self.nfree)
         )
-
-    def _node_coordinates(self):
-        mesh = self.mesh
-        out = np.empty((self.ndofs, 2))
-        r = self.degree
-        origin = mesh.cell_origin()
-        h = mesh.cell_h()
-        for ci in range(mesh.ncells):
-            for b in range(r + 1):
-                for a in range(r + 1):
-                    j = b * (r + 1) + a
-                    d = self.cell_dofs[ci, j]
-                    # constants carry their node at the cell center
-                    fx = a / r if r else 0.5
-                    fy = b / r if r else 0.5
-                    out[d, 0] = origin[ci, 0] + fx * h[ci]
-                    out[d, 1] = origin[ci, 1] + fy * h[ci]
-        return out
 
     # -- constraint application ------------------------------------------
 
@@ -602,29 +525,6 @@ def solve_linear(system):
 # transfer between spaces
 
 
-def _ancestor_map(src_mesh, tgt_mesh):
-    """Active source cell index containing each target cell."""
-    anc = np.empty(tgt_mesh.ncells, dtype=np.int64)
-    for ci in range(tgt_mesh.ncells):
-        l = int(tgt_mesh.level[ci])
-        x = int(tgt_mesh.ix[ci])
-        y = int(tgt_mesh.iy[ci])
-        while True:
-            j = src_mesh._active.get((l, x, y))
-            if j is not None:
-                anc[ci] = j
-                break
-            if l == 0:
-                raise UnrelatedMeshError(
-                    "target mesh is not a refinement of the source mesh"
-                )
-            l -= 1
-            m = 1 << (LBITS - l)
-            x -= x % m
-            y -= y % m
-    return anc
-
-
 def transfer(f, target):
     """Nodal interpolation of f into the target space.
 
@@ -632,7 +532,11 @@ def transfer(f, target):
     space: same mesh with equal/raised degree, or any refinement.
     """
     src = f.space
-    anc = _ancestor_map(src.mesh, target.mesh)
+    tgt_mesh = target.mesh
+    # the source cell holding each target cell's corner must contain it whole
+    anc = src.mesh.locate(tgt_mesh.ix, tgt_mesh.iy)
+    if np.any((anc < 0) | (src.mesh.level[anc] > tgt_mesh.level)):
+        raise UnrelatedMeshError("target mesh is not a refinement of the source mesh")
 
     tgt_xy = target.node_xy[target.cell_dofs]  # (nc, nloc_t, 2)
     s_org = src.mesh.cell_origin()[anc]
@@ -654,30 +558,30 @@ def transfer(f, target):
 
 
 def evaluate_at(f, points):
-    """Point evaluation of a DiscreteFunction (diagnostics; not hot)."""
+    """Point evaluation of a DiscreteFunction (diagnostics; not hot).
+
+    Cells are found half-open; a point on a grid line that no cell holds
+    that way (on the right or top boundary) falls back to the cell one
+    lattice unit to its left or below.
+    """
     mesh = f.space.mesh
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    ox, oy = mesh.domain.origin
-    out = np.empty(len(pts))
-    max_level = int(mesh.level.max())
-    for i, (px, py) in enumerate(pts):
-        gx = (px - ox) / mesh.unit
-        gy = (py - oy) / mesh.unit
-        found = None
-        for lvl in range(max_level + 1):
-            s = 1 << (LBITS - lvl)
-            key = (lvl, int(gx // s) * s, int(gy // s) * s)
-            ci = mesh._active.get(key)
-            if ci is not None:
-                found = ci
-                break
-        if found is None:
-            raise DwroptError(f"point {(px, py)} lies in no active cell")
-        h = mesh.cell_size * 0.5 ** int(mesh.level[found])
-        rx = (px - (ox + mesh.ix[found] * mesh.unit)) / h
-        ry = (py - (oy + mesh.iy[found] * mesh.unit)) / h
-        phi, _ = tabulate(f.space.degree, np.array([[rx, ry]]))
-        out[i] = phi[0] @ f.coefs[f.space.cell_dofs[found]]
+    g = (pts - np.asarray(mesh.domain.origin)) / mesh.unit
+    # far or non-finite points are clipped to a lattice point outside the mesh
+    g = np.clip(np.nan_to_num(g, nan=-2.0), -2.0, 2.0**62)
+    base = np.floor(g)
+    on_line = g == base
+    lx, ly = base.astype(np.int64).T
+    ci = mesh.locate(lx, ly)
+    for dx, dy in ((1, 0), (0, 1), (1, 1)):
+        miss = (ci < 0) & (on_line[:, 0] | (dx == 0)) & (on_line[:, 1] | (dy == 0))
+        ci[miss] = mesh.locate(lx[miss] - dx, ly[miss] - dy)
+    if np.any(ci < 0):
+        i = int(np.nonzero(ci < 0)[0][0])
+        raise DwroptError(f"point {tuple(pts[i])} lies in no active cell")
+    ref = (pts - mesh.cell_origin()[ci]) / mesh.cell_h()[ci, None]
+    phi, _ = tabulate(f.space.degree, ref)
+    out = np.einsum("ij,ij->i", phi, f.coefs[f.space.cell_dofs[ci]])
     return out if out.size > 1 else float(out[0])
 
 

@@ -3,7 +3,9 @@
 Cells live on an integer lattice: the root grid has cells of ``cell_size``
 and every refinement halves a cell, so a cell at level ``l`` spans
 ``2**(LBITS - l)`` lattice units.  All coordinates are exact integers,
-which makes vertex identification, neighbor lookup and closure trivial.
+kept in one sorted key table.  One vectorized lookup, :meth:`Mesh.locate`,
+answers "which active cell holds this lattice point" for neighbor queries,
+refinement closure, nested-mesh transfer and point evaluation.
 
 Face numbering: 0 = bottom (y-), 1 = right (x+), 2 = top (y+), 3 = left (x-).
 Corner order within a cell: (0,0), (1,0), (0,1), (1,1) in local coordinates.
@@ -12,7 +14,7 @@ Corner order within a cell: (0,0), (1,0), (0,1), (1,1) in local coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,58 +80,75 @@ class CellSet:
         return iter(self.ids)
 
 
-class Mesh:
-    """Immutable snapshot of the active leaves of a refinement tree."""
+class KeyTable:
+    """Distinct integer lattice points, numbered by ascending ``(y, x)``.
 
-    def __init__(self, domain, cell_size, generation, cells, btags):
-        # cells: dict {(level, ix, iy): btags tuple of 4 ints} -- consumed
+    Each point is packed into one sorted int64 key ``y * width + x`` after
+    dividing out ``step``, the largest power of two dividing every
+    coordinate, so the key range grows with the finest refinement present
+    rather than with the full lattice depth ``LBITS``.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=np.int64)
+        y = np.asarray(y, dtype=np.int64)
+        bits = int(np.bitwise_or.reduce(x | y, axis=None))
+        self.step = (bits & -bits) or 1
+        self.width = int(x.max()) // self.step + 1
+        self.height = int(y.max()) // self.step + 1
+        if self.height * self.width >= 1 << 63:
+            raise SizingError("mesh lattice too fine for 64-bit point keys")
+        self.keys, inverse = np.unique(self._pack(x, y), return_inverse=True)
+        self.ids = inverse.reshape(x.shape)
+
+    def _pack(self, x, y):
+        return (y // self.step) * self.width + x // self.step
+
+    def find(self, x, y):
+        """Number of each point (x, y) in the table, or -1 if absent."""
+        x = np.asarray(x, dtype=np.int64)
+        y = np.asarray(y, dtype=np.int64)
+        ok = (
+            (x >= 0) & (x // self.step < self.width) & (x % self.step == 0)
+            & (y >= 0) & (y // self.step < self.height) & (y % self.step == 0)
+        )
+        k = np.where(ok, self._pack(x, y), -1)
+        j = np.minimum(np.searchsorted(self.keys, k), len(self.keys) - 1)
+        return np.where(ok & (self.keys[j] == k), j, -1)
+
+    def points(self):
+        """Lattice coordinates (x, y) of the numbered points."""
+        y, x = np.divmod(self.keys, self.width)
+        return x * self.step, y * self.step
+
+
+class Mesh:
+    """Immutable snapshot of the active leaves of a refinement tree.
+
+    Cells are sorted by ``(iy, ix)``; active cells never share a lower-left
+    corner, so the cell index is the cell's number in a :class:`KeyTable`
+    of its corners.
+    """
+
+    def __init__(self, domain, cell_size, generation, level, ix, iy, btags):
         self.domain = domain
         self.cell_size = cell_size
         self.generation = generation
         self.unit = cell_size / (1 << LBITS)
 
-        keys = sorted(cells, key=lambda k: (k[2], k[1], k[0]))
-        n = len(keys)
-        self.level = np.empty(n, dtype=np.int64)
-        self.ix = np.empty(n, dtype=np.int64)
-        self.iy = np.empty(n, dtype=np.int64)
-        self.btags = np.empty((n, 4), dtype=np.int8)
-        for i, (l, x, y) in enumerate(keys):
-            self.level[i] = l
-            self.ix[i] = x
-            self.iy[i] = y
-            self.btags[i] = btags[(l, x, y)]
-        self._active = {k: i for i, k in enumerate(keys)}
-
-        # vertex table, sorted for determinism
-        size = self.lattice_size()
-        vkeys = set()
-        for i in range(n):
-            s = size[i]
-            x, y = self.ix[i], self.iy[i]
-            vkeys.update(((x, y), (x + s, y), (x, y + s), (x + s, y + s)))
-        vkeys = sorted(vkeys, key=lambda k: (k[1], k[0]))
-        vid = {k: i for i, k in enumerate(vkeys)}
-        self.vert_ix = np.fromiter((k[0] for k in vkeys), dtype=np.int64, count=len(vkeys))
-        self.vert_iy = np.fromiter((k[1] for k in vkeys), dtype=np.int64, count=len(vkeys))
-        self.cell_verts = np.empty((n, 4), dtype=np.int64)
-        for i in range(n):
-            s = size[i]
-            x, y = self.ix[i], self.iy[i]
-            self.cell_verts[i, 0] = vid[(x, y)]
-            self.cell_verts[i, 1] = vid[(x + s, y)]
-            self.cell_verts[i, 2] = vid[(x, y + s)]
-            self.cell_verts[i, 3] = vid[(x + s, y + s)]
+        order = np.lexsort((level, ix, iy))
+        self.level = np.asarray(level, dtype=np.int64)[order]
+        self.ix = np.asarray(ix, dtype=np.int64)[order]
+        self.iy = np.asarray(iy, dtype=np.int64)[order]
+        self.btags = np.asarray(btags, dtype=np.int8).reshape(-1, 4)[order]
+        self._corners = KeyTable(self.ix, self.iy)
+        self._levels = np.unique(self.level)
 
     # -- geometry ---------------------------------------------------------
 
     @property
     def ncells(self):
         return len(self.level)
-
-    @property
-    def nverts(self):
-        return len(self.vert_ix)
 
     def lattice_size(self):
         return (1 << (LBITS - self.level)).astype(np.int64)
@@ -146,78 +165,39 @@ class Mesh:
         out[:, 1] = oy + self.iy * self.unit
         return out
 
-    def vertices(self):
-        """Physical vertex coordinates, shape (nverts, 2)."""
-        ox, oy = self.domain.origin
-        out = np.empty((self.nverts, 2))
-        out[:, 0] = ox + self.vert_ix * self.unit
-        out[:, 1] = oy + self.vert_iy * self.unit
-        return out
-
     def total_area(self):
         h = self.cell_h()
         return float(np.sum(h * h))
 
+    def node_lattice(self, degree):
+        """Equispaced Q^degree nodes of every cell on the lattice scaled by degree.
+
+        Returns (x, y), each of shape (ncells, (degree+1)**2), local index
+        b*(degree+1) + a for node (a, b).
+        """
+        a = np.arange(degree + 1)
+        s = self.lattice_size()[:, None]
+        x = self.ix[:, None] * degree + np.tile(a, degree + 1)[None, :] * s
+        y = self.iy[:, None] * degree + np.repeat(a, degree + 1)[None, :] * s
+        return x, y
+
     # -- topology ---------------------------------------------------------
 
-    def across(self, ci, face):
-        """Active neighborhood across one face.
+    def locate(self, x, y):
+        """Active cell containing each integer lattice point, or -1.
 
-        Returns one of ("none", None), ("same", cj), ("coarser", cj) or
-        ("finer", (cj_low, cj_high)) with the two finer cells ordered by
-        ascending coordinate along the face.
+        Cells are half-open: a cell at (ix, iy) of lattice size s contains
+        the points ix <= x < ix + s, iy <= y < iy + s.
         """
-        l = int(self.level[ci])
-        s = 1 << (LBITS - l)
-        x, y = int(self.ix[ci]), int(self.iy[ci])
-        if face == 0:
-            nx, ny = x, y - s
-        elif face == 1:
-            nx, ny = x + s, y
-        elif face == 2:
-            nx, ny = x, y + s
-        else:
-            nx, ny = x - s, y
-        same = self._active.get((l, nx, ny))
-        if same is not None:
-            return "same", same
-        # coarser: align the neighbor coordinates to the coarser lattice
-        if l > 0:
-            m = s << 1
-            ck = (l - 1, nx - (nx % m), ny - (ny % m))
-            cj = self._active.get(ck)
-            if cj is not None:
-                return "coarser", cj
-        # finer: two children share the face
-        half = s >> 1
-        if face in (0, 2):
-            fy = ny if face == 2 else y - half
-            k1 = (l + 1, x, fy)
-            k2 = (l + 1, x + half, fy)
-        else:
-            fx = nx if face == 1 else x - half
-            k1 = (l + 1, fx, y)
-            k2 = (l + 1, fx, y + half)
-        f1 = self._active.get(k1)
-        f2 = self._active.get(k2)
-        if f1 is not None and f2 is not None:
-            return "finer", (f1, f2)
-        return "none", None
-
-    def max_level_gap(self):
-        """Largest level difference between edge-adjacent active cells."""
-        gap = 0
-        for ci in range(self.ncells):
-            for face in range(4):
-                kind, other = self.across(ci, face)
-                if kind in ("same", "coarser"):
-                    gap = max(gap, abs(int(self.level[ci]) - int(self.level[other])))
-                elif kind == "finer":
-                    gap = max(gap, 1)
-                elif kind == "none" and self.btags[ci, face] == TAG_NONE:
-                    # interior face without a neighbor means the closure broke
-                    raise DwroptError(f"untagged open face {face} of cell {ci}")
-        return gap
+        x = np.asarray(x, dtype=np.int64)
+        y = np.asarray(y, dtype=np.int64)
+        out = np.full(np.broadcast(x, y).shape, -1, dtype=np.int64)
+        for lvl in self._levels:
+            s = 1 << (LBITS - int(lvl))
+            ci = self._corners.find(x - x % s, y - y % s)
+            hit = (ci >= 0) & (self.level[ci] == lvl)
+            out[hit] = ci[hit]
+        return out
 
 
 def _fits(extent, cell_size):
@@ -251,111 +231,74 @@ def build_initial(domain, cell_size):
     nx = round(domain.extent[0] / cell_size)
     ny = round(domain.extent[1] / cell_size)
     ox, oy = domain.origin
-
-    def in_hole(i, j):
-        cx = ox + (i + 0.5) * cell_size
-        cy = oy + (j + 0.5) * cell_size
-        for x0, y0, x1, y1 in domain.holes:
-            if x0 < cx < x1 and y0 < cy < y1:
-                return True
-        return False
-
-    grid = {(i, j): not in_hole(i, j) for i in range(nx) for j in range(ny)}
-    S = 1 << LBITS
-    cells = {}
-    btags = {}
-    for (i, j), live in grid.items():
-        if not live:
-            continue
-        key = (0, i * S, j * S)
-        cells[key] = True
-        tags = []
-        for di, dj in ((0, -1), (1, 0), (0, 1), (-1, 0)):
-            nb = grid.get((i + di, j + dj))
-            tags.append(TAG_NONE if nb else TAG_DIRICHLET)
-        btags[key] = tuple(tags)
-    return Mesh(domain, cell_size, 0, cells, btags)
-
-
-def _split_tags(tags):
-    """Boundary tags of the 4 children given the parent's face tags.
-
-    Children ordered (0,0), (1,0), (0,1), (1,1); interior child faces get
-    TAG_NONE, outer child faces inherit the parent tag of the same side.
-    """
-    b, r, t, le = tags
-    return (
-        (b, TAG_NONE, TAG_NONE, le),
-        (b, r, TAG_NONE, TAG_NONE),
-        (TAG_NONE, TAG_NONE, t, le),
-        (TAG_NONE, r, t, TAG_NONE),
+    cx = ox + (np.arange(nx) + 0.5) * cell_size
+    cy = oy + (np.arange(ny) + 0.5) * cell_size
+    # live[j + 1, i + 1]: root cell (i, j) exists; a one-cell dead border
+    live = np.zeros((ny + 2, nx + 2), dtype=bool)
+    live[1:-1, 1:-1] = True
+    for x0, y0, x1, y1 in domain.holes:
+        live[1:-1, 1:-1] &= ~(((y0 < cy) & (cy < y1))[:, None] & ((x0 < cx) & (cx < x1))[None, :])
+    j, i = np.nonzero(live[1:-1, 1:-1])
+    # a face without a live neighbor is on the boundary
+    open_face = np.column_stack(
+        [live[j, i + 1], live[j + 1, i + 2], live[j + 2, i + 1], live[j + 1, i]]
     )
+    btags = np.where(open_face, TAG_NONE, TAG_DIRICHLET)
+    S = 1 << LBITS
+    return Mesh(domain, cell_size, 0, np.zeros_like(i), i * S, j * S, btags)
+
+
+# outward lattice step per face, and which faces each child (0,0), (1,0),
+# (0,1), (1,1) shares with its parent (it inherits those tags)
+_FACE_STEP = np.array([(0, -1), (1, 0), (0, 1), (-1, 0)])
+_CHILD_FACES = np.array(
+    [[1, 0, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1], [0, 1, 1, 0]], dtype=bool
+)
 
 
 def refine(mesh, marked):
-    """Split the marked cells; closure keeps the mesh 1-irregular."""
+    """Split the marked cells; closure keeps the mesh 1-irregular.
+
+    A split cell forces its coarser edge neighbors to split; the split set
+    is the least fixed point of that rule containing the marked cells.
+    """
     if marked.generation is not None and marked.generation != mesh.generation:
         raise DwroptError(
             f"cell set of generation {marked.generation} applied to mesh "
             f"generation {mesh.generation}"
         )
-    work = {}
-    tags = {}
-    for i in range(mesh.ncells):
-        key = (int(mesh.level[i]), int(mesh.ix[i]), int(mesh.iy[i]))
-        work[key] = True
-        tags[key] = tuple(int(t) for t in mesh.btags[i])
+    ids = np.fromiter((int(c) for c in marked), dtype=np.int64, count=len(marked))
+    bad = (ids < 0) | (ids >= mesh.ncells)
+    if bad.any():
+        raise DwroptError(f"cell id {ids[bad][0]} outside mesh with {mesh.ncells} cells")
 
-    def neighbor_coarser(key, face):
-        l, x, y = key
-        if l == 0:
-            return None
-        s = 1 << (LBITS - l)
-        if face == 0:
-            nx, ny = x, y - s
-        elif face == 1:
-            nx, ny = x + s, y
-        elif face == 2:
-            nx, ny = x, y + s
-        else:
-            nx, ny = x - s, y
-        if (l, nx, ny) in work:
-            return None
-        m = s << 1
-        ck = (l - 1, nx - (nx % m), ny - (ny % m))
-        return ck if ck in work else None
+    s = mesh.lattice_size()
+    nb = mesh.locate(
+        mesh.ix[:, None] + _FACE_STEP[:, 0] * s[:, None],
+        mesh.iy[:, None] + _FACE_STEP[:, 1] * s[:, None],
+    )
+    forces = (nb >= 0) & (mesh.btags == TAG_NONE) & (mesh.level[nb] < mesh.level[:, None])
+    src, face = np.nonzero(forces)
+    dst = nb[src, face]
+    split = np.zeros(mesh.ncells, dtype=bool)
+    split[ids] = True
+    while True:
+        forced = dst[split[src]]
+        if split[forced].all():
+            break
+        split[forced] = True
 
-    def split(key):
-        if key not in work:
-            return  # already split by an earlier closure cascade
-        # 1-irregularity: coarser edge-neighbors must split first
-        for face in range(4):
-            if tags[key][face] != TAG_NONE:
-                continue
-            ck = neighbor_coarser(key, face)
-            if ck is not None:
-                split(ck)
-        l, x, y = key
-        s = 1 << (LBITS - l)
-        half = s >> 1
-        del work[key]
-        child_tags = _split_tags(tags.pop(key))
-        offs = ((0, 0), (half, 0), (0, half), (half, half))
-        for (dx, dy), ct in zip(offs, child_tags):
-            ck = (l + 1, x + dx, y + dy)
-            work[ck] = True
-            tags[ck] = ct
-
-    to_split = []
-    for ci in marked:
-        ci = int(ci)
-        if not 0 <= ci < mesh.ncells:
-            raise DwroptError(f"cell id {ci} outside mesh with {mesh.ncells} cells")
-        to_split.append((int(mesh.level[ci]), int(mesh.ix[ci]), int(mesh.iy[ci])))
-    for key in sorted(to_split):
-        split(key)
-
-    return Mesh(mesh.domain, mesh.cell_size, mesh.generation + 1, work, tags)
+    p = np.nonzero(split)[0]
+    if p.size and mesh.level[p].max() >= LBITS:
+        raise DwroptError(f"cannot refine below lattice depth {LBITS}")
+    half = (s[p] >> 1)[:, None]
+    keep = ~split
+    level = np.concatenate([mesh.level[keep], np.repeat(mesh.level[p] + 1, 4)])
+    ix = np.concatenate([mesh.ix[keep], (mesh.ix[p, None] + half * [0, 1, 0, 1]).ravel()])
+    iy = np.concatenate([mesh.iy[keep], (mesh.iy[p, None] + half * [0, 0, 1, 1]).ravel()])
+    child_tags = np.where(_CHILD_FACES, mesh.btags[p, None, :], TAG_NONE).reshape(-1, 4)
+    btags = np.concatenate([mesh.btags[keep], child_tags])
+    return Mesh(mesh.domain, mesh.cell_size, mesh.generation + 1, level, ix, iy, btags)
 
 
 def refine_all(mesh):
@@ -400,18 +343,18 @@ def dorfler_mark(indicators, theta, mesh=None):
 
 
 def dump_mesh(mesh):
+    """Vertices numbered like the Q1 nodes, cells by their four corners."""
+    corners = KeyTable(*mesh.node_lattice(1))
+    vx, vy = corners.points()
+    ox, oy = mesh.domain.origin
     lines = ["dwrmesh v1"]
-    verts = mesh.vertices()
-    for x, y in verts:
+    for x, y in zip(ox + vx * mesh.unit, oy + vy * mesh.unit):
         lines.append(f"v {float(x)!r} {float(y)!r}")
     for i in range(mesh.ncells):
-        v = mesh.cell_verts[i]
+        v = corners.ids[i]
         lines.append(f"c {mesh.level[i]} {v[0]} {v[1]} {v[2]} {v[3]}")
-    for i in range(mesh.ncells):
-        for face in range(4):
-            t = int(mesh.btags[i, face])
-            if t != TAG_NONE:
-                lines.append(f"b {i} {face} {_FACE_TAG_NAMES[t]}")
+    for i, face in zip(*np.nonzero(mesh.btags != TAG_NONE)):
+        lines.append(f"b {i} {face} {_FACE_TAG_NAMES[int(mesh.btags[i, face])]}")
     return "\n".join(lines) + "\n"
 
 
@@ -421,40 +364,33 @@ def load_mesh(text):
         raise DwroptError("not a dwrmesh v1 dump")
     verts = []
     cells = []
-    bset = {}
+    tags = []
     for ln in lines[1:]:
         parts = ln.split()
         if parts[0] == "v":
             verts.append((float(parts[1]), float(parts[2])))
         elif parts[0] == "c":
-            cells.append((int(parts[1]), [int(p) for p in parts[2:6]]))
+            cells.append([int(p) for p in parts[1:6]])
         elif parts[0] == "b":
-            bset.setdefault(int(parts[1]), {})[int(parts[2])] = _FACE_TAG_IDS[parts[3]]
+            tags.append((int(parts[1]), int(parts[2]), _FACE_TAG_IDS[parts[3]]))
         else:
             raise DwroptError(f"unknown record {parts[0]!r} in mesh dump")
     if not cells:
         raise DwroptError("mesh dump has no cells")
 
     verts = np.asarray(verts)
+    cells = np.asarray(cells, dtype=np.int64)
     ox = verts[:, 0].min()
     oy = verts[:, 1].min()
     # recover the root cell size from any cell: h * 2**level
-    lvl0, vv0 = cells[0]
-    h0 = verts[vv0[1], 0] - verts[vv0[0], 0]
-    cell_size = h0 * (2 ** lvl0)
+    h0 = verts[cells[0, 2], 0] - verts[cells[0, 1], 0]
+    cell_size = h0 * (2 ** int(cells[0, 0]))
     unit = cell_size / (1 << LBITS)
-
-    cdict = {}
-    tdict = {}
-    for i, (lvl, vv) in enumerate(cells):
-        x = round((verts[vv[0], 0] - ox) / unit)
-        y = round((verts[vv[0], 1] - oy) / unit)
-        key = (lvl, x, y)
-        cdict[key] = True
-        tags = [TAG_NONE] * 4
-        for face, t in bset.get(i, {}).items():
-            tags[face] = t
-        tdict[key] = tuple(tags)
+    ix = np.round((verts[cells[:, 1], 0] - ox) / unit).astype(np.int64)
+    iy = np.round((verts[cells[:, 1], 1] - oy) / unit).astype(np.int64)
+    btags = np.full((len(cells), 4), TAG_NONE, dtype=np.int8)
+    for i, face, t in tags:
+        btags[i, face] = t
     extent = (verts[:, 0].max() - ox, verts[:, 1].max() - oy)
     domain = Domain("loaded", (ox, oy), extent)
-    return Mesh(domain, cell_size, 0, cdict, tdict)
+    return Mesh(domain, cell_size, 0, cells[:, 0], ix, iy, btags)

@@ -65,15 +65,14 @@ class LinearizedState:
         space = u.space
 
         def build():
-            matrix = assemble_matrix(
-                problem.a_u_fields, space, space, coeffs={"u": u, "q": q}
+            return Factorization(
+                assemble_matrix(problem.a_u_fields, space, space, coeffs={"u": u, "q": q})
             )
-            return matrix, Factorization(matrix)
 
         if problem.a_uu_fields is None:
-            self.matrix, self.fac = _cached(space, ("a_u_const", problem.name), build)
+            self.fac = _cached(space, ("a_u_const", problem.name), build)
         else:
-            self.matrix, self.fac = build()
+            self.fac = build()
         self.space = space
 
     def solve(self, rhs_dual):

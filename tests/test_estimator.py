@@ -179,10 +179,12 @@ class TestRecovery:
         v = recover_v(prob, triple, p)
         y = recover_y(prob, goal, triple, v, p)
         # dense oracle on the tiny free system: A^T y = I_u + M v
-        from dwropt.fem import assemble_vector
+        from dwropt.fem import assemble_matrix, assemble_vector
         from dwropt.reduced import assemble_terms
 
-        A = triple.lin.matrix.toarray()
+        A = assemble_matrix(
+            prob.a_u_fields, pair.state, pair.state, coeffs={"u": triple.u, "q": q}
+        ).toarray()
         rhs = assemble_terms(goal.iu_terms, pair.state, {"u": triple.u, "q": q})
         rhs = rhs + assemble_vector(
             lambda ctx: (ctx.val("v"), None), pair.state, coeffs={"v": v}

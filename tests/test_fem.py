@@ -4,7 +4,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dwropt.errors import DegreeError, DwroptError, SingularSystemError
+from dwropt.errors import (
+    DegreeError,
+    DwroptError,
+    SingularSystemError,
+    UnrelatedMeshError,
+)
 from dwropt.fem import (
     DiscreteFunction,
     Factorization,
@@ -66,13 +71,15 @@ class TestSpaces:
         m = build_initial(UNIT_SQUARE, 0.5)
         s = build_space(m, "cg", 1, constrain_dirichlet=False)
         assert s.ndofs == 9
-        assert len(s.constraints) == 0
+        np.testing.assert_array_equal(s.free_dofs, np.arange(s.ndofs))
+        assert s.C.nnz == s.ndofs
 
     def test_dg1_counts(self):
         m = build_initial(UNIT_SQUARE, 0.5)
         s = build_space(m, "dg", 1)
         assert s.ndofs == 16
-        assert len(s.constraints) == 0
+        np.testing.assert_array_equal(s.free_dofs, np.arange(s.ndofs))
+        assert s.C.nnz == s.ndofs
 
     def test_bad_degree(self):
         m = build_initial(UNIT_SQUARE, 0.5)
@@ -83,14 +90,13 @@ class TestSpaces:
         m = build_initial(UNIT_SQUARE, 0.5)
         m = refine(m, mark(m, [0]))
         s = build_space(m, "cg", 1, constrain_dirichlet=False)
-        hanging = {d: c for d, c in s.constraints.items() if len(c) > 0}
+        hanging = np.setdiff1d(np.arange(s.ndofs), s.free_dofs)
         assert len(hanging) == 2
-        for d, entry in hanging.items():
-            ws = [w for _, w in entry]
-            assert ws == pytest.approx([0.5, 0.5])
-            mid = s.node_xy[d]
-            ends = np.array([s.node_xy[md] for md, _ in entry])
-            np.testing.assert_allclose(mid, ends.mean(axis=0), atol=1e-14)
+        for d in hanging:
+            row = s.C.getrow(d)
+            assert list(row.data) == pytest.approx([0.5, 0.5])
+            ends = s.node_xy[s.free_dofs[row.indices]]
+            np.testing.assert_allclose(s.node_xy[d], ends.mean(axis=0), atol=1e-14)
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_continuity_across_hanging_edge(self, degree):
@@ -279,6 +285,41 @@ class TestSolve:
         assert np.max(np.abs(r)) <= 1e-10
 
 
+class TestEvaluateAt:
+    @pytest.mark.parametrize(
+        "domain, points",
+        [
+            (UNIT_SQUARE, [(1.0, 0.3), (0.3, 1.0), (1.0, 1.0), (0.0, 0.0), (0.5, 0.25)]),
+            (HOLED_RECT, [(1.0, 1.5), (1.5, 1.0), (7.0, 5.0), (2.0, 1.5), (1.5, 2.0)]),
+        ],
+    )
+    def test_exact_on_the_closed_boundary(self, domain, points):
+        # cells are half-open; points on the right or top edge of the domain
+        # or on a hole's left or bottom edge still lie in the closed mesh
+        m = build_initial(domain, 0.5)
+        m = refine(m, mark(m, [0, 3]))
+        s = build_space(m, "cg", 2, constrain_dirichlet=False)
+        f = interpolate(s, lambda x, y: x + 2 * y)
+        for p in points:
+            assert abs(evaluate_at(f, p) - (p[0] + 2 * p[1])) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "domain, point",
+        [
+            (UNIT_SQUARE, (1.0 + 1e-9, 0.5)),
+            (UNIT_SQUARE, (0.5, -1e-9)),
+            (UNIT_SQUARE, (1e300, 0.5)),
+            (UNIT_SQUARE, (float("nan"), 0.5)),
+            (HOLED_RECT, (1.5, 1.5)),
+        ],
+    )
+    def test_outside_raises(self, domain, point):
+        m = build_initial(domain, 0.5)
+        f = zero_function(build_space(m, "cg", 1))
+        with pytest.raises(DwroptError):
+            evaluate_at(f, point)
+
+
 class TestTransfer:
     def test_q1_to_q2_same_mesh(self):
         m = build_initial(UNIT_SQUARE, 0.5)
@@ -321,7 +362,7 @@ class TestTransfer:
         transfer(zero_function(build_space(m1, "cg", 1)), s_to)
         # target coarser than the source somewhere -> unrelated
         m1b = refine(m1, mark(m1, [1]))
-        with pytest.raises(DwroptError):
+        with pytest.raises(UnrelatedMeshError):
             transfer(zero_function(build_space(m1b, "cg", 1)), s_to)
 
 

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwropt.errors import DwroptError, SizingError
+from dwropt.fem import build_space
 from dwropt.mesh import (
+    LBITS,
     CellSet,
     HOLED_RECT,
     UNIT_SQUARE,
@@ -22,23 +24,35 @@ def mark(mesh, ids):
 
 
 def adjacency_level_gaps(mesh):
-    """Oracle: exhaustive pairwise edge-adjacency scan over active cells."""
+    """Oracle: exhaustive pairwise edge-adjacency scan over active cells.
+
+    Also checks the closure left no untagged face without an active neighbor.
+    """
     org = mesh.cell_origin()
     h = mesh.cell_h()
     gaps = []
     n = mesh.ncells
+    touched = np.zeros((n, 4), dtype=bool)
     for a in range(n):
         ax0, ay0 = org[a]
         ax1, ay1 = ax0 + h[a], ay0 + h[a]
         for b in range(a + 1, n):
             bx0, by0 = org[b]
             bx1, by1 = bx0 + h[b], by0 + h[b]
-            touch_x = abs(ax1 - bx0) < 1e-12 or abs(bx1 - ax0) < 1e-12
-            touch_y = abs(ay1 - by0) < 1e-12 or abs(by1 - ay0) < 1e-12
             overlap_y = min(ay1, by1) - max(ay0, by0) > 1e-12
             overlap_x = min(ax1, bx1) - max(ax0, bx0) > 1e-12
-            if (touch_x and overlap_y) or (touch_y and overlap_x):
-                gaps.append(abs(int(mesh.level[a]) - int(mesh.level[b])))
+            # (face of a, face of b) for each way the two can share an edge
+            for touch, fa, fb in (
+                (overlap_y and abs(ax1 - bx0) < 1e-12, 1, 3),
+                (overlap_y and abs(bx1 - ax0) < 1e-12, 3, 1),
+                (overlap_x and abs(ay1 - by0) < 1e-12, 2, 0),
+                (overlap_x and abs(by1 - ay0) < 1e-12, 0, 2),
+            ):
+                if touch:
+                    touched[a, fa] = touched[b, fb] = True
+                    gaps.append(abs(int(mesh.level[a]) - int(mesh.level[b])))
+    open_faces = np.argwhere((mesh.btags == 0) & ~touched)
+    assert len(open_faces) == 0, f"untagged open faces (cell, face): {open_faces.tolist()}"
     return max(gaps) if gaps else 0
 
 
@@ -46,7 +60,7 @@ class TestBuildInitial:
     def test_unit_square_half(self):
         m = build_initial(UNIT_SQUARE, 0.5)
         assert m.ncells == 4
-        assert m.nverts == 9
+        assert build_space(m, "cg", 1).ndofs == 9
 
     def test_holed_domain_count(self):
         # oracle: enumerate the 14x10 grid and drop cells inside the holes
@@ -101,7 +115,6 @@ class TestRefine:
         ci = int(np.argmin([m.cell_h()[c] for c in range(m.ncells)]))
         m = refine(m, mark(m, [ci]))
         assert adjacency_level_gaps(m) <= 1
-        assert m.max_level_gap() <= 1
 
     def test_area_preserved(self):
         m = build_initial(HOLED_RECT, 0.5)
@@ -110,7 +123,18 @@ class TestRefine:
             ids = rng.choice(m.ncells, size=max(1, m.ncells // 10), replace=False)
             m = refine(m, mark(m, ids))
             assert m.total_area() == pytest.approx(29.0, rel=1e-12)
-            assert m.max_level_gap() <= 1
+            assert adjacency_level_gaps(m) <= 1
+
+    def test_depth_limit(self):
+        # the lattice resolves LBITS halvings of a root cell and no more
+        m = build_initial(UNIT_SQUARE, 1.0)
+        for _ in range(LBITS):
+            m = refine(m, mark(m, [0]))
+        assert m.level.max() == LBITS
+        assert adjacency_level_gaps(m) <= 1
+        assert build_space(m, "cg", 3).nfree > 0
+        with pytest.raises(DwroptError):
+            refine(m, mark(m, [0]))
 
     def test_generation_mismatch(self):
         m = build_initial(UNIT_SQUARE, 0.5)
@@ -124,7 +148,6 @@ class TestRefine:
         m = build_initial(UNIT_SQUARE, 1.0)
         for pick in seq:
             m = refine(m, mark(m, [pick % m.ncells]))
-        assert m.max_level_gap() <= 1
         assert adjacency_level_gaps(m) <= 1
         assert m.total_area() == pytest.approx(1.0, rel=1e-12)
 
