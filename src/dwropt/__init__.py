@@ -15,24 +15,18 @@ from .mesh import (
     UNIT_SQUARE,
     build_initial,
     dorfler_mark,
-    dump_mesh,
-    load_mesh,
     refine,
     refine_all,
 )
 from .fem import (
     DiscreteFunction,
     Factorization,
-    SparseSystem,
     Space,
     assemble_matrix,
     assemble_vector,
     build_space,
-    dump_function,
     integrate,
     interpolate,
-    load_function,
-    solve_linear,
     transfer,
     zero_function,
 )
@@ -52,7 +46,6 @@ from .reduced import (
     make_consistent,
     newton_reduced_adaptive,
     newton_standard,
-    reduced_cost,
     reduced_gradient,
     solve_reduced_system,
     solve_state,

@@ -15,17 +15,9 @@ import os
 import time
 from dataclasses import dataclass, fields, replace
 
-from .errors import ConfigError, DwroptError, SizingError
-from .estimator import (
-    AdjointTriple,
-    compute_eta_k,
-    effectivities,
-    localize_pu,
-    recover_v,
-    recover_y,
-    solve_reduced_adjoint,
-)
-from .fem import build_space, interpolate, transfer
+from .errors import ConfigError, DwroptError, RegionError, SizingError
+from .estimator import adjoint_chain, compute_eta_k, effectivities, localize_pu
+from .fem import build_space, interpolate, region_cell_mask, transfer
 from .mesh import CellSet, DOMAINS, build_initial, check_cell_size, dorfler_mark, refine
 from .multigoal import build_combined
 from .problem import make_goals, make_plaplace_control, make_poisson_control
@@ -166,6 +158,16 @@ def instantiate(config):
         goals = [replace(g, reference=None) for g in goals]
     cell = preset.cell_size if config.cell_size is None else config.cell_size
     mesh = build_initial(DOMAINS[preset.domain], cell)
+    # refinement keeps a box aligned with the initial mesh lines aligned
+    for goal in goals:
+        for _, _, region in goal.iu_terms + goal.iq_terms:
+            try:
+                region_cell_mask(mesh, region)
+            except RegionError:
+                raise ConfigError(
+                    f"cell_size {cell} does not align with the region box "
+                    f"{region} of goal {goal.name}"
+                ) from None
     return problem, goals, mesh
 
 
@@ -249,28 +251,15 @@ def _solve_level(problem, goals, mesh, config, warm):
         )
         p_low = None
 
-    # combined goal frozen at the converged low solution
+    # combined goal frozen at the converged low solution; goal-adjoint
+    # chains at the low and at the enriched linearization point
     combined = build_combined(goals, (triple2.u, triple2.q), (triple.u, triple.q))
-    if p_low is None:
-        p_low = solve_reduced_adjoint(
-            problem, combined, triple, krylov_tol=config.krylov_tol,
-            truncate_on_negative=True,
-        )
-    v_low = recover_v(problem, triple, p_low)
-    y_low = recover_y(problem, combined, triple, v_low, p_low)
-    adj_low = AdjointTriple(v=v_low, p=p_low, y=y_low)
-
-    # enriched goal-adjoint chain at the enriched linearization point
-    p2 = solve_reduced_adjoint(
-        problem, combined, triple2, krylov_tol=config.krylov_tol,
-        truncate_on_negative=True,
-    )
-    v2 = recover_v(problem, triple2, p2)
-    y2 = recover_y(problem, combined, triple2, v2, p2)
-    adj2 = AdjointTriple(v=v2, p=p2, y=y2)
+    adj_low = adjoint_chain(problem, combined, triple, p=p_low,
+                            krylov_tol=config.krylov_tol)
+    adj2 = adjoint_chain(problem, combined, triple2, krylov_tol=config.krylov_tol)
 
     breakdown = localize_pu(problem, combined, (triple, adj_low), (triple2, adj2))
-    breakdown.eta_k = compute_eta_k(problem, combined, triple, p_low)
+    breakdown.eta_k = compute_eta_k(problem, triple, adj_low.p)
     return {
         "pair": pair,
         "pair2": pair2,
@@ -285,7 +274,7 @@ def _solve_level(problem, goals, mesh, config, warm):
     }
 
 
-def _make_report(level, mesh, sol, config):
+def _make_report(level, mesh, sol):
     combined = sol["combined"]
     bd = sol["breakdown"]
     pair, pair2 = sol["pair"], sol["pair2"]
@@ -301,8 +290,6 @@ def _make_report(level, mesh, sol, config):
             i_eff, i_eff_p, i_eff_a, i_eff_c = (
                 eff.i_eff, eff.i_eff_p, eff.i_eff_a, eff.i_eff_c,
             )
-            bd.i_eff, bd.i_eff_p = eff.i_eff, eff.i_eff_p
-            bd.i_eff_a, bd.i_eff_c = eff.i_eff_a, eff.i_eff_c
     return LevelReport(
         level=level,
         cells=mesh.ncells,
@@ -350,7 +337,7 @@ def _run(config, capture=None):
             err = DwroptError(f"level {level}: {exc}")
             err.reports = reports
             raise err from exc
-        report = _make_report(level, mesh, sol, config)
+        report = _make_report(level, mesh, sol)
         report.wall_time = time.perf_counter() - t0
         bd = sol["breakdown"]
 
@@ -422,18 +409,14 @@ def render_csv(reports):
     cols, goal_names = csv_columns(reports)
     lines = [",".join(cols)]
     for r in reports:
-        row = [str(r.level), str(r.cells), str(r.dofs_state),
-               str(r.dofs_control), str(r.dofs_total), str(r.dofs_enriched)]
+        row = dict(vars(r))
         for name in goal_names:
-            row.append(_fmt(r.goal_values[name]))
-            row.append(_fmt(r.goal_reldev[name]))
-        row += [_fmt(r.goal_combined), _fmt(r.ref_error), _fmt(r.eta_h2),
-                _fmt(r.eta_k), _fmt(r.rho_u), _fmt(r.rho_q), _fmt(r.rho_z),
-                _fmt(r.rho_v), _fmt(r.rho_p), _fmt(r.rho_y),
-                _fmt(r.i_eff), _fmt(r.i_eff_p), _fmt(r.i_eff_a),
-                _fmt(r.i_eff_c), str(r.newton_its_low),
-                str(r.newton_its_enriched), r.stop_reason]
-        lines.append(",".join(row))
+            row[f"goal_{name}"] = r.goal_values[name]
+            row[f"goal_{name}_reldev"] = r.goal_reldev[name]
+        values = (row[c] for c in cols)
+        lines.append(",".join(
+            _fmt(v) if v is None or isinstance(v, float) else str(v) for v in values
+        ))
     return "\n".join(lines) + "\n"
 
 

@@ -17,17 +17,18 @@ gradient paired with the goal adjoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .fem import (
-    QUAD_EXTRA,
     FormContext,
     _chunks,
+    _quad_order,
     _tabulated,
     build_space,
+    function_from_free,
     region_cell_mask,
 )
 from .reduced import (
@@ -66,10 +67,6 @@ class ErrorBreakdown:
     eta_k: float = 0.0
     indicators: np.ndarray | None = None
     vertex_values: np.ndarray | None = None
-    i_eff: float | None = None
-    i_eff_p: float | None = None
-    i_eff_a: float | None = None
-    i_eff_c: float | None = None
 
     def parts(self):
         return (self.rho_u, self.rho_q, self.rho_z, self.rho_v, self.rho_p, self.rho_y)
@@ -109,24 +106,32 @@ def solve_reduced_adjoint(problem, goal, triple, krylov_tol=1e-10,
 def recover_v(problem, triple, p):
     """Tangent state of the goal adjoint direction p."""
     triple.require_consistent()
-    B = coupling(problem, triple.u.space, triple.q.space)
-    return triple.lin.solve(-(B @ p.coefs[triple.q.space.free_dofs]))
+    state, ctrl = triple.u.space, triple.q.space
+    B = coupling(state, ctrl)
+    return function_from_free(state, triple.lin.solve(-(B @ p.coefs[ctrl.free_dofs])))
 
 
-def recover_y(problem, goal, triple, v, p):
+def recover_y(problem, goal, triple, v):
     """Second adjoint from the first row of the adjoint optimality system."""
     triple.require_consistent()
     state = triple.u.space
     rhs = assemble_terms(goal.iu_terms, state, {"u": triple.u, "q": triple.q})
     rhs += lagrangian_uu(problem, triple) @ v.coefs[state.free_dofs]
-    return triple.lin.solve_transposed(rhs)
+    return function_from_free(state, triple.lin.solve_transposed(rhs))
 
 
-def adjoint_chain(problem, goal, triple, krylov_tol=1e-10):
-    """p, v, y for one goal at one consistent triple."""
-    p = solve_reduced_adjoint(problem, goal, triple, krylov_tol=krylov_tol)
+def adjoint_chain(problem, goal, triple, p=None, krylov_tol=1e-10):
+    """p, v, y for one goal at one consistent triple.
+
+    A given p (the adaptive Newton's goal adjoint) is reused.  Otherwise
+    CG truncates on nonpositive curvature, as in Newton globalization.
+    """
+    if p is None:
+        p = solve_reduced_adjoint(
+            problem, goal, triple, krylov_tol=krylov_tol, truncate_on_negative=True
+        )
     v = recover_v(problem, triple, p)
-    y = recover_y(problem, goal, triple, v, p)
+    y = recover_y(problem, goal, triple, v)
     return AdjointTriple(v=v, p=p, y=y)
 
 
@@ -218,7 +223,7 @@ def _estimator_sweep(problem, goal, low, enriched, pu_space):
         "u2": enr_kkt.u, "q2": enr_kkt.q, "z2": enr_kkt.z,
         "v2": enr_adj.v, "p2": enr_adj.p, "y2": enr_adj.y,
     }
-    n1d = max(f.space.degree for f in funcs.values()) + 1 + QUAD_EXTRA
+    n1d = _quad_order((), funcs, None)
     qpts, w, phi_pu, gphi_pu = _tabulated(1, n1d)
     h_all = mesh.cell_h()
 
@@ -268,16 +273,14 @@ def localize_pu(problem, goal, low, enriched):
     part_sums, vertex = _estimator_sweep(problem, goal, low, enriched, pu_space)
 
     # cell indicators: |vertex value| split by the number of adjacent cells
-    deg = np.zeros(pu_space.nfree)
-    col = pu_space._col_of[pu_space.cell_dofs]  # -1 marks hanging corners
-    for j in range(4):
-        valid = col[:, j] >= 0
-        np.add.at(deg, col[valid, j], 1.0)
-    absval = np.abs(vertex)
-    indicators = np.zeros(mesh.ncells)
-    for j in range(4):
-        valid = col[:, j] >= 0
-        indicators[valid] += absval[col[valid, j]] / deg[col[valid, j]]
+    col_of = np.full(pu_space.ndofs, -1, dtype=np.int64)
+    col_of[pu_space.free_dofs] = np.arange(pu_space.nfree)
+    col = col_of[pu_space.cell_dofs]  # -1 marks hanging corners
+    cell, corner = np.nonzero(col >= 0)
+    vcol = col[cell, corner]
+    deg = np.bincount(vcol, minlength=pu_space.nfree)
+    share = np.abs(vertex)[vcol] / deg[vcol]
+    indicators = np.bincount(cell, weights=share, minlength=mesh.ncells)
 
     bd = ErrorBreakdown(indicators=indicators, vertex_values=vertex)
     for name, val in zip(_PART_ATTR, part_sums):
@@ -286,7 +289,7 @@ def localize_pu(problem, goal, low, enriched):
     return bd
 
 
-def compute_eta_k(problem, goal_combined, triple, p):
+def compute_eta_k(problem, triple, p):
     """Iteration-error estimate: minus the reduced gradient paired with p."""
     g = reduced_gradient(problem, triple)
     return -float(g @ p.coefs[triple.q.space.free_dofs])

@@ -206,7 +206,6 @@ class Space:
         self.nfree = len(self.free_dofs)
         col_of = np.full(n, -1, dtype=np.int64)
         col_of[self.free_dofs] = np.arange(self.nfree)
-        self._col_of = col_of
         rows = np.concatenate([self.free_dofs, np.repeat(slaves, r + 1)])
         cols = np.concatenate([np.arange(self.nfree), col_of[masters].ravel()])
         data = np.concatenate([np.ones(self.nfree), weights.ravel()])
@@ -221,16 +220,9 @@ class Space:
         """Overwrite constrained entries from their masters (idempotent)."""
         return self.C @ coefs[self.free_dofs]
 
-    def restrict(self, coefs):
-        """Free part of a full coefficient vector."""
-        return coefs[self.free_dofs]
-
     def from_free(self, xfree):
         """Full coefficient vector from unconstrained values."""
         return self.C @ xfree
-
-    def signature(self):
-        return f"{self.family} {self.degree} {self.ndofs} {self.mesh.ncells}"
 
 
 def build_space(mesh, family, degree, constrain_dirichlet=True):
@@ -341,9 +333,6 @@ class FormContext:
     def function(self, name):
         return self.functions[name]
 
-    def zeros(self):
-        return np.zeros(self.x.shape[:2])
-
 
 def _quad_order(spaces, functions, nquad):
     if nquad is not None:
@@ -438,7 +427,7 @@ def assemble_vector(form, test, coeffs=None, nquad=None, region=None):
     return test.C.T @ out
 
 
-def integrate(form, mesh, coeffs=None, nquad=None, region=None, per_cell=False):
+def integrate(form, mesh, coeffs=None, nquad=None, region=None):
     """Integrate a pointwise scalar field over the mesh (or a region box).
 
     form(ctx) must return an (ncells, nq) array.  A region that selects no
@@ -449,10 +438,9 @@ def integrate(form, mesh, coeffs=None, nquad=None, region=None, per_cell=False):
     cells_all = _selected_cells(mesh, region)
     if len(cells_all) == 0:
         warnings.warn("integration region selects no cells; returning 0")
-        return (0.0, np.zeros(mesh.ncells)) if per_cell else 0.0
+        return 0.0
     h_all = mesh.cell_h()
     total = 0.0
-    cellvals = np.zeros(mesh.ncells) if per_cell else None
     for cells in _chunks(cells_all, len(w)):
         ctx = FormContext(mesh, cells, qpts, coeffs, n1d)
         field = form(ctx)
@@ -460,9 +448,7 @@ def integrate(form, mesh, coeffs=None, nquad=None, region=None, per_cell=False):
         wdet = w[None, :] * (h_all[cells] ** 2)[:, None]
         vals = kernels.cell_integrals(wdet, field)
         total += float(vals.sum())
-        if per_cell:
-            cellvals[cells] = vals
-    return (total, cellvals) if per_cell else total
+    return total
 
 
 # common elementary forms
@@ -482,14 +468,6 @@ def stiffness_fields(ctx):
 
 # ---------------------------------------------------------------------------
 # linear algebra
-
-
-@dataclass
-class SparseSystem:
-    """Condensed sparse operator with a right-hand side."""
-
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
 
 
 class Factorization:
@@ -514,11 +492,6 @@ class Factorization:
         if not np.all(np.isfinite(x)):
             raise SingularSystemError("factorization produced non-finite solution")
         return x
-
-
-def solve_linear(system):
-    """Direct solve of a condensed system; returns the free-DOF vector."""
-    return Factorization(system.matrix).solve(system.rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -584,27 +557,3 @@ def evaluate_at(f, points):
     out = np.einsum("ij,ij->i", phi, f.coefs[f.space.cell_dofs[ci]])
     return out if out.size > 1 else float(out[0])
 
-
-# ---------------------------------------------------------------------------
-# text dump format: "dwrfun v1"
-
-
-def dump_function(f):
-    lines = ["dwrfun v1", f.space.signature()]
-    lines.extend(f"{float(c)!r}" for c in f.coefs)
-    return "\n".join(lines) + "\n"
-
-
-def load_function(text, space):
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "dwrfun v1":
-        raise DwroptError("not a dwrfun v1 dump")
-    if lines[1].strip() != space.signature():
-        raise DwroptError(
-            f"space signature mismatch: dump has {lines[1].strip()!r}, "
-            f"expected {space.signature()!r}"
-        )
-    coefs = np.array([float(x) for x in lines[2:] if x.strip()])
-    if len(coefs) != space.ndofs:
-        raise DwroptError("coefficient count does not match the space")
-    return DiscreteFunction(space, coefs)

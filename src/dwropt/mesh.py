@@ -25,9 +25,6 @@ LBITS = 21  # maximum refinement depth below the root grid
 TAG_NONE = 0
 TAG_DIRICHLET = 1
 
-_FACE_TAG_NAMES = {TAG_DIRICHLET: "dirichlet"}
-_FACE_TAG_IDS = {v: k for k, v in _FACE_TAG_NAMES.items()}
-
 
 @dataclass(frozen=True)
 class Domain:
@@ -115,11 +112,6 @@ class KeyTable:
         k = np.where(ok, self._pack(x, y), -1)
         j = np.minimum(np.searchsorted(self.keys, k), len(self.keys) - 1)
         return np.where(ok & (self.keys[j] == k), j, -1)
-
-    def points(self):
-        """Lattice coordinates (x, y) of the numbered points."""
-        y, x = np.divmod(self.keys, self.width)
-        return x * self.step, y * self.step
 
 
 class Mesh:
@@ -337,60 +329,3 @@ def dorfler_mark(indicators, theta, mesh=None):
             break
     return CellSet(frozenset(chosen), gen)
 
-
-# ---------------------------------------------------------------------------
-# text dump format: "dwrmesh v1"
-
-
-def dump_mesh(mesh):
-    """Vertices numbered like the Q1 nodes, cells by their four corners."""
-    corners = KeyTable(*mesh.node_lattice(1))
-    vx, vy = corners.points()
-    ox, oy = mesh.domain.origin
-    lines = ["dwrmesh v1"]
-    for x, y in zip(ox + vx * mesh.unit, oy + vy * mesh.unit):
-        lines.append(f"v {float(x)!r} {float(y)!r}")
-    for i in range(mesh.ncells):
-        v = corners.ids[i]
-        lines.append(f"c {mesh.level[i]} {v[0]} {v[1]} {v[2]} {v[3]}")
-    for i, face in zip(*np.nonzero(mesh.btags != TAG_NONE)):
-        lines.append(f"b {i} {face} {_FACE_TAG_NAMES[int(mesh.btags[i, face])]}")
-    return "\n".join(lines) + "\n"
-
-
-def load_mesh(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "dwrmesh v1":
-        raise DwroptError("not a dwrmesh v1 dump")
-    verts = []
-    cells = []
-    tags = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "v":
-            verts.append((float(parts[1]), float(parts[2])))
-        elif parts[0] == "c":
-            cells.append([int(p) for p in parts[1:6]])
-        elif parts[0] == "b":
-            tags.append((int(parts[1]), int(parts[2]), _FACE_TAG_IDS[parts[3]]))
-        else:
-            raise DwroptError(f"unknown record {parts[0]!r} in mesh dump")
-    if not cells:
-        raise DwroptError("mesh dump has no cells")
-
-    verts = np.asarray(verts)
-    cells = np.asarray(cells, dtype=np.int64)
-    ox = verts[:, 0].min()
-    oy = verts[:, 1].min()
-    # recover the root cell size from any cell: h * 2**level
-    h0 = verts[cells[0, 2], 0] - verts[cells[0, 1], 0]
-    cell_size = h0 * (2 ** int(cells[0, 0]))
-    unit = cell_size / (1 << LBITS)
-    ix = np.round((verts[cells[:, 1], 0] - ox) / unit).astype(np.int64)
-    iy = np.round((verts[cells[:, 1], 1] - oy) / unit).astype(np.int64)
-    btags = np.full((len(cells), 4), TAG_NONE, dtype=np.int8)
-    for i, face, t in tags:
-        btags[i, face] = t
-    extent = (verts[:, 0].max() - ox, verts[:, 1].max() - oy)
-    domain = Domain("loaded", (ox, oy), extent)
-    return Mesh(domain, cell_size, 0, cells[:, 0], ix, iy, btags)

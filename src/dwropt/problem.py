@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .fem import integrate
+from .fem import integrate, stiffness_fields
 
 TRACKING_BOX = (2.5, 2.5, 4.5, 4.5)  # u_des = -1 inside, 0 elsewhere
 
@@ -105,13 +105,6 @@ def make_poisson_control(alpha):
         x, y = ctx.x[..., 0], ctx.x[..., 1]
         return -(f(x, y) + ctx.val("q")), ctx.grad("u")
 
-    def a_u_fields(ctx):
-        nc, nq = ctx.x.shape[:2]
-        K = np.zeros((nc, nq, 2, 2))
-        K[:, :, 0, 0] = 1.0
-        K[:, :, 1, 1] = 1.0
-        return K, None
-
     return ProblemDefinition(
         name="poisson_control",
         alpha=alpha,
@@ -121,7 +114,7 @@ def make_poisson_control(alpha):
         u_des=u_des,
         q_des=q_des,
         residual_fields=residual_fields,
-        a_u_fields=a_u_fields,
+        a_u_fields=stiffness_fields,
         a_uu_fields=None,
     )
 

@@ -1,13 +1,15 @@
 """Reduced-space optimization: state solves, adjoints, Newton drivers.
 
-The control-to-state map is realized by a damped Newton iteration on the
-nonlinear state residual.  Its linearization is factorized once per
-point and reused for every adjoint, tangent and Hessian-vector solve at
-that point.  The reduced Hessian and the goal-adjoint chain are composed
-from that factorization and three assembled sparse operators: the
-control-to-state coupling and the control mass (cached per space) and
-the Lagrangian's state Hessian (one per KKT point).  One Hessian
-application costs two triangular solve pairs and four sparse mat-vecs.
+The control-to-state map is realized by one damped Newton iteration on
+the nonlinear state residual, :func:`solve_state`.  It returns the state
+with its factorized Jacobian, which the KKT triple keeps and reuses for
+every adjoint, tangent and Hessian-vector solve at that point; a linear
+operator's Jacobian is factorized once per space.  The reduced Hessian
+and the goal-adjoint chain are composed from that factorization and
+three assembled sparse operators: the control-to-state coupling and the
+control mass (cached per space) and the Lagrangian's state Hessian (one
+per KKT point).  One Hessian application costs two triangular solve
+pairs and four sparse mat-vecs.
 
 Dual vectors (assembled functionals) are always condensed, i.e. indexed
 by the unconstrained DOFs of their test space.
@@ -55,43 +57,14 @@ def _cached(space, key, build):
     return space._cache[key]
 
 
-class LinearizedState:
-    """Factorized state Jacobian at a fixed linearization point.
-
-    A linear operator has a constant Jacobian, factorized once per space.
-    """
-
-    def __init__(self, problem, u, q):
-        space = u.space
-
-        def build():
-            return Factorization(
-                assemble_matrix(problem.a_u_fields, space, space, coeffs={"u": u, "q": q})
-            )
-
-        if problem.a_uu_fields is None:
-            self.fac = _cached(space, ("a_u_const", problem.name), build)
-        else:
-            self.fac = build()
-        self.space = space
-
-    def solve(self, rhs_dual):
-        """Forward linearized solve; returns a state-space function."""
-        return function_from_free(self.space, self.fac.solve(rhs_dual))
-
-    def solve_transposed(self, rhs_dual):
-        """Adjoint (transposed) solve; returns a state-space function."""
-        return function_from_free(self.space, self.fac.solve_transposed(rhs_dual))
-
-
 @dataclass
 class KKTTriple:
-    """State, control and adjoint with the cached linearization."""
+    """State, control and adjoint with the factorized state Jacobian at u."""
 
     u: DiscreteFunction
     q: DiscreteFunction
     z: DiscreteFunction
-    lin: LinearizedState | None = None
+    lin: Factorization | None = None
     consistent: bool = False
     state_iterations: int = 0
     l_uu: object = None  # lagrangian_uu, built on first use
@@ -139,6 +112,23 @@ def _ju_vector(problem, u, q):
     return assemble_vector(problem.j_u_fields, u.space, coeffs={"u": u, "q": q})
 
 
+def _jacobian(problem, u, q):
+    """Factorized state Jacobian at (u, q).
+
+    A linear operator has a constant Jacobian, factorized once per space.
+    """
+    space = u.space
+
+    def build():
+        return Factorization(
+            assemble_matrix(problem.a_u_fields, space, space, coeffs={"u": u, "q": q})
+        )
+
+    if problem.a_uu_fields is None:
+        return _cached(space, ("a_u_const", problem.name), build)
+    return build()
+
+
 def control_mass(control_space):
     """Control mass matrix and its factorization (cached on the space)."""
 
@@ -149,7 +139,7 @@ def control_mass(control_space):
     return _cached(control_space, "mass", build)
 
 
-def coupling(problem, state, ctrl):
+def coupling(state, ctrl):
     """a_q as a condensed matrix: state-test rows, control-trial columns.
 
     Control enters both shipped operators as -integral(q v), so this is
@@ -196,24 +186,29 @@ def dual_norm(control_space, g):
 # state and adjoint solves
 
 
-def _solve_state_impl(problem, q, space, warm_start=None, tol_abs=1e-10,
-                      tol_rel=1e-12, max_iter=50):
+def solve_state(problem, q, space, warm_start=None, tol_abs=1e-10,
+                tol_rel=1e-12, max_iter=50):
+    """Damped Newton solve of the state equation at the control q.
+
+    Returns (u, fac, its): the state, the factorized state Jacobian at
+    it and the number of Newton iterations.
+    """
     u = warm_start.copy() if warm_start is not None else zero_function(space)
     u = DiscreteFunction(space, space.distribute(u.coefs))
     res = state_residual(problem, u, q)
     norm0 = float(np.linalg.norm(res))
     norm = norm0
-    lin = None
+    fac = None
     for it in range(max_iter):
         if norm <= tol_abs or norm <= tol_rel * norm0:
-            if lin is None:
-                lin = LinearizedState(problem, u, q)
-            return u, lin, it
-        lin = LinearizedState(problem, u, q)
-        du = lin.solve(-res)
+            if fac is None:
+                fac = _jacobian(problem, u, q)
+            return u, fac, it
+        fac = _jacobian(problem, u, q)
+        du = space.from_free(fac.solve(-res))
         s = 1.0
         for _ in range(MAX_BACKTRACKS):
-            trial = DiscreteFunction(space, u.coefs + s * du.coefs)
+            trial = DiscreteFunction(space, u.coefs + s * du)
             res_trial = state_residual(problem, trial, q)
             norm_trial = float(np.linalg.norm(res_trial))
             if norm_trial < norm:
@@ -225,40 +220,23 @@ def _solve_state_impl(problem, q, space, warm_start=None, tol_abs=1e-10,
             )
         u, res, norm = trial, res_trial, norm_trial
         if problem.a_uu_fields is not None:
-            lin = None  # Jacobian is stale after the update
+            fac = None  # Jacobian is stale after the update
     raise NonConvergenceError(
         f"state Newton did not reach tolerance in {max_iter} iterations "
         f"(residual {norm:.3e})"
     )
 
 
-def solve_state(problem, q, space, warm_start=None, tol_abs=1e-10, tol_rel=1e-12):
-    """Damped Newton solve of the state equation; returns the state."""
-    u, _, _ = _solve_state_impl(problem, q, space, warm_start, tol_abs, tol_rel)
-    return u
+def _with_adjoint(problem, q, u, fac, its):
+    """Consistent KKT triple at the solved state u = S(q): adds the adjoint."""
+    z = function_from_free(u.space, fac.solve_transposed(_ju_vector(problem, u, q)))
+    return KKTTriple(u=u, q=q, z=z, lin=fac, consistent=True, state_iterations=its)
 
 
-def make_consistent(problem, q, pair, warm_u=None, tol_abs=1e-10, tol_rel=1e-12,
-                    _precomputed=None):
+def make_consistent(problem, q, pair, warm_u=None, tol_abs=1e-10, tol_rel=1e-12):
     """State + adjoint solve at q, yielding a consistent KKT triple."""
-    if _precomputed is not None:
-        u, lin, its = _precomputed
-    else:
-        u, lin, its = _solve_state_impl(
-            problem, q, pair.state, warm_u, tol_abs, tol_rel
-        )
-    z = lin.solve_transposed(_ju_vector(problem, u, q))
-    return KKTTriple(u=u, q=q, z=z, lin=lin, consistent=True, state_iterations=its)
-
-
-def reduced_cost(problem, q, pair, warm_u=None):
-    """Cost of the reduced problem at q (one state solve).
-
-    Returns (j, u, lin, its): the cost, the state, its factorized
-    linearization and the state-Newton iteration count.
-    """
-    u, lin, its = _solve_state_impl(problem, q, pair.state, warm_u)
-    return problem.j_value(u, q), u, lin, its
+    u, fac, its = solve_state(problem, q, pair.state, warm_u, tol_abs, tol_rel)
+    return _with_adjoint(problem, q, u, fac, its)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +248,7 @@ def reduced_gradient(problem, triple):
     triple.require_consistent()
     state, ctrl = triple.u.space, triple.q.space
     g = assemble_vector(problem.j_q_fields, ctrl, coeffs={"q": triple.q})
-    return g - coupling(problem, state, ctrl).T @ triple.z.coefs[state.free_dofs]
+    return g - coupling(state, ctrl).T @ triple.z.coefs[state.free_dofs]
 
 
 def goal_gradient(problem, goal, triple):
@@ -281,8 +259,8 @@ def goal_gradient(problem, goal, triple):
     out = assemble_terms(goal.iq_terms, ctrl, coeffs)
     if goal.iu_terms:
         rhs = assemble_terms(goal.iu_terms, state, coeffs)
-        w = triple.lin.fac.solve_transposed(rhs)
-        out -= coupling(problem, state, ctrl).T @ w
+        w = triple.lin.solve_transposed(rhs)
+        out -= coupling(state, ctrl).T @ w
     return out
 
 
@@ -295,11 +273,11 @@ def hessvec(problem, triple, dq):
     """
     triple.require_consistent()
     ctrl = triple.q.space
-    B = coupling(problem, triple.u.space, ctrl)
+    B = coupling(triple.u.space, ctrl)
     M, _ = control_mass(ctrl)
     x = dq.coefs[ctrl.free_dofs]
-    du = triple.lin.fac.solve(-(B @ x))
-    dz = triple.lin.fac.solve_transposed(lagrangian_uu(problem, triple) @ du)
+    du = triple.lin.solve(-(B @ x))
+    dz = triple.lin.solve_transposed(lagrangian_uu(problem, triple) @ du)
     return problem.alpha * (M @ x) - B.T @ dz
 
 
@@ -369,14 +347,9 @@ def _newton_update(problem, triple, pair, g, krylov_tol):
     s = 1.0
     for _ in range(MAX_BACKTRACKS):
         q_trial = DiscreteFunction(pair.control, triple.q.coefs + s * dq.coefs)
-        j_trial, u_trial, lin_trial, its = reduced_cost(
-            problem, q_trial, pair, warm_u=triple.u
-        )
-        if j_trial <= j0 + ARMIJO_C * s * slope + j_noise:
-            new_triple = make_consistent(
-                problem, q_trial, pair, _precomputed=(u_trial, lin_trial, its)
-            )
-            return new_triple, s
+        u, fac, its = solve_state(problem, q_trial, pair.state, warm_start=triple.u)
+        if problem.j_value(u, q_trial) <= j0 + ARMIJO_C * s * slope + j_noise:
+            return _with_adjoint(problem, q_trial, u, fac, its), s
         s *= BACKTRACK_FACTOR
     raise LineSearchError("reduced Newton line search failed")
 

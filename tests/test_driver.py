@@ -13,6 +13,7 @@ from dwropt.driver import (
     compare_stopping,
     csv_columns,
     emit_outputs,
+    instantiate,
     parse_config,
     preset_config,
     render_comparison_csv,
@@ -263,6 +264,8 @@ class TestCli:
         "cell_size = 5e-324",
         "reference_source = file",
         "quad_extra = 1",
+        # example3's control_band box (1, 2, 6.25, 2.5) cuts cells of size 0.5
+        "preset = example3\ncell_size = 0.5",
     ])
     def test_bad_config_exit_2(self, tmp_path, capsys, line):
         cfgfile = tmp_path / "bad.cfg"
@@ -284,6 +287,10 @@ class TestCli:
                     f"output_dir = {os.path.join(tmp, 'out')}\n"
                 ))
             assert cli_main(["run", path]) in (0, 1, 2)
+
+    def test_aligned_goal_boxes_accepted(self):
+        _, goals, mesh = instantiate(preset_config("example3", cell_size=0.125))
+        assert len(goals) == 5 and mesh.ncells > 0
 
     def test_zero_max_levels_preset_exit_2(self, capsys):
         assert cli_main(["preset", "example1_cost", "--max-levels", "0"]) == 2

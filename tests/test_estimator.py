@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dwropt.driver import _solve_level, instantiate, preset_config
 from dwropt.errors import DwroptError
 from dwropt.estimator import (
     AdjointTriple,
@@ -21,7 +22,7 @@ from dwropt.fem import (
     transfer,
     zero_function,
 )
-from dwropt.mesh import UNIT_SQUARE, build_initial
+from dwropt.mesh import UNIT_SQUARE, CellSet, build_initial, refine
 from dwropt.multigoal import build_combined
 from dwropt.problem import GoalFunctional, make_goals, make_poisson_control
 from dwropt.reduced import (
@@ -81,7 +82,7 @@ class TestGoalGradient:
         h = 1e-5
 
         def i_of(qv):
-            u = solve_state(prob, qv, pair.state, tol_abs=1e-13)
+            u, _, _ = solve_state(prob, qv, pair.state, tol_abs=1e-13)
             return goal.value(u, qv)
 
         fd = (
@@ -164,8 +165,7 @@ class TestRecovery:
         mesh, pair = make_pair(0.5)
         triple = make_consistent(prob, zero_function(pair.control), pair)
         goal = GoalFunctional("null", lambda u, q: 0.0)
-        y = recover_y(prob, goal, triple, zero_function(pair.state),
-                      zero_function(pair.control))
+        y = recover_y(prob, goal, triple, zero_function(pair.state))
         assert np.max(np.abs(y.coefs)) == 0.0
 
     def test_y_matches_dense_oracle(self):
@@ -177,7 +177,7 @@ class TestRecovery:
         triple = make_consistent(prob, q, pair)
         p = DiscreteFunction(pair.control, rng.standard_normal(pair.control.ndofs))
         v = recover_v(prob, triple, p)
-        y = recover_y(prob, goal, triple, v, p)
+        y = recover_y(prob, goal, triple, v)
         # dense oracle on the tiny free system: A^T y = I_u + M v
         from dwropt.fem import assemble_matrix, assemble_vector
         from dwropt.reduced import assemble_terms
@@ -267,6 +267,31 @@ class TestEstimator:
         bd = ex1_level["breakdown"]
         assert np.all(bd.indicators >= 0.0)
 
+    def test_indicator_split_on_hanging_mesh(self):
+        cfg = preset_config("example1_cost", cell_size=0.25)
+        problem, goals, mesh = instantiate(cfg)
+        mesh = refine(mesh, CellSet(frozenset({0, 5}), mesh.generation))
+        sol = _solve_level(problem, goals, mesh, cfg, (None, None, cfg.eta0))
+        bd = sol["breakdown"]
+        pu = build_space(mesh, "cg", 1, constrain_dirichlet=False)
+        assert pu.nfree < pu.ndofs  # the mesh has hanging vertices
+        # per-cell loop oracle: each free vertex's |value| is split equally
+        # among the cells that have it as a non-hanging corner
+        column = {int(d): j for j, d in enumerate(pu.free_dofs)}
+        owners = {}
+        for c in range(mesh.ncells):
+            for d in pu.cell_dofs[c]:
+                if int(d) in column:
+                    owners[int(d)] = owners.get(int(d), 0) + 1
+        oracle = np.zeros(mesh.ncells)
+        for c in range(mesh.ncells):
+            for d in pu.cell_dofs[c]:
+                if int(d) in column:
+                    oracle[c] += abs(bd.vertex_values[column[int(d)]]) / owners[int(d)]
+        np.testing.assert_allclose(bd.indicators, oracle, rtol=1e-14, atol=0)
+        total = np.abs(bd.vertex_values).sum()
+        assert abs(bd.indicators.sum() - total) <= 1e-13 * total
+
     def test_goal_scaling_linearity(self, ex1_l1_level):
         # replacing the goal by c I scales p, v, y, all parts and eta by c
         sol = ex1_l1_level
@@ -304,15 +329,14 @@ class TestEtaK:
     def test_zero_p(self, ex1_level):
         sol = ex1_level
         got = compute_eta_k(
-            sol["problem"], sol["combined"], sol["triple"],
-            zero_function(sol["pair"].control),
+            sol["problem"], sol["triple"], zero_function(sol["pair"].control),
         )
         assert got == 0.0
 
     def test_converged_iterate_vanishes(self, ex1_level):
         sol = ex1_level
         got = compute_eta_k(
-            sol["problem"], sol["combined"], sol["triple"], sol["adj_low"].p
+            sol["problem"], sol["triple"], sol["adj_low"].p
         )
         assert abs(got) <= 1e-8
 

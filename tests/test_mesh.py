@@ -12,8 +12,6 @@ from dwropt.mesh import (
     UNIT_SQUARE,
     build_initial,
     dorfler_mark,
-    dump_mesh,
-    load_mesh,
     refine,
     refine_all,
 )
@@ -197,21 +195,3 @@ class TestDorfler:
         if len(picked) > 1:
             smallest = min(picked, key=lambda i: (eta[i], -i))
             assert ssum - eta[smallest] < theta * total + 1e-9 * total
-
-
-class TestDump:
-    def test_round_trip_bit_exact(self):
-        m = build_initial(HOLED_RECT, 0.5)
-        m = refine(m, mark(m, [0, 5, 17]))
-        text = dump_mesh(m)
-        m2 = load_mesh(text)
-        assert dump_mesh(m2) == text
-
-    def test_round_trip_preserves_geometry(self):
-        m = build_initial(UNIT_SQUARE, 0.25)
-        m = refine(m, mark(m, [3]))
-        m2 = load_mesh(dump_mesh(m))
-        assert m2.ncells == m.ncells
-        assert m2.total_area() == pytest.approx(1.0, rel=1e-12)
-        np.testing.assert_array_equal(m2.level, m.level)
-        np.testing.assert_array_equal(m2.btags, m.btags)
