@@ -137,6 +137,14 @@ def main(argv=None):
                 raise ConfigError(f"bad --alphas list: {exc}") from exc
             if not alphas:
                 raise ConfigError("--alphas must name at least one value")
+            # each run writes to alpha_<value:g>, and sweep.csv names its columns so
+            names = [f"{a:g}" for a in alphas]
+            twice = sorted({n for n in names if names.count(n) > 1})
+            if twice:
+                raise ConfigError(
+                    f"--alphas names alpha {', '.join(twice)} more than once "
+                    "(values are told apart by their :g form)"
+                )
             runs = sweep_alpha(cfg, alphas)
             path = os.path.join(cfg.output_dir, "sweep.csv")
             with open(path, "w", encoding="utf-8") as fh:

@@ -31,6 +31,7 @@ from .errors import (
     DwroptError,
     RegionError,
     SingularSystemError,
+    SizingError,
     UnrelatedMeshError,
 )
 from .mesh import TAG_NONE, KeyTable
@@ -214,6 +215,12 @@ class Space:
             (data[keep], (rows[keep], cols[keep])), shape=(n, self.nfree)
         )
 
+    def cached(self, key, build):
+        """build() kept on the space under key; built on first use."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     # -- constraint application ------------------------------------------
 
     def distribute(self, coefs):
@@ -367,11 +374,125 @@ def _selected_cells(mesh, region):
     return np.nonzero(mask)[0]
 
 
+def _row_slots(space):
+    """The rows of C as (ndofs, width) tables of free columns and weights.
+
+    Rows shorter than the longest, and a second slot if no row has one, are
+    padded with column -1 and weight 0.
+    """
+
+    def build():
+        C = space.C
+        lens = np.diff(C.indptr)
+        row = np.repeat(np.arange(len(lens)), lens)
+        slot = np.arange(C.nnz) - C.indptr[row]
+        width = max(int(lens.max(initial=0)), 2)
+        cols = np.full((len(lens), width), -1, dtype=np.int64)
+        wts = np.zeros((len(lens), width))
+        cols[row, slot] = C.indices
+        wts[row, slot] = C.data
+        return cols, wts
+
+    return space.cached("row_slots", build)
+
+
+def _matrix_scatter(test, trial, cells):
+    """Map from element matrices to the condensed CSR matrix.
+
+    Returns (S, indices, indptr): for the element entries of these cells
+    flattened cell by cell, as the kernel returns them, the condensed matrix
+    is csr_matrix((S @ entries, indices, indptr)).  Entry (c, i, j) adds
+    w_t * w_r times itself to (I, J) for every entry (I, w_t) of its test
+    DOF's C row and (J, w_r) of its trial DOF's.  One sort of int64 keys,
+    (I, J) above the index of the contribution, finds the pattern and S.
+    """
+    ct, wt = _row_slots(test)
+    cr, wr = _row_slots(trial)
+    dt, dr = test.cell_dofs[cells], trial.cell_dofs[cells]
+    nc, nt = dt.shape
+    nr = dr.shape[1]
+    n_e = nc * nt * nr
+    jbits = int(trial.nfree).bit_length()
+    stop = test.nfree << jbits  # pairs with a padding slot key at or past this
+    kt = np.where(ct >= 0, ct << jbits, stop)
+    kr = np.where(cr >= 0, cr, stop)
+
+    # contributions past the first C entry of a DOF (hanging DOFs only):
+    # later test slots with every trial slot, the first with later trial slots
+    c, i = np.nonzero(ct[dt, 1] >= 0)
+    later_t = (
+        kt[dt[c, i], 1:][:, :, None, None] + kr[dr[c]][:, None],
+        wt[dt[c, i], 1:][:, :, None, None] * wr[dr[c]][:, None],
+        ((c * nt + i) * nr)[:, None, None, None] + np.arange(nr)[:, None],
+    )
+    c, j = np.nonzero(cr[dr, 1] >= 0)
+    later_r = (
+        kt[dt[c], 0][:, :, None] + kr[dr[c, j], 1:][:, None, :],
+        wt[dt[c], 0][:, :, None] * wr[dr[c, j], 1:][:, None, :],
+        (((c * nt)[:, None] + np.arange(nt)) * nr + j[:, None])[:, :, None],
+    )
+    xk, xw, xe = [], [], []
+    for k, wx, e in (later_t, later_r):
+        live = k < stop
+        xk.append(k[live])
+        xw.append(wx[live])
+        xe.append(np.broadcast_to(e, k.shape)[live])
+    xk, xw, xe = np.concatenate(xk), np.concatenate(xw), np.concatenate(xe)
+    nx = len(xk)
+
+    tbits = int(n_e + nx).bit_length()
+    if (2 * stop + 1) << tbits > np.iinfo(np.int64).max:
+        raise SizingError("too many DOFs for 64-bit scatter keys")
+    key = np.empty(n_e + nx, dtype=np.int64)
+    w = np.empty(n_e + nx)
+    key[n_e:] = (xk << tbits) + np.arange(n_e, n_e + nx)
+    w[n_e:] = xw
+    # first C entries of both DOFs, indexed by the entry itself
+    kt0, kr0 = kt[:, 0] << tbits, kr[:, 0] << tbits
+    wt0, wr0 = wt[:, 0], wr[:, 0]
+    for part in _chunks(np.arange(nc), nt * nr):
+        lo, hi = part[0] * nt * nr, (part[-1] + 1) * nt * nr
+        shape = (len(part), nt, nr)
+        at = kt0[dt[part]] + (part[:, None] * nt + np.arange(nt)) * nr
+        ar = kr0[dr[part]] + np.arange(nr)
+        np.add(at[:, :, None], ar[:, None, :], out=key[lo:hi].reshape(shape))
+        np.multiply(
+            wt0[dt[part]][:, :, None], wr0[dr[part]][:, None, :], out=w[lo:hi].reshape(shape)
+        )
+    key.sort()
+    key = key[: np.searchsorted(key, stop << tbits)]
+    idx = key & ((1 << tbits) - 1)
+    key >>= tbits
+    w = w[idx]
+    extra = np.flatnonzero(idx >= n_e)
+    idx[extra] = xe[idx[extra] - n_e]
+    # where a new (I, J) starts, and one past the end
+    first = np.ones(len(key) + 1, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:-1])
+    starts = np.flatnonzero(first)
+    pairs = key[starts[:-1]]
+    # int32 indices throughout, so the constructors neither scan nor copy them
+    S = sp.csr_matrix(
+        (w, idx.astype(np.int32), starts.astype(np.int32)), shape=(len(pairs), n_e)
+    )
+    indices = (pairs & ((1 << jbits) - 1)).astype(np.int32)
+    indptr = np.searchsorted(pairs, np.arange(test.nfree + 1) << jbits).astype(np.int32)
+    # shared by every matrix assembled with this map
+    indices.flags.writeable = False
+    indptr.flags.writeable = False
+    return S, indices, indptr
+
+
 def assemble_matrix(form, test, trial, coeffs=None, nquad=None, region=None):
     """Assemble a bilinear form into a condensed sparse matrix.
 
     Returns a csr matrix of shape (test.nfree, trial.nfree); constrained
-    rows/columns are eliminated through the spaces' constraint maps.
+    rows/columns are eliminated through the spaces' constraint maps.  The
+    kernel's element matrices reach the condensed matrix through one sparse
+    mat-vec with a map cached on the test space per (trial space, region):
+    the first assembly of a pair builds it, later ones reuse it.  The
+    condensed pattern holds every structurally coupled pair of free DOFs,
+    explicit zeros included.
     """
     mesh = test.mesh
     if trial.mesh is not mesh:
@@ -381,8 +502,15 @@ def assemble_matrix(form, test, trial, coeffs=None, nquad=None, region=None):
     qpts, _, phi_r, gphi_r = _tabulated(trial.degree, n1d)
     cells_all = _selected_cells(mesh, region)
     h_all = mesh.cell_h()
+    # the key holds the trial space, but never the test space itself: a space
+    # in its own cache would live until the cycle collector runs
+    S, indices, indptr = test.cached(
+        ("matrix", None if trial is test else trial, region),
+        lambda: _matrix_scatter(test, trial, cells_all),
+    )
 
-    rows, cols, data = [], [], []
+    entries = np.empty(S.shape[1])
+    pos = 0
     for cells in _chunks(cells_all, len(w)):
         ctx = FormContext(mesh, cells, qpts, coeffs, n1d)
         K, cf = form(ctx)
@@ -390,40 +518,36 @@ def assemble_matrix(form, test, trial, coeffs=None, nquad=None, region=None):
         _check_finite(cf, cells, "matrix coefficient")
         wdet = w[None, :] * (h_all[cells] ** 2)[:, None]
         loc = kernels.local_matrix(wdet, phi_t, gphi_t, phi_r, gphi_r, ctx.inv_h, K, cf)
-        dt = test.cell_dofs[cells]
-        dr = trial.cell_dofs[cells]
-        nt, nr = loc.shape[1], loc.shape[2]
-        rows.append(np.repeat(dt, nr, axis=1).ravel())
-        cols.append(np.tile(dr, (1, nt)).ravel())
-        data.append(loc.ravel())
-    if rows:
-        A = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(test.ndofs, trial.ndofs),
-        ).tocsr()
-    else:
-        A = sp.csr_matrix((test.ndofs, trial.ndofs))
-    return (test.C.T @ A @ trial.C).tocsr()
+        entries[pos : pos + loc.size] = loc.ravel()
+        pos += loc.size
+    return sp.csr_matrix((S @ entries, indices, indptr), shape=(test.nfree, trial.nfree))
 
 
 def assemble_vector(form, test, coeffs=None, nquad=None, region=None):
-    """Assemble a linear functional into a condensed vector (test.nfree,)."""
+    """Assemble a linear functional into a condensed vector (test.nfree,).
+
+    The element vectors are summed per DOF in the order they come
+    (np.bincount) and then condensed with C^T.
+    """
     mesh = test.mesh
     n1d = _quad_order((test,), coeffs, nquad)
     qpts, w, phi_t, gphi_t = _tabulated(test.degree, n1d)
     cells_all = _selected_cells(mesh, region)
     h_all = mesh.cell_h()
-    out = np.zeros(test.ndofs)
+    dofs = test.cell_dofs[cells_all]
+    entries = np.zeros(dofs.shape)
+    pos = 0
     for cells in _chunks(cells_all, len(w)):
         ctx = FormContext(mesh, cells, qpts, coeffs, n1d)
         gf, hf = form(ctx)
         _check_finite(gf, cells, "functional coefficient")
         _check_finite(hf, cells, "functional coefficient")
-        if gf is None and hf is None:
-            continue
-        wdet = w[None, :] * (h_all[cells] ** 2)[:, None]
-        loc = kernels.local_vector(wdet, phi_t, gphi_t, ctx.inv_h, gf, hf)
-        np.add.at(out, test.cell_dofs[cells].ravel(), loc.ravel())
+        if gf is not None or hf is not None:
+            wdet = w[None, :] * (h_all[cells] ** 2)[:, None]
+            loc = kernels.local_vector(wdet, phi_t, gphi_t, ctx.inv_h, gf, hf)
+            entries[pos : pos + len(cells)] = loc
+        pos += len(cells)
+    out = np.bincount(dofs.ravel(), weights=entries.ravel(), minlength=test.ndofs)
     return test.C.T @ out
 
 
@@ -471,12 +595,27 @@ def stiffness_fields(ctx):
 
 
 class Factorization:
-    """Direct sparse LU factorization, reusable for transposed solves."""
+    """Sparse LU factorization of a symmetric positive definite matrix.
+
+    Every matrix solved here is symmetric positive definite: the Poisson and
+    p-Laplace state Jacobians and the DG control masses.  So SuperLU runs in
+    symmetric mode: one minimum degree ordering of A + A^T permutes rows and
+    columns alike, and the diagonal supplies the pivots (no row
+    interchanges).  That keeps the fill of a Cholesky factor, about half of
+    what the default column ordering with partial pivoting leaves.  An
+    exactly zero pivot raises SingularSystemError.  The factors also serve
+    solves with the transpose.
+    """
 
     def __init__(self, matrix):
         m = matrix.tocsc()
         try:
-            self._lu = spla.splu(m)
+            self._lu = spla.splu(
+                m,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options=dict(SymmetricMode=True),
+            )
         except RuntimeError as exc:
             raise SingularSystemError(str(exc)) from exc
         self.shape = m.shape

@@ -50,13 +50,6 @@ class SpacePair:
     control: object
 
 
-def _cached(space, key, build):
-    """build() stored on the space under key; built on first use."""
-    if key not in space._cache:
-        space._cache[key] = build()
-    return space._cache[key]
-
-
 @dataclass
 class KKTTriple:
     """State, control and adjoint with the factorized state Jacobian at u."""
@@ -125,7 +118,7 @@ def _jacobian(problem, u, q):
         )
 
     if problem.a_uu_fields is None:
-        return _cached(space, ("a_u_const", problem.name), build)
+        return space.cached(("a_u_const", problem.name), build)
     return build()
 
 
@@ -136,7 +129,7 @@ def control_mass(control_space):
         M = assemble_matrix(mass_fields, control_space, control_space)
         return M, Factorization(M)
 
-    return _cached(control_space, "mass", build)
+    return control_space.cached("mass", build)
 
 
 def coupling(state, ctrl):
@@ -146,8 +139,8 @@ def coupling(state, ctrl):
     minus the mixed mass matrix, cached on the state space per control
     space.
     """
-    return _cached(
-        state, ("coupling", ctrl), lambda: -assemble_matrix(mass_fields, state, ctrl)
+    return state.cached(
+        ("coupling", ctrl), lambda: -assemble_matrix(mass_fields, state, ctrl)
     )
 
 
@@ -161,8 +154,8 @@ def lagrangian_uu(problem, triple):
     if triple.l_uu is None:
         state = triple.u.space
         if problem.a_uu_fields is None:
-            triple.l_uu = _cached(
-                state, "state_mass", lambda: assemble_matrix(mass_fields, state, state)
+            triple.l_uu = state.cached(
+                "state_mass", lambda: assemble_matrix(mass_fields, state, state)
             )
         else:
 

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 
@@ -323,8 +325,27 @@ class TestCli:
         cfgfile.write_text("preset = example1_cost\n")
         assert cli_main(["sweep-alpha", str(cfgfile), "--alphas", "zero"]) == 2
 
+    @pytest.mark.parametrize("alphas", ["0.1,0.10", "1e-7,1.0000001e-7", "1,2,1"])
+    def test_duplicate_alphas_exit_2(self, tmp_path, capsys, alphas):
+        cfgfile = tmp_path / "s.cfg"
+        cfgfile.write_text(f"preset = example1_cost\noutput_dir = {tmp_path / 'sweep'}\n")
+        assert cli_main(["sweep-alpha", str(cfgfile), "--alphas", alphas]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "more than once" in err
+        assert not (tmp_path / "sweep").exists()
+
     def test_help_exits_cleanly(self):
         assert cli_main(["--help"]) == 0
+
+    def test_python_m_dwropt_help(self):
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run(
+            [sys.executable, "-m", "dwropt", "--help"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "sweep-alpha" in done.stdout
 
 
 class TestSelfReference:

@@ -27,6 +27,7 @@ from dwropt.fem import (
     zero_function,
 )
 from dwropt.mesh import CellSet, HOLED_RECT, UNIT_SQUARE, build_initial, refine
+from dwropt.problem import make_plaplace_control
 
 
 def mark(mesh, ids):
@@ -238,6 +239,43 @@ class TestSolve:
         A = sp.csr_matrix(np.zeros((3, 3)))
         with pytest.raises(SingularSystemError):
             Factorization(A)
+
+    def test_rank_one_singular_raises(self):
+        import scipy.sparse as sp
+
+        # a zero pivot appears only after elimination
+        with pytest.raises(SingularSystemError):
+            Factorization(sp.csr_matrix(np.ones((2, 2))))
+
+    @pytest.mark.parametrize("root", [(UNIT_SQUARE, 0.5), (HOLED_RECT, 1.0)])
+    @pytest.mark.parametrize("kind", ["cg1", "cg2", "cg3", "plaplace", "dg0", "dg1"])
+    def test_solver_matrices_are_spd_and_solve_without_pivoting(self, root, kind):
+        # Factorization pivots on the diagonal in a symmetric ordering; that is
+        # safe only because every matrix it is given is symmetric positive
+        # definite, which this checks on meshes with hanging nodes
+        mesh = build_initial(*root)
+        for picks in ([0, 3], [1, 2]):
+            mesh = refine(mesh, mark(mesh, [mesh.ncells - 1 - i for i in picks]))
+        if kind.startswith("dg"):
+            s = build_space(mesh, "dg", int(kind[2]))
+            A = assemble_matrix(mass_fields, s, s)
+        elif kind == "plaplace":
+            prob = make_plaplace_control(alpha=1.0, p=4.0, eps=1.0)
+            s = build_space(mesh, "cg", 2)
+            u = interpolate(s, lambda x, y: np.sin(x) * np.cos(y) + 0.3 * x * y)
+            A = assemble_matrix(prob.a_u_fields, s, s, coeffs={"u": u})
+        else:
+            s = build_space(mesh, "cg", int(kind[2]))
+            A = assemble_matrix(stiffness_fields, s, s)
+        assert abs(A - A.T).max() <= 1e-14 * abs(A).max()
+        dense = A.toarray()
+        assert np.linalg.eigvalsh(0.5 * (dense + dense.T)).min() > 0
+        b = np.cos(np.arange(A.shape[0]))
+        x = np.linalg.solve(dense, b)
+        xt = np.linalg.solve(dense.T, b)
+        fac = Factorization(A)
+        assert np.linalg.norm(fac.solve(b) - x) <= 1e-12 * np.linalg.norm(x)
+        assert np.linalg.norm(fac.solve_transposed(b) - xt) <= 1e-12 * np.linalg.norm(xt)
 
     def test_poisson_manufactured_convergence(self):
         # -lap(u) = f with u = sin(pi x) sin(pi y); L2 error halves ~ h^2

@@ -1,0 +1,141 @@
+"""The assembly scatter against the direct scatter it replaced.
+
+`assemble_matrix` sends element entries to the condensed matrix through a
+sparse map cached on the test space, and `assemble_vector` sums element
+vectors per DOF with np.bincount.  The oracles below are the paths they
+replaced: the unconstrained matrix built as COO, converted to CSR and
+condensed to C_t^T A C_r on every call, and the element vectors added up
+with np.add.at and condensed with C^T.
+"""
+
+import numpy as np
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dwropt import kernels
+from dwropt.fem import (
+    FormContext,
+    _chunks,
+    _quad_order,
+    _selected_cells,
+    _tabulated,
+    assemble_matrix,
+    assemble_vector,
+    build_space,
+)
+from dwropt.mesh import HOLED_RECT, UNIT_SQUARE, CellSet, build_initial, refine
+
+#: initial meshes, each with a region box along mesh lines
+ROOTS = [
+    (UNIT_SQUARE, 0.5, (0.0, 0.0, 0.5, 1.0)),
+    (HOLED_RECT, 1.0, (4.0, -np.inf, 5.0, np.inf)),
+]
+
+
+def oracle_matrix(form, test, trial, coeffs=None, region=None):
+    mesh = test.mesh
+    n1d = _quad_order((test, trial), coeffs, None)
+    _, w, phi_t, gphi_t = _tabulated(test.degree, n1d)
+    qpts, _, phi_r, gphi_r = _tabulated(trial.degree, n1d)
+    h_all = mesh.cell_h()
+    rows, cols, data = [], [], []
+    for cells in _chunks(_selected_cells(mesh, region), len(w)):
+        ctx = FormContext(mesh, cells, qpts, coeffs, n1d)
+        K, cf = form(ctx)
+        wdet = w[None, :] * (h_all[cells] ** 2)[:, None]
+        loc = kernels.local_matrix(wdet, phi_t, gphi_t, phi_r, gphi_r, ctx.inv_h, K, cf)
+        dt, dr = test.cell_dofs[cells], trial.cell_dofs[cells]
+        rows.append(np.repeat(dt, loc.shape[2], axis=1).ravel())
+        cols.append(np.tile(dr, (1, loc.shape[1])).ravel())
+        data.append(loc.ravel())
+    if rows:
+        A = sp.coo_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(test.ndofs, trial.ndofs),
+        ).tocsr()
+    else:
+        A = sp.csr_matrix((test.ndofs, trial.ndofs))
+    return (test.C.T @ A @ trial.C).tocsr()
+
+
+def oracle_vector(form, test, coeffs=None, region=None):
+    mesh = test.mesh
+    n1d = _quad_order((test,), coeffs, None)
+    qpts, w, phi_t, gphi_t = _tabulated(test.degree, n1d)
+    h_all = mesh.cell_h()
+    out = np.zeros(test.ndofs)
+    for cells in _chunks(_selected_cells(mesh, region), len(w)):
+        ctx = FormContext(mesh, cells, qpts, coeffs, n1d)
+        gf, hf = form(ctx)
+        wdet = w[None, :] * (h_all[cells] ** 2)[:, None]
+        loc = kernels.local_vector(wdet, phi_t, gphi_t, ctx.inv_h, gf, hf)
+        np.add.at(out, test.cell_dofs[cells].ravel(), loc.ravel())
+    return test.C.T @ out
+
+
+def matrix_form(s):
+    """Nonsymmetric coefficients, so a swapped test and trial side shows."""
+
+    def form(ctx):
+        x, y = ctx.x[..., 0], ctx.x[..., 1]
+        K = np.empty(ctx.x.shape[:2] + (2, 2))
+        K[..., 0, 0] = 1.0 + x * x
+        K[..., 0, 1] = s * y
+        K[..., 1, 0] = -x
+        K[..., 1, 1] = 2.0 + np.sin(s * x)
+        return K, 1.0 + s * x * y
+
+    return form
+
+
+def vector_form(s):
+    def form(ctx):
+        x, y = ctx.x[..., 0], ctx.x[..., 1]
+        return np.cos(s * x) + y, np.stack([x * y, s - x], axis=-1)
+
+    return form
+
+
+def close(new, old):
+    return abs(new - old).max() <= 1e-13 * abs(old).max()
+
+
+steps = st.lists(
+    st.tuples(st.booleans(), st.lists(st.integers(0, 10**6), min_size=1, max_size=4)),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(ROOTS), steps, st.booleans())
+def test_cached_scatter_matches_direct_scatter(root, seq, dirichlet):
+    domain, size, box = root
+    mesh = build_initial(domain, size)
+    for finest, picks in seq:
+        pool = np.nonzero(mesh.level == mesh.level.max())[0] if finest else np.arange(mesh.ncells)
+        ids = sorted({int(pool[p % len(pool)]) for p in picks})
+        mesh = refine(mesh, CellSet(frozenset(ids), mesh.generation))
+    cg = [build_space(mesh, "cg", d, constrain_dirichlet=dirichlet) for d in (1, 2, 3)]
+    dg = [build_space(mesh, "dg", d) for d in (0, 1)]
+
+    for region in (None, box):
+        for test in cg:
+            for trial in cg + dg:
+                before = None
+                # the second call reuses the map the first one built
+                for s in (1.0, 2.5):
+                    new = assemble_matrix(matrix_form(s), test, trial, region=region)
+                    old = oracle_matrix(matrix_form(s), test, trial, region=region)
+                    assert new.shape == old.shape == (test.nfree, trial.nfree)
+                    assert close(new, old), (test.degree, trial.family, trial.degree, region)
+                    assert before is None or len(test._cache) == before
+                    before = len(test._cache)
+        for test in cg + dg:
+            for s in (1.0, 2.5):
+                new = assemble_vector(vector_form(s), test, region=region)
+                old = oracle_vector(vector_form(s), test, region=region)
+                assert new.shape == (test.nfree,)
+                # the same additions in the same order
+                assert np.array_equal(new, old), (test.family, test.degree, region)
