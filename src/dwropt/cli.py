@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 solver failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -137,6 +138,10 @@ def main(argv=None):
                 raise ConfigError(f"bad --alphas list: {exc}") from exc
             if not alphas:
                 raise ConfigError("--alphas must name at least one value")
+            # reject every bad value before the first run writes its outputs
+            bad = [a for a in alphas if not (math.isfinite(a) and a > 0)]
+            if bad:
+                raise ConfigError(f"alpha must be positive and finite, got {bad[0]}")
             # each run writes to alpha_<value:g>, and sweep.csv names its columns so
             names = [f"{a:g}" for a in alphas]
             twice = sorted({n for n in names if names.count(n) > 1})

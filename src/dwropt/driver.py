@@ -1,7 +1,8 @@
 """End-to-end adaptive driver, experiment presets and report emission.
 
 One refinement level solves the enriched and low-order optimization
-problems (each warm-started from the previous level), builds the
+problems (each warm-started from the previous level's control, and for a
+nonlinear state equation from its state too), builds the
 combined goal functional from enriched references frozen at the low
 solution, runs the goal-adjoint recovery chain on both space sets,
 evaluates the error estimator with its partition-of-unity localization,
@@ -72,8 +73,9 @@ class Config:
                     "eta0"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"{key} must be positive")
-        if self.tol_dis < 0:
-            raise ConfigError("tol_dis must be nonnegative")
+        for key in ("tol_dis", "smoothing_delta"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} must be nonnegative")
         if self.stopping not in ("adaptive", "standard"):
             raise ConfigError("stopping must be adaptive or standard")
         if self.refinement not in ("adaptive", "uniform"):
@@ -205,13 +207,30 @@ class LevelReport:
     wall_time: float = 0.0
 
 
+def _initial_guess(problem, prev, pair):
+    """Starting control and state on pair from a coarser (u, q), or None.
+
+    Without one, the control starts at the desired control (a zero start
+    can make goal derivatives degenerate) and the state at zero.  The
+    state is carried over only for a nonlinear operator: a linear state
+    equation is solved by one Newton step from any start.
+    """
+    if prev is None:
+        return interpolate(pair.control, problem.q_des), None
+    u, q = prev
+    u0 = transfer(u, pair.state) if problem.a_uu_fields is not None else None
+    return transfer(q, pair.control), u0
+
+
 def _solve_level(problem, goals, mesh, config, warm):
     """All solves and estimates of one level.
 
     State spaces are continuous Q^r; controls are discontinuous one
     degree lower (piecewise constants for r = 1), which reproduces the
     reference DOF counts and convergence orders.  Enrichment raises both
-    degrees by one on the same mesh.
+    degrees by one on the same mesh.  warm is (low, enriched, eta_prev):
+    the previous level's low and enriched (u, q), or None on level 0, and
+    its discretization estimate.
     """
     r = config.degree
     state = build_space(mesh, "cg", r)
@@ -221,15 +240,13 @@ def _solve_level(problem, goals, mesh, config, warm):
     pair = SpacePair(state, ctrl)
     pair2 = SpacePair(state2, ctrl2)
 
-    # initial guess: previous level's control, or the desired control on
-    # level 0 (a zero start can make goal derivatives degenerate)
-    q_prev, q2_prev, eta_prev = warm
-    q0 = transfer(q_prev, ctrl) if q_prev is not None else interpolate(ctrl, problem.q_des)
-    q20 = transfer(q2_prev, ctrl2) if q2_prev is not None else interpolate(ctrl2, problem.q_des)
+    low_prev, high_prev, eta_prev = warm
+    q0, u0 = _initial_guess(problem, low_prev, pair)
+    q20, u20 = _initial_guess(problem, high_prev, pair2)
 
     # enriched optimization (classical stopping), warm-started
     triple2, log2 = newton_standard(
-        problem, pair2, q20,
+        problem, pair2, q20, warm_u=u20,
         tol_abs=config.newton_tol_abs, tol_rel=config.newton_tol_rel,
         krylov_tol=config.krylov_tol,
     )
@@ -238,14 +255,14 @@ def _solve_level(problem, goals, mesh, config, warm):
     if config.stopping == "adaptive":
         seed = build_combined(goals, (triple2.u, triple2.q), (triple2.u, triple2.q))
         triple, p_low, log = newton_reduced_adaptive(
-            problem, seed, pair, q0,
+            problem, seed, pair, q0, warm_u=u0,
             gamma=config.gamma, eta_prev=eta_prev,
             krylov_tol=config.krylov_tol,
             tol_abs=config.newton_tol_abs, tol_rel=config.newton_tol_rel,
         )
     else:
         triple, log = newton_standard(
-            problem, pair, q0,
+            problem, pair, q0, warm_u=u0,
             tol_abs=config.newton_tol_abs, tol_rel=config.newton_tol_rel,
             krylov_tol=config.krylov_tol,
         )
@@ -323,15 +340,14 @@ def _make_report(level, mesh, sol):
 def _run(config, capture=None):
     config.validate()
     problem, goals, mesh = instantiate(config)
-    q_prev = None
-    q2_prev = None
+    low_prev = high_prev = None
     eta_prev = config.eta0
     reports = []
     for level in range(config.max_levels):
         t0 = time.perf_counter()
         try:
             sol = _solve_level(problem, goals, mesh, config,
-                               (q_prev, q2_prev, eta_prev))
+                               (low_prev, high_prev, eta_prev))
         except DwroptError as exc:
             # completed levels ride along so callers can flush them
             err = DwroptError(f"level {level}: {exc}")
@@ -357,17 +373,20 @@ def _run(config, capture=None):
                 stop = True
         reports.append(report)
         if capture is not None:
-            capture.update(mesh=mesh, q=sol["triple"].q, q2=sol["triple2"].q,
-                           breakdown=bd, combined=sol["combined"])
+            capture.update(mesh=mesh, high=(sol["triple2"].u, sol["triple2"].q))
         if stop:
             break
         mesh = refine(mesh, marked)
-        q_prev = sol["triple"].q
-        q2_prev = sol["triple2"].q
+        low_prev = (sol["triple"].u, sol["triple"].q)
+        high_prev = (sol["triple2"].u, sol["triple2"].q)
         if abs(bd.eta_h2) > 0:
             eta_prev = abs(bd.eta_h2)
         # the KKT triples, their LU factors and the spaces' caches are not
-        # needed by the next level; free them before it allocates its own
+        # needed by the next level; free them before it allocates its own.
+        # The carried functions keep their spaces alive, so empty the caches.
+        for pair in (sol["pair"], sol["pair2"]):
+            pair.state.drop_cached()
+            pair.control.drop_cached()
         del sol, bd
     return reports
 
@@ -573,15 +592,14 @@ def self_reference_values(config, extra_refinements=2):
     _run(config, capture=capture)
     problem, goals, _ = instantiate(config)
     mesh = capture["mesh"]
-    q_warm = capture["q2"]
     for _ in range(extra_refinements):
         mesh = refine_all(mesh)
     state = build_space(mesh, "cg", config.degree + 1)
     ctrl = build_space(mesh, "dg", config.degree + 1)
     pair = SpacePair(state, ctrl)
-    q0 = transfer(q_warm, ctrl)
+    q0, u0 = _initial_guess(problem, capture["high"], pair)
     triple, _ = newton_standard(
-        problem, pair, q0,
+        problem, pair, q0, warm_u=u0,
         tol_abs=config.newton_tol_abs, tol_rel=config.newton_tol_rel,
         krylov_tol=config.krylov_tol,
     )

@@ -221,6 +221,10 @@ class Space:
             self._cache[key] = build()
         return self._cache[key]
 
+    def drop_cached(self):
+        """Forget everything cached on the space: operators, factors, maps."""
+        self._cache.clear()
+
     # -- constraint application ------------------------------------------
 
     def distribute(self, coefs):

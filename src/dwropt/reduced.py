@@ -348,9 +348,12 @@ def _newton_update(problem, triple, pair, g, krylov_tol):
 
 
 def newton_standard(problem, pair, q0, tol_abs=1e-7, tol_rel=8e-5,
-                    krylov_tol=1e-10, max_iter=50):
-    """Reduced Newton with the classical gradient-norm stopping rule."""
-    triple = make_consistent(problem, q0, pair)
+                    krylov_tol=1e-10, max_iter=50, warm_u=None):
+    """Reduced Newton with the classical gradient-norm stopping rule.
+
+    warm_u, if given, starts the first state solve.
+    """
+    triple = make_consistent(problem, q0, pair, warm_u)
     log = NewtonLog()
     g = reduced_gradient(problem, triple)
     ng0 = dual_norm(pair.control, g)
@@ -376,7 +379,7 @@ def newton_standard(problem, pair, q0, tol_abs=1e-7, tol_rel=8e-5,
 
 def newton_reduced_adaptive(problem, goal_combined, pair, q0, gamma, eta_prev,
                             krylov_tol=1e-10, max_iter=50,
-                            tol_abs=1e-7, tol_rel=8e-5):
+                            tol_abs=1e-7, tol_rel=8e-5, warm_u=None):
     """Reduced Newton stopped by the goal-weighted iteration-error guard.
 
     After every update the goal adjoint direction is recomputed with the
@@ -384,11 +387,12 @@ def newton_reduced_adaptive(problem, goal_combined, pair, q0, gamma, eta_prev,
     once |j'(q)(p)| drops below gamma times the previous discretization
     estimate.  The classical gradient-norm criteria stay active as
     additional exits, so the adaptive rule can only stop earlier than
-    the standard one.  Returns the triple, the goal adjoint p, the log.
+    the standard one.  warm_u, if given, starts the first state solve.
+    Returns the triple, the goal adjoint p, the log.
     """
     if gamma <= 0 or eta_prev <= 0:
         raise NonConvergenceError("gamma and eta_prev must be positive")
-    triple = make_consistent(problem, q0, pair)
+    triple = make_consistent(problem, q0, pair, warm_u)
     log = NewtonLog()
     threshold = gamma * eta_prev
     ng0 = None

@@ -527,7 +527,8 @@ class TestIndicatorLocality:
         for _ in range(5):
             sol = _solve_level(problem, goals, mesh, cfg, warm)
             marked = dorfler_mark(sol["breakdown"].indicators, cfg.theta, mesh)
-            warm = (sol["triple"].q, sol["triple2"].q,
+            warm = ((sol["triple"].u, sol["triple"].q),
+                    (sol["triple2"].u, sol["triple2"].q),
                     abs(sol["breakdown"].eta_h2))
             mesh = refine(mesh, marked)
         sol = _solve_level(problem, goals, mesh, cfg, warm)

@@ -268,6 +268,7 @@ class TestCli:
         "quad_extra = 1",
         # example3's control_band box (1, 2, 6.25, 2.5) cuts cells of size 0.5
         "preset = example3\ncell_size = 0.5",
+        "preset = example1_l1\nsmoothing_delta = -1",
     ])
     def test_bad_config_exit_2(self, tmp_path, capsys, line):
         cfgfile = tmp_path / "bad.cfg"
@@ -333,6 +334,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1 and "more than once" in err
         assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.parametrize("alphas", ["1,-1", "1,0", "1,nan"])
+    def test_bad_alpha_value_exit_2_before_any_run(self, tmp_path, capsys, alphas):
+        cfgfile = tmp_path / "s.cfg"
+        out = tmp_path / "sweep"
+        cfgfile.write_text(f"preset = example1_cost\nmax_levels = 1\noutput_dir = {out}\n")
+        assert cli_main(["sweep-alpha", str(cfgfile), "--alphas", alphas]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "alpha" in err
+        assert not list(tmp_path.glob("sweep/alpha_*"))
 
     def test_help_exits_cleanly(self):
         assert cli_main(["--help"]) == 0
@@ -402,6 +413,35 @@ class TestWarmStartInvariance:
                                   tol_abs=1e-10)
         warm, _ = newton_standard(problem, pair1, transfer(t0.q, pair1.control),
                                   tol_abs=1e-10)
+        diff = integrate(
+            lambda ctx: (ctx.val("a") - ctx.val("b")) ** 2,
+            mesh1,
+            coeffs={"a": cold.q, "b": warm.q},
+        )
+        assert np.sqrt(diff) <= 1e-9
+
+    def test_plaplace_state_warm_start(self):
+        # second level from the transferred control, with and without the
+        # transferred state as the first state solve's start
+        from dwropt.driver import instantiate
+        from dwropt.fem import build_space, integrate, interpolate, transfer
+        from dwropt.mesh import refine, CellSet
+        from dwropt.reduced import SpacePair, make_consistent, newton_standard
+
+        cfg = preset_config("example2_uq")
+        problem, goals, mesh = instantiate(cfg)
+        pair0 = SpacePair(build_space(mesh, "cg", 1), build_space(mesh, "dg", 0))
+        t0, _ = newton_standard(problem, pair0, interpolate(pair0.control, problem.q_des),
+                                tol_abs=1e-10)
+        mesh1 = refine(mesh, CellSet(frozenset(range(mesh.ncells)), mesh.generation))
+        pair1 = SpacePair(build_space(mesh1, "cg", 1), build_space(mesh1, "dg", 0))
+        q1 = transfer(t0.q, pair1.control)
+        u1 = transfer(t0.u, pair1.state)
+        first_cold = make_consistent(problem, q1, pair1)
+        first_warm = make_consistent(problem, q1, pair1, warm_u=u1)
+        assert first_warm.state_iterations < first_cold.state_iterations
+        cold, _ = newton_standard(problem, pair1, q1, tol_abs=1e-10)
+        warm, _ = newton_standard(problem, pair1, q1, tol_abs=1e-10, warm_u=u1)
         diff = integrate(
             lambda ctx: (ctx.val("a") - ctx.val("b")) ** 2,
             mesh1,

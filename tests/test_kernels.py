@@ -115,13 +115,20 @@ def data():
 class TestPathEquivalence:
     def test_local_matrix(self, data):
         d = data
-        for K, cf in ((d["K"], d["cf"]), (d["K"], None), (None, d["cf"])):
-            args = (d["wdet"], d["phi_t"], d["gphi_t"], d["phi_r"], d["gphi_r"],
-                    d["inv_h"], K, cf)
-            np.testing.assert_allclose(
-                kernels.local_matrix(*args), local_matrix_loops(*args),
-                rtol=1e-13, atol=1e-14,
-            )
+        nq = d["wdet"].shape[1]
+        # nt > nr, and nt = 1: a one-function (DG0) test space
+        shapes = [(d["phi_t"], d["gphi_t"], d["phi_r"], d["gphi_r"])]
+        rng = np.random.default_rng(1)
+        for nt, nr in ((9, 4), (1, 4)):
+            shapes.append((rng.random((nq, nt)), rng.random((nq, nt, 2)),
+                           rng.random((nq, nr)), rng.random((nq, nr, 2))))
+        for phi_t, gphi_t, phi_r, gphi_r in shapes:
+            for K, cf in ((d["K"], d["cf"]), (d["K"], None), (None, d["cf"])):
+                args = (d["wdet"], phi_t, gphi_t, phi_r, gphi_r, d["inv_h"], K, cf)
+                np.testing.assert_allclose(
+                    kernels.local_matrix(*args), local_matrix_loops(*args),
+                    rtol=1e-13, atol=1e-14,
+                )
 
     def test_local_vector(self, data):
         d = data
