@@ -22,15 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .fem import (
-    FormContext,
-    _chunks,
-    _quad_order,
-    _tabulated,
-    build_space,
-    function_from_free,
-    region_cell_mask,
-)
+from .fem import build_space, function_from_free, region_cell_mask, sweep
 from .reduced import (
     assemble_terms,
     coupling,
@@ -39,10 +31,6 @@ from .reduced import (
     reduced_gradient,
     solve_reduced_system,
 )
-
-#: names of the six residual parts in report order
-PART_NAMES = ("rho_u", "rho_q", "rho_z", "rho_v", "rho_p", "rho_y")
-
 
 @dataclass
 class AdjointTriple:
@@ -139,7 +127,7 @@ def adjoint_chain(problem, goal, triple, p=None, krylov_tol=1e-10):
 # estimator sweep
 
 
-def _goal_term_fields(terms, ctx, mesh, cells):
+def _goal_term_fields(terms, ctx):
     """Pointwise (g, h) of summed goal-derivative terms, region-masked."""
     nc, nq = ctx.x.shape[:2]
     g_out = np.zeros((nc, nq))
@@ -147,7 +135,7 @@ def _goal_term_fields(terms, ctx, mesh, cells):
     for scale, fields, region in terms:
         g, h = fields(ctx)
         if region is not None:
-            mask = region_cell_mask(mesh, region)[cells].astype(np.float64)
+            mask = region_cell_mask(ctx.mesh, region)[ctx.cells].astype(np.float64)
         else:
             mask = None
         if g is not None:
@@ -162,14 +150,15 @@ def _apply_K(K, grad):
     return np.einsum("cgde,cge->cgd", K, grad, optimize=True)
 
 
-def _part_fields(problem, goal, ctx, mesh, cells):
+def _part_fields(problem, goal, ctx):
     """(g, h, weight_name) of the six residual parts on one cell chunk.
 
-    All forms are linearized at the low-order solutions, which the
-    context exposes under the names u, q, z, v, p, y; enriched solutions
-    carry a "2" suffix.  Weight names refer to enriched-minus-low pairs.
-    Both operators take the control as a_q(q, .) = -(q, .), so J_uu is
-    the mass and J_qq alpha times it.
+    The parts come in the order of _PART_ATTR.  All forms are linearized
+    at the low-order solutions, which the context exposes under the names
+    u, q, z, v, p, y; enriched solutions carry a "2" suffix.  Weight
+    names refer to enriched-minus-low pairs.  Both operators take the
+    control as a_q(q, .) = -(q, .), so J_uu is the mass and J_qq alpha
+    times it.
     """
     K, _ = problem.a_u_fields(ctx)  # linearized at the low state
 
@@ -191,7 +180,7 @@ def _part_fields(problem, goal, ctx, mesh, cells):
     parts.append((ctx.val("p"), -_apply_K(K, ctx.grad("v")), "z"))
 
     # rho_y = I_u(.) + J_uu(v, .) - a_uu(v, .)(z) - a_u(., y)   weighted by u2 - u
-    g, h = _goal_term_fields(goal.iu_terms, ctx, mesh, cells)
+    g, h = _goal_term_fields(goal.iu_terms, ctx)
     hy = -_apply_K(K, ctx.grad("y"))
     if problem.a_uu_fields is not None:
         K_uu, _ = problem.a_uu_fields(ctx)
@@ -199,13 +188,12 @@ def _part_fields(problem, goal, ctx, mesh, cells):
     parts.append((g + ctx.val("v"), hy if h is None else h + hy, "u"))
 
     # rho_p = I_q(.) + J_qq(p, .) - a_q(., y)   weighted by q2 - q
-    g, h = _goal_term_fields(goal.iq_terms, ctx, mesh, cells)
+    g, h = _goal_term_fields(goal.iq_terms, ctx)
     parts.append((g + problem.alpha * ctx.val("p") + ctx.val("y"), h, "q"))
 
     return parts
 
 
-_PART_ORDER = {"y": 0, "p": 1, "v": 2, "z": 3, "u": 4, "q": 5}
 _PART_ATTR = ("rho_u", "rho_q", "rho_z", "rho_v", "rho_y", "rho_p")
 
 
@@ -213,30 +201,19 @@ def _estimator_sweep(problem, goal, low, enriched, pu_space):
     """One pass over the mesh: global residual parts and PU vertex vector."""
     low_kkt, low_adj = low
     enr_kkt, enr_adj = enriched
-    mesh = low_kkt.u.space.mesh
-    if enr_kkt.u.space.mesh is not mesh:
-        raise ValueError("low and enriched solutions must share one mesh")
-
     funcs = {
         "u": low_kkt.u, "q": low_kkt.q, "z": low_kkt.z,
         "v": low_adj.v, "p": low_adj.p, "y": low_adj.y,
         "u2": enr_kkt.u, "q2": enr_kkt.q, "z2": enr_kkt.z,
         "v2": enr_adj.v, "p2": enr_adj.p, "y2": enr_adj.y,
     }
-    n1d = _quad_order((), funcs, None)
-    qpts, w, phi_pu, gphi_pu = _tabulated(1, n1d)
-    h_all = mesh.cell_h()
-
     part_sums = np.zeros(6)
     pu_raw = np.zeros(pu_space.ndofs)
 
-    for cells in _chunks(np.arange(mesh.ncells), len(w)):
-        ctx = FormContext(mesh, cells, qpts, funcs, n1d)
-        wdet = w[None, :] * (h_all[cells] ** 2)[:, None]
-        parts = _part_fields(problem, goal, ctx, mesh, cells)
+    for ctx in sweep(pu_space.mesh, funcs, (pu_space,)):
         G_acc = None
         H_acc = None
-        for g, h, wname in parts:
+        for k, (g, h, wname) in enumerate(_part_fields(problem, goal, ctx)):
             wv = ctx.val(wname + "2") - ctx.val(wname)
             F = np.zeros_like(wv)
             if g is not None:
@@ -244,18 +221,16 @@ def _estimator_sweep(problem, goal, low, enriched, pu_space):
             if h is not None:
                 wg = ctx.grad(wname + "2") - ctx.grad(wname)
                 F += np.einsum("cgd,cgd->cg", h, wg, optimize=True)
-            part_sums[_PART_ORDER[wname]] += float(
-                kernels.cell_integrals(wdet, F).sum()
-            )
+            part_sums[k] += float(kernels.cell_integrals(ctx.wdet, F).sum())
             G_acc = F if G_acc is None else G_acc + F
             if h is not None:
                 Hw = h * wv[..., None]
                 H_acc = Hw if H_acc is None else H_acc + Hw
         loc = kernels.local_vector(
-            wdet, phi_pu, gphi_pu, ctx.inv_h,
+            ctx.wdet, *ctx.basis(pu_space), ctx.inv_h,
             0.5 * G_acc, None if H_acc is None else 0.5 * H_acc,
         )
-        np.add.at(pu_raw, pu_space.cell_dofs[cells].ravel(), loc.ravel())
+        np.add.at(pu_raw, pu_space.cell_dofs[ctx.cells].ravel(), loc.ravel())
 
     return part_sums, pu_space.C.T @ pu_raw
 

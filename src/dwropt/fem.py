@@ -5,8 +5,12 @@ variables, discontinuous ones the controls.  Hanging and Dirichlet DOFs
 are expressed as affine combinations of master DOFs and eliminated during
 assembly, so solved systems only ever see the unconstrained unknowns.
 
-Weak forms are supplied as small "field" callables that receive a
-:class:`FormContext` and return pointwise coefficient arrays:
+All quadrature runs through one generator, :func:`sweep`: it picks the
+Gauss order, selects the cells of a region box and yields one
+:class:`FormContext` per chunk of cells, carrying the quadrature points,
+the weights ``wdet`` and the reference basis of each space.  Weak forms are
+supplied as small "field" callables that receive such a context and return
+pointwise coefficient arrays:
 
     matrix forms  ->  (K, c)   with  a(trial, test) = grad(test)·K·grad(trial) + c·test·trial
     vector forms  ->  (g, h)   with  F(test)        = g·test + h·grad(test)
@@ -304,29 +308,37 @@ def region_cell_mask(mesh, region):
 
 
 class FormContext:
-    """Per-chunk quadrature data handed to form callables."""
+    """One chunk of a quadrature sweep, handed to form callables.
 
-    def __init__(self, mesh, cells, qpts, functions, n1d=None):
+    Carries the chunk's cells, the physical quadrature points x (nc, nq, 2),
+    the weights wdet (nc, nq) (Gauss weight times h^2), inv_h (nc,) and the
+    coefficient functions by name.  val and grad evaluate a coefficient at
+    the points; basis(space) is the space's reference (phi, gphi) there.
+    """
+
+    def __init__(self, mesh, cells, n1d, functions):
         self.mesh = mesh
         self.cells = cells
-        self.qpts = qpts
-        self.functions = functions or {}
+        self.functions = functions
         self._n1d = n1d
+        qpts, w, _, _ = _tabulated(1, n1d)
         h = mesh.cell_h()[cells]
         org = mesh.cell_origin()[cells]
-        self.h = h
         self.inv_h = 1.0 / h
-        nq = qpts.shape[0]
-        self.x = np.empty((len(cells), nq, 2))
+        self.wdet = w[None, :] * (h**2)[:, None]
+        self.x = np.empty((len(cells), len(w), 2))
         self.x[:, :, 0] = org[:, 0:1] + qpts[None, :, 0] * h[:, None]
         self.x[:, :, 1] = org[:, 1:2] + qpts[None, :, 1] * h[:, None]
         self._vals = {}
         self._grads = {}
 
+    def basis(self, space):
+        return _tabulated(space.degree, self._n1d)[2:]
+
     def val(self, name):
         if name not in self._vals:
             f = self.functions[name]
-            _, _, phi, _ = _tabulated(f.space.degree, self._n1d)
+            phi, _ = self.basis(f.space)
             self._vals[name] = kernels.eval_values(
                 f.space.cell_dofs[self.cells], f.coefs, phi
             )
@@ -335,23 +347,32 @@ class FormContext:
     def grad(self, name):
         if name not in self._grads:
             f = self.functions[name]
-            _, _, _, gphi = _tabulated(f.space.degree, self._n1d)
+            _, gphi = self.basis(f.space)
             self._grads[name] = kernels.eval_gradients(
                 f.space.cell_dofs[self.cells], f.coefs, gphi, self.inv_h
             )
         return self._grads[name]
 
-    def function(self, name):
-        return self.functions[name]
 
+def sweep(mesh, coeffs=None, spaces=(), nquad=None, region=None):
+    """Gauss quadrature over the mesh, or a region box, one cell chunk at a time.
 
-def _quad_order(spaces, functions, nquad):
-    if nquad is not None:
-        return nquad
-    degs = [s.degree for s in spaces if s is not None]
-    for f in (functions or {}).values():
-        degs.append(f.space.degree)
-    return max(max(degs, default=1), 1) + 1 + QUAD_EXTRA
+    Yields one FormContext per chunk of about _CHUNK_POINTS quadrature
+    points, cells in ascending order.  The rule has nquad points per
+    direction; by default QUAD_EXTRA more than one past the highest degree
+    among the spaces and the coefficients.  Every space and coefficient
+    must live on mesh (AssemblyError otherwise).
+    """
+    coeffs = coeffs or {}
+    spaces = [*spaces, *(f.space for f in coeffs.values())]
+    if any(s.mesh is not mesh for s in spaces):
+        raise AssemblyError("a space or coefficient lives on a different mesh")
+    if nquad is None:
+        nquad = max([1] + [s.degree for s in spaces]) + 1 + QUAD_EXTRA
+    cells = _selected_cells(mesh, region)
+    step = max(1, _CHUNK_POINTS // nquad**2)
+    for start in range(0, len(cells), step):
+        yield FormContext(mesh, cells[start : start + step], nquad, coeffs)
 
 
 def _check_finite(arr, cells, what):
@@ -363,12 +384,6 @@ def _check_finite(arr, cells, what):
         raise AssemblyError(
             f"non-finite {what} at quadrature point of cell {int(cells[flat[0]])}"
         )
-
-
-def _chunks(cell_idx, nq):
-    step = max(1, _CHUNK_POINTS // max(nq, 1))
-    for start in range(0, len(cell_idx), step):
-        yield cell_idx[start : start + step]
 
 
 def _selected_cells(mesh, region):
@@ -454,15 +469,10 @@ def _matrix_scatter(test, trial, cells):
     # first C entries of both DOFs, indexed by the entry itself
     kt0, kr0 = kt[:, 0] << tbits, kr[:, 0] << tbits
     wt0, wr0 = wt[:, 0], wr[:, 0]
-    for part in _chunks(np.arange(nc), nt * nr):
-        lo, hi = part[0] * nt * nr, (part[-1] + 1) * nt * nr
-        shape = (len(part), nt, nr)
-        at = kt0[dt[part]] + (part[:, None] * nt + np.arange(nt)) * nr
-        ar = kr0[dr[part]] + np.arange(nr)
-        np.add(at[:, :, None], ar[:, None, :], out=key[lo:hi].reshape(shape))
-        np.multiply(
-            wt0[dt[part]][:, :, None], wr0[dr[part]][:, None, :], out=w[lo:hi].reshape(shape)
-        )
+    at = kt0[dt] + (np.arange(nc)[:, None] * nt + np.arange(nt)) * nr
+    ar = kr0[dr] + np.arange(nr)
+    np.add(at[:, :, None], ar[:, None, :], out=key[:n_e].reshape(nc, nt, nr))
+    np.multiply(wt0[dt][:, :, None], wr0[dr][:, None, :], out=w[:n_e].reshape(nc, nt, nr))
     key.sort()
     key = key[: np.searchsorted(key, stop << tbits)]
     idx = key & ((1 << tbits) - 1)
@@ -498,33 +508,25 @@ def assemble_matrix(form, test, trial, coeffs=None, nquad=None, region=None):
     condensed pattern holds every structurally coupled pair of free DOFs,
     explicit zeros included.
     """
-    mesh = test.mesh
-    if trial.mesh is not mesh:
+    if trial.mesh is not test.mesh:
         raise AssemblyError("test and trial spaces live on different meshes")
-    n1d = _quad_order((test, trial), coeffs, nquad)
-    _, w, phi_t, gphi_t = _tabulated(test.degree, n1d)
-    qpts, _, phi_r, gphi_r = _tabulated(trial.degree, n1d)
-    cells_all = _selected_cells(mesh, region)
-    h_all = mesh.cell_h()
     # the key holds the trial space, but never the test space itself: a space
     # in its own cache would live until the cycle collector runs
     S, indices, indptr = test.cached(
         ("matrix", None if trial is test else trial, region),
-        lambda: _matrix_scatter(test, trial, cells_all),
+        lambda: _matrix_scatter(test, trial, _selected_cells(test.mesh, region)),
     )
-
-    entries = np.empty(S.shape[1])
-    pos = 0
-    for cells in _chunks(cells_all, len(w)):
-        ctx = FormContext(mesh, cells, qpts, coeffs, n1d)
+    entries = [np.empty(0)]
+    for ctx in sweep(test.mesh, coeffs, (test, trial), nquad, region):
         K, cf = form(ctx)
-        _check_finite(K, cells, "matrix coefficient")
-        _check_finite(cf, cells, "matrix coefficient")
-        wdet = w[None, :] * (h_all[cells] ** 2)[:, None]
-        loc = kernels.local_matrix(wdet, phi_t, gphi_t, phi_r, gphi_r, ctx.inv_h, K, cf)
-        entries[pos : pos + loc.size] = loc.ravel()
-        pos += loc.size
-    return sp.csr_matrix((S @ entries, indices, indptr), shape=(test.nfree, trial.nfree))
+        _check_finite(K, ctx.cells, "matrix coefficient")
+        _check_finite(cf, ctx.cells, "matrix coefficient")
+        loc = kernels.local_matrix(
+            ctx.wdet, *ctx.basis(test), *ctx.basis(trial), ctx.inv_h, K, cf
+        )
+        entries.append(loc.ravel())
+    data = S @ np.concatenate(entries)
+    return sp.csr_matrix((data, indices, indptr), shape=(test.nfree, trial.nfree))
 
 
 def assemble_vector(form, test, coeffs=None, nquad=None, region=None):
@@ -533,25 +535,20 @@ def assemble_vector(form, test, coeffs=None, nquad=None, region=None):
     The element vectors are summed per DOF in the order they come
     (np.bincount) and then condensed with C^T.
     """
-    mesh = test.mesh
-    n1d = _quad_order((test,), coeffs, nquad)
-    qpts, w, phi_t, gphi_t = _tabulated(test.degree, n1d)
-    cells_all = _selected_cells(mesh, region)
-    h_all = mesh.cell_h()
-    dofs = test.cell_dofs[cells_all]
-    entries = np.zeros(dofs.shape)
-    pos = 0
-    for cells in _chunks(cells_all, len(w)):
-        ctx = FormContext(mesh, cells, qpts, coeffs, n1d)
+    cells, entries = [np.empty(0, dtype=np.int64)], [np.empty((0, test.nloc))]
+    for ctx in sweep(test.mesh, coeffs, (test,), nquad, region):
         gf, hf = form(ctx)
-        _check_finite(gf, cells, "functional coefficient")
-        _check_finite(hf, cells, "functional coefficient")
+        _check_finite(gf, ctx.cells, "functional coefficient")
+        _check_finite(hf, ctx.cells, "functional coefficient")
         if gf is not None or hf is not None:
-            wdet = w[None, :] * (h_all[cells] ** 2)[:, None]
-            loc = kernels.local_vector(wdet, phi_t, gphi_t, ctx.inv_h, gf, hf)
-            entries[pos : pos + len(cells)] = loc
-        pos += len(cells)
-    out = np.bincount(dofs.ravel(), weights=entries.ravel(), minlength=test.ndofs)
+            cells.append(ctx.cells)
+            entries.append(
+                kernels.local_vector(ctx.wdet, *ctx.basis(test), ctx.inv_h, gf, hf)
+            )
+    dofs = test.cell_dofs[np.concatenate(cells)]
+    out = np.bincount(
+        dofs.ravel(), weights=np.concatenate(entries).ravel(), minlength=test.ndofs
+    )
     return test.C.T @ out
 
 
@@ -561,21 +558,14 @@ def integrate(form, mesh, coeffs=None, nquad=None, region=None):
     form(ctx) must return an (ncells, nq) array.  A region that selects no
     cells integrates to zero with a warning.
     """
-    n1d = _quad_order((), coeffs, nquad)
-    qpts, w, _, _ = _tabulated(1, n1d)
-    cells_all = _selected_cells(mesh, region)
-    if len(cells_all) == 0:
-        warnings.warn("integration region selects no cells; returning 0")
-        return 0.0
-    h_all = mesh.cell_h()
-    total = 0.0
-    for cells in _chunks(cells_all, len(w)):
-        ctx = FormContext(mesh, cells, qpts, coeffs, n1d)
+    total, empty = 0.0, True
+    for ctx in sweep(mesh, coeffs, (), nquad, region):
         field = form(ctx)
-        _check_finite(field, cells, "integrand")
-        wdet = w[None, :] * (h_all[cells] ** 2)[:, None]
-        vals = kernels.cell_integrals(wdet, field)
-        total += float(vals.sum())
+        _check_finite(field, ctx.cells, "integrand")
+        total += float(kernels.cell_integrals(ctx.wdet, field).sum())
+        empty = False
+    if empty:
+        warnings.warn("integration region selects no cells; returning 0")
     return total
 
 

@@ -69,7 +69,7 @@ class ProblemDefinition:
         x, y = ctx.x[..., 0], ctx.x[..., 1]
         return self.alpha * (ctx.val("q") - self.q_des(x, y)), None
 
-    def j_value(self, u, q, nquad=None):
+    def j_value(self, u, q):
         mesh = u.space.mesh
 
         def fields(ctx):
@@ -78,7 +78,7 @@ class ProblemDefinition:
             dq = ctx.val("q") - self.q_des(x, yy)
             return 0.5 * du * du + 0.5 * self.alpha * dq * dq
 
-        return integrate(fields, mesh, coeffs={"u": u, "q": q}, nquad=nquad)
+        return integrate(fields, mesh, coeffs={"u": u, "q": q})
 
 
 def make_poisson_control(alpha):
@@ -234,7 +234,7 @@ def _l1_goal(reference=None, smoothing=1e-8):
         # regularized |.|': u / sqrt(u^2 + delta^2), delta tied to sup|u|;
         # the floor keeps delta^2 representable when u is (nearly) zero
         uv = ctx.val("u")
-        delta = max(smoothing * ctx.function("u").norm_max(), 1e-150)
+        delta = max(smoothing * ctx.functions["u"].norm_max(), 1e-150)
         return uv / np.sqrt(uv * uv + delta * delta), None
 
     return GoalFunctional(

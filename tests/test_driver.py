@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -227,6 +228,54 @@ class TestCompareStopping:
         lines = text.strip().splitlines()
         assert lines[0].startswith("level,its_standard,its_adaptive")
         assert len(lines) == 1 + max(len(standard), len(adaptive))
+
+
+#: per level (cells, dofs_state, dofs_control, dofs_total, dofs_enriched,
+#: newton_its_low, newton_its_enriched, stop_reason) of
+#: `dwropt preset <name> --max-levels 5`; a change that keeps the numbers
+#: keeps these.  CG and hessvec counts are left out: roundoff moves them.
+TRAJECTORIES = {
+    "example1_cost": [
+        (4, 9, 4, 13, 41, 0, 1, "adaptive"),
+        (10, 18, 10, 28, 95, 1, 1, "adaptive"),
+        (19, 30, 19, 49, 173, 1, 1, "adaptive"),
+        (40, 59, 40, 99, 357, 1, 1, "adaptive"),
+        (70, 92, 70, 162, 603, 1, 1, "adaptive"),
+    ],
+    "example1_l1": [
+        (4, 9, 4, 13, 41, 0, 1, "adaptive"),
+        (10, 18, 10, 28, 95, 1, 1, "adaptive"),
+        (19, 30, 19, 49, 173, 1, 1, "adaptive"),
+        (40, 58, 40, 98, 355, 1, 1, "adaptive"),
+        (64, 86, 64, 150, 555, 1, 1, "adaptive"),
+    ],
+    "example2_uq": [
+        (116, 159, 116, 275, 1019, 2, 2, "adaptive"),
+        (254, 326, 254, 580, 2181, 1, 1, "adaptive"),
+        (389, 485, 389, 874, 3309, 1, 1, "adaptive"),
+        (719, 919, 719, 1638, 6157, 1, 1, "adaptive"),
+        (1253, 1498, 1253, 2751, 10519, 1, 1, "adaptive"),
+    ],
+    "example3": [
+        (464, 555, 464, 1019, 3899, 6, 4, "absolute"),
+        (548, 655, 548, 1203, 4603, 1, 2, "adaptive"),
+        (740, 887, 740, 1627, 6219, 1, 2, "adaptive"),
+        (1127, 1332, 1127, 2459, 9431, 1, 1, "adaptive"),
+        (1727, 2003, 1727, 3730, 14373, 1, 1, "adaptive"),
+    ],
+}
+TRAJECTORY_COLUMNS = ("cells", "dofs_state", "dofs_control", "dofs_total",
+                      "dofs_enriched", "newton_its_low", "newton_its_enriched",
+                      "stop_reason")
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORIES))
+def test_preset_trajectory_pinned(tmp_path, capsys, name):
+    out = tmp_path / name
+    assert cli_main(["preset", name, "--max-levels", "5", "--out", str(out)]) == 0
+    with open(out / "levels.csv", newline="") as fh:
+        rows = [tuple(r[c] for c in TRAJECTORY_COLUMNS) for r in csv.DictReader(fh)]
+    assert rows == [tuple(map(str, level)) for level in TRAJECTORIES[name]]
 
 
 class TestCli:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwropt.errors import (
+    AssemblyError,
     DegreeError,
     DwroptError,
     SingularSystemError,
@@ -208,6 +209,18 @@ class TestAssembly:
 
         with pytest.raises(Exception, match="cell 2"):
             assemble_vector(bad, s)
+
+    def test_empty_region_gives_zeros(self):
+        m0 = build_initial(UNIT_SQUARE, 0.5)
+        m = refine(m0, mark(m0, [0]))
+        test, trial = build_space(m, "cg", 2), build_space(m, "dg", 1)
+        box = (5.0, 5.0, 6.0, 6.0)
+        A = assemble_matrix(mass_fields, test, trial, region=box)
+        assert A.shape == (test.nfree, trial.nfree)
+        assert not A.toarray().any()
+        b = assemble_vector(lambda ctx: (np.ones(ctx.x.shape[:2]), None), test, region=box)
+        assert b.shape == (test.nfree,)
+        assert not b.any()
 
 
 class TestSolve:
@@ -430,6 +443,28 @@ class TestIntegrate:
         )
         assert got == pytest.approx(expected, rel=1e-13)
         assert got == pytest.approx(5.0, rel=1e-13)
+
+    def test_coefficient_on_another_mesh_rejected(self):
+        coarse = build_initial(UNIT_SQUARE, 0.5)
+        fine = refine(coarse, mark(coarse, range(coarse.ncells)))
+
+        def x2y(on):
+            space = build_space(on, "cg", 2, constrain_dirichlet=False)
+            return interpolate(space, lambda x, y: x * x * y)
+
+        def value(ctx):
+            return ctx.val("u")
+
+        assert integrate(value, fine, coeffs={"u": x2y(fine)}) == pytest.approx(1 / 6)
+        for on, over in ((fine, coarse), (coarse, fine)):
+            u = x2y(on)
+            s = build_space(over, "cg", 1)
+            with pytest.raises(AssemblyError, match="different mesh"):
+                integrate(value, over, coeffs={"u": u})
+            with pytest.raises(AssemblyError, match="different mesh"):
+                assemble_vector(lambda ctx: (value(ctx), None), s, coeffs={"u": u})
+            with pytest.raises(AssemblyError, match="different mesh"):
+                assemble_matrix(lambda ctx: (None, value(ctx)), s, s, coeffs={"u": u})
 
     def test_region_outside_warns(self):
         m = build_initial(UNIT_SQUARE, 0.5)

@@ -14,16 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwropt import kernels
-from dwropt.fem import (
-    FormContext,
-    _chunks,
-    _quad_order,
-    _selected_cells,
-    _tabulated,
-    assemble_matrix,
-    assemble_vector,
-    build_space,
-)
+from dwropt.fem import assemble_matrix, assemble_vector, build_space, sweep
 from dwropt.mesh import HOLED_RECT, UNIT_SQUARE, CellSet, build_initial, refine
 
 #: initial meshes, each with a region box along mesh lines
@@ -34,18 +25,13 @@ ROOTS = [
 
 
 def oracle_matrix(form, test, trial, coeffs=None, region=None):
-    mesh = test.mesh
-    n1d = _quad_order((test, trial), coeffs, None)
-    _, w, phi_t, gphi_t = _tabulated(test.degree, n1d)
-    qpts, _, phi_r, gphi_r = _tabulated(trial.degree, n1d)
-    h_all = mesh.cell_h()
     rows, cols, data = [], [], []
-    for cells in _chunks(_selected_cells(mesh, region), len(w)):
-        ctx = FormContext(mesh, cells, qpts, coeffs, n1d)
+    for ctx in sweep(test.mesh, coeffs, (test, trial), region=region):
         K, cf = form(ctx)
-        wdet = w[None, :] * (h_all[cells] ** 2)[:, None]
-        loc = kernels.local_matrix(wdet, phi_t, gphi_t, phi_r, gphi_r, ctx.inv_h, K, cf)
-        dt, dr = test.cell_dofs[cells], trial.cell_dofs[cells]
+        loc = kernels.local_matrix(
+            ctx.wdet, *ctx.basis(test), *ctx.basis(trial), ctx.inv_h, K, cf
+        )
+        dt, dr = test.cell_dofs[ctx.cells], trial.cell_dofs[ctx.cells]
         rows.append(np.repeat(dt, loc.shape[2], axis=1).ravel())
         cols.append(np.tile(dr, (1, loc.shape[1])).ravel())
         data.append(loc.ravel())
@@ -60,17 +46,11 @@ def oracle_matrix(form, test, trial, coeffs=None, region=None):
 
 
 def oracle_vector(form, test, coeffs=None, region=None):
-    mesh = test.mesh
-    n1d = _quad_order((test,), coeffs, None)
-    qpts, w, phi_t, gphi_t = _tabulated(test.degree, n1d)
-    h_all = mesh.cell_h()
     out = np.zeros(test.ndofs)
-    for cells in _chunks(_selected_cells(mesh, region), len(w)):
-        ctx = FormContext(mesh, cells, qpts, coeffs, n1d)
+    for ctx in sweep(test.mesh, coeffs, (test,), region=region):
         gf, hf = form(ctx)
-        wdet = w[None, :] * (h_all[cells] ** 2)[:, None]
-        loc = kernels.local_vector(wdet, phi_t, gphi_t, ctx.inv_h, gf, hf)
-        np.add.at(out, test.cell_dofs[cells].ravel(), loc.ravel())
+        loc = kernels.local_vector(ctx.wdet, *ctx.basis(test), ctx.inv_h, gf, hf)
+        np.add.at(out, test.cell_dofs[ctx.cells].ravel(), loc.ravel())
     return test.C.T @ out
 
 
