@@ -22,7 +22,7 @@ from .fem import build_space, interpolate, region_cell_mask, transfer
 from .mesh import CellSet, DOMAINS, build_initial, check_cell_size, dorfler_mark, refine
 from .multigoal import build_combined
 from .problem import make_goals, make_plaplace_control, make_poisson_control
-from .reduced import SpacePair, newton_reduced_adaptive, newton_standard
+from .reduced import NewtonLog, SpacePair, newton_reduced_adaptive, newton_standard
 
 
 @dataclass
@@ -202,6 +202,8 @@ class LevelReport:
     newton_its_low: int
     newton_its_enriched: int
     stop_reason: str
+    log_low: NewtonLog | None = None
+    log_enriched: NewtonLog | None = None
     marked: CellSet | None = None
     fallback_weighting: bool = False
     wall_time: float = 0.0
@@ -333,6 +335,8 @@ def _make_report(level, mesh, sol):
         newton_its_low=sol["log"].iterations,
         newton_its_enriched=sol["log2"].iterations,
         stop_reason=sol["log"].stop_reason,
+        log_low=sol["log"],
+        log_enriched=sol["log2"],
         fallback_weighting=combined.fallback_used,
     )
 
@@ -439,6 +443,21 @@ def render_csv(reports):
     return "\n".join(lines) + "\n"
 
 
+def render_newton_csv(reports):
+    """One row per reduced-Newton iterate of both problems of every level.
+
+    step_size is the step that produced the iterate (nan for the start);
+    state_iterations counts the chord steps of the iterate's state solve.
+    """
+    lines = ["level,problem,iteration,residual,step_size,state_iterations"]
+    for r in reports:
+        for problem, log in (("low", r.log_low), ("enriched", r.log_enriched)):
+            for k, (res, its) in enumerate(zip(log.residuals, log.state_iterations)):
+                step = log.step_sizes[k - 1] if k else None
+                lines.append(f"{r.level},{problem},{k},{_fmt(res)},{_fmt(step)},{its}")
+    return "\n".join(lines) + "\n"
+
+
 def render_summary(reports, config):
     last = reports[-1]
     lines = [
@@ -490,7 +509,7 @@ def render_gnuplot(reports):
 
 
 def emit_outputs(reports, config):
-    """Write levels.csv, summary.txt and plots.gp into the output directory."""
+    """Write levels.csv, newton.csv, summary.txt and plots.gp into the output directory."""
     if not reports:
         raise DwroptError("no level reports to emit")
     outdir = config.output_dir
@@ -498,6 +517,7 @@ def emit_outputs(reports, config):
     paths = {}
     for name, text in (
         ("levels.csv", render_csv(reports)),
+        ("newton.csv", render_newton_csv(reports)),
         ("summary.txt", render_summary(reports, config)),
         ("plots.gp", render_gnuplot(reports)),
     ):

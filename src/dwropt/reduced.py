@@ -1,15 +1,19 @@
 """Reduced-space optimization: state solves, adjoints, Newton drivers.
 
-The control-to-state map is realized by one damped Newton iteration on
-the nonlinear state residual, :func:`solve_state`.  It returns the state
-with its factorized Jacobian, which the KKT triple keeps and reuses for
-every adjoint, tangent and Hessian-vector solve at that point; a linear
-operator's Jacobian is factorized once per space.  The reduced Hessian
-and the goal-adjoint chain are composed from that factorization and
-three assembled sparse operators: the control-to-state coupling and the
-control mass (cached per space) and the Lagrangian's state Hessian (one
-per KKT point).  One Hessian application costs two triangular solve
-pairs and four sparse mat-vecs.
+The control-to-state map is realized by one damped chord iteration on
+the nonlinear state residual, :func:`solve_state`: a factorized Jacobian
+is kept while every step cuts the residual norm by the ratio CHORD_RATE
+and refactorized after a weaker step, and a reduced-Newton line-search
+trial starts from the factor of the accepted iterate.  Its iteration
+counts (``its``, ``KKTTriple.state_iterations``) count chord steps.  It
+returns the state with the Jacobian factorized at it, which the KKT
+triple keeps and reuses for every adjoint, tangent and Hessian-vector
+solve at that point; a linear operator's Jacobian is factorized once per
+space.  The reduced Hessian and the goal-adjoint chain are composed from
+that factorization and three assembled sparse operators: the
+control-to-state coupling and the control mass (cached per space) and
+the Lagrangian's state Hessian (one per KKT point).  One Hessian
+application costs two triangular solve pairs and four sparse mat-vecs.
 
 Dual vectors (assembled functionals) are always condensed, i.e. indexed
 by the unconstrained DOFs of their test space.
@@ -38,6 +42,7 @@ from .fem import (
 )
 
 ARMIJO_C = 1e-4
+CHORD_RATE = 0.1  # keep a state Jacobian while it contracts the residual this much
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 20
 
@@ -69,11 +74,21 @@ class KKTTriple:
 
 @dataclass
 class NewtonLog:
-    """Verbatim per-iteration record of one Newton run."""
+    """Verbatim per-iteration record of one Newton run.
+
+    residuals and state_iterations have one entry per iterate (the chord
+    steps of the state solve that produced its triple), step_sizes one
+    per update.
+    """
 
     residuals: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
+    state_iterations: list = field(default_factory=list)
     stop_reason: str = ""
+
+    def record(self, residual, triple):
+        self.residuals.append(residual)
+        self.state_iterations.append(triple.state_iterations)
 
     @property
     def iterations(self):
@@ -180,44 +195,71 @@ def dual_norm(control_space, g):
 
 
 def solve_state(problem, q, space, warm_start=None, tol_abs=1e-10,
-                tol_rel=1e-12, max_iter=50):
-    """Damped Newton solve of the state equation at the control q.
+                tol_rel=1e-12, max_iter=50, fac=None):
+    """Damped chord solve of the state equation at the control q.
 
-    Returns (u, fac, its): the state, the factorized state Jacobian at
-    it and the number of Newton iterations.
+    fac, if given, is a factorized Jacobian near warm_start (a line-search
+    trial passes the one of the accepted iterate).  A factor is kept while
+    each step reduces the residual norm by at least the ratio CHORD_RATE;
+    after a weaker step the Jacobian is factorized afresh at the new
+    iterate, and a line search that stalls on a stale factor is retried
+    once with a fresh one.  A linear operator's constant Jacobian is always
+    current.  Returns (u, fac, its): the state, the Jacobian factorized at
+    it and the number of chord steps.
     """
     u = warm_start.copy() if warm_start is not None else zero_function(space)
     u = DiscreteFunction(space, space.distribute(u.coefs))
     res = state_residual(problem, u, q)
     norm0 = float(np.linalg.norm(res))
     norm = norm0
-    fac = None
-    for it in range(max_iter):
-        if norm <= tol_abs or norm <= tol_rel * norm0:
-            if fac is None:
-                fac = _jacobian(problem, u, q)
-            return u, fac, it
+    linear = problem.a_uu_fields is None
+    if linear:
         fac = _jacobian(problem, u, q)
-        du = space.from_free(fac.solve(-res))
-        s = 1.0
-        for _ in range(MAX_BACKTRACKS):
-            trial = DiscreteFunction(space, u.coefs + s * du)
-            res_trial = state_residual(problem, trial, q)
-            norm_trial = float(np.linalg.norm(res_trial))
-            if norm_trial < norm:
-                break
-            s *= BACKTRACK_FACTOR
-        else:
+    fresh = linear  # fac is the Jacobian at u
+    for it in range(max_iter):
+        converged = norm <= tol_abs or norm <= tol_rel * norm0
+        if fac is None or (converged and not fresh):
+            fac = None  # free the stale factor before building the next
+            fac, fresh = _jacobian(problem, u, q), True
+        if converged:
+            return u, fac, it
+        step = _damped_step(problem, q, u, res, norm, fac)
+        if step is None and not fresh:
+            fac = None
+            fac, fresh = _jacobian(problem, u, q), True
+            step = _damped_step(problem, q, u, res, norm, fac)
+        if step is None:
             raise LineSearchError(
                 f"state Newton line search stalled at residual {norm:.3e}"
             )
-        u, res, norm = trial, res_trial, norm_trial
-        if problem.a_uu_fields is not None:
-            fac = None  # Jacobian is stale after the update
+        u, res, norm_new = step
+        if not linear:
+            fresh = False
+            if norm_new > CHORD_RATE * norm:
+                fac = None  # refactorize at the new iterate
+        norm = norm_new
     raise NonConvergenceError(
         f"state Newton did not reach tolerance in {max_iter} iterations "
         f"(residual {norm:.3e})"
     )
+
+
+def _damped_step(problem, q, u, res, norm, fac):
+    """Backtracked step -fac^-1 res from u that lowers the residual norm.
+
+    Returns (u, res, norm) at the new iterate, or None if the line search
+    stalls.
+    """
+    du = u.space.from_free(fac.solve(-res))
+    s = 1.0
+    for _ in range(MAX_BACKTRACKS):
+        trial = DiscreteFunction(u.space, u.coefs + s * du)
+        res_trial = state_residual(problem, trial, q)
+        norm_trial = float(np.linalg.norm(res_trial))
+        if norm_trial < norm:
+            return trial, res_trial, norm_trial
+        s *= BACKTRACK_FACTOR
+    return None
 
 
 def _with_adjoint(problem, q, u, fac, its):
@@ -340,7 +382,8 @@ def _newton_update(problem, triple, pair, g, krylov_tol):
     s = 1.0
     for _ in range(MAX_BACKTRACKS):
         q_trial = DiscreteFunction(pair.control, triple.q.coefs + s * dq.coefs)
-        u, fac, its = solve_state(problem, q_trial, pair.state, warm_start=triple.u)
+        u, fac, its = solve_state(problem, q_trial, pair.state,
+                                  warm_start=triple.u, fac=triple.lin)
         if problem.j_value(u, q_trial) <= j0 + ARMIJO_C * s * slope + j_noise:
             return _with_adjoint(problem, q_trial, u, fac, its), s
         s *= BACKTRACK_FACTOR
@@ -359,7 +402,7 @@ def newton_standard(problem, pair, q0, tol_abs=1e-7, tol_rel=8e-5,
     ng0 = dual_norm(pair.control, g)
     ng = ng0
     while True:
-        log.residuals.append(ng)
+        log.record(ng, triple)
         if ng <= tol_abs:
             log.stop_reason = "absolute"
             return triple, log
@@ -406,7 +449,7 @@ def newton_reduced_adaptive(problem, goal_combined, pair, q0, gamma, eta_prev,
         )
         g = reduced_gradient(problem, triple)
         guard = abs(float(g @ p.coefs[pair.control.free_dofs]))
-        log.residuals.append(guard)
+        log.record(guard, triple)
         ng = dual_norm(pair.control, g)
         if ng0 is None:
             ng0 = ng

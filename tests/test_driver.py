@@ -278,6 +278,64 @@ def test_preset_trajectory_pinned(tmp_path, capsys, name):
     assert rows == [tuple(map(str, level)) for level in TRAJECTORIES[name]]
 
 
+@pytest.fixture
+def factorizations(monkeypatch):
+    """One-element list counting the sparse LU factorizations built."""
+    from dwropt.fem import Factorization
+
+    count = [0]
+    init = Factorization.__init__
+
+    def counting_init(self, matrix):
+        count[0] += 1
+        init(self, matrix)
+
+    monkeypatch.setattr(Factorization, "__init__", counting_init)
+    return count
+
+
+@pytest.mark.parametrize("name, levels, full_newton", [
+    ("example2_uq", 4, 76),
+    ("example3", 3, 111),
+])
+def test_chord_state_solves_save_factorizations(factorizations, name, levels,
+                                                full_newton):
+    # full_newton: the count with a fresh state Jacobian at every step.
+    # Trial solves started without the accepted triple's factor give
+    # 51 and 74, chord solves that reuse it 41 and 57.
+    run_adaptive(preset_config(name, max_levels=levels))
+    assert factorizations[0] <= 0.6 * full_newton
+
+
+def test_linear_state_factorizations(factorizations):
+    # per level: the constant Jacobian and the control mass of both pairs
+    run_adaptive(preset_config("example1_cost", max_levels=4))
+    assert factorizations[0] == 16
+
+
+def test_newton_csv_rows_match_logs(tmp_path):
+    cfg = preset_config("example3", max_levels=2, output_dir=str(tmp_path))
+    reports = run_adaptive(cfg)
+    paths = emit_outputs(reports, cfg)
+    with open(paths["newton.csv"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    nrows = 0
+    for r in reports:
+        for problem, log, its in (("low", r.log_low, r.newton_its_low),
+                                  ("enriched", r.log_enriched, r.newton_its_enriched)):
+            mine = [row for row in rows
+                    if row["level"] == str(r.level) and row["problem"] == problem]
+            assert len(mine) == its + 1
+            assert [int(row["iteration"]) for row in mine] == list(range(its + 1))
+            assert [float(row["residual"]) for row in mine] == log.residuals
+            assert np.isnan(float(mine[0]["step_size"]))
+            assert [float(row["step_size"]) for row in mine[1:]] == log.step_sizes
+            assert [int(row["state_iterations"]) for row in mine] == log.state_iterations
+            nrows += its + 1
+    assert len(rows) == nrows
+    assert max(r.newton_its_low for r in reports) > 1
+
+
 class TestCli:
     def test_preset_runs(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -469,7 +527,7 @@ class TestWarmStartInvariance:
         )
         assert np.sqrt(diff) <= 1e-9
 
-    def test_plaplace_state_warm_start(self):
+    def test_plaplace_state_warm_start(self, factorizations):
         # second level from the transferred control, with and without the
         # transferred state as the first state solve's start
         from dwropt.driver import instantiate
@@ -486,9 +544,12 @@ class TestWarmStartInvariance:
         pair1 = SpacePair(build_space(mesh1, "cg", 1), build_space(mesh1, "dg", 0))
         q1 = transfer(t0.q, pair1.control)
         u1 = transfer(t0.u, pair1.state)
-        first_cold = make_consistent(problem, q1, pair1)
-        first_warm = make_consistent(problem, q1, pair1, warm_u=u1)
-        assert first_warm.state_iterations < first_cold.state_iterations
+        factorizations[0] = 0
+        # chord steps can tie; the Jacobian factorizations are what it saves
+        make_consistent(problem, q1, pair1)
+        cold_factors = factorizations[0]
+        make_consistent(problem, q1, pair1, warm_u=u1)
+        assert factorizations[0] - cold_factors < cold_factors
         cold, _ = newton_standard(problem, pair1, q1, tol_abs=1e-10)
         warm, _ = newton_standard(problem, pair1, q1, tol_abs=1e-10, warm_u=u1)
         diff = integrate(

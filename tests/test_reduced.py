@@ -4,6 +4,8 @@ import pytest
 from dwropt.errors import NegativeCurvatureError, StaleTripleError
 from dwropt.fem import (
     DiscreteFunction,
+    Factorization,
+    assemble_matrix,
     assemble_vector,
     build_space,
     function_from_free,
@@ -92,6 +94,41 @@ class TestSolveState:
             coeffs={"a": u1, "b": u2},
         )
         assert np.sqrt(diff) <= 1e-8
+
+    def test_chord_returns_jacobian_at_returned_state(self):
+        # a line-search trial: start from the triple at q with its factor
+        prob, mesh, pair = plaplace_setup(cell=0.5, domain=HOLED_RECT)
+        q = DiscreteFunction(pair.control, 5.0 * np.ones(pair.control.ndofs))
+        triple = make_consistent(prob, q, pair)
+        rng = np.random.default_rng(3)
+        q2 = DiscreteFunction(pair.control, q.coefs + rng.standard_normal(q.coefs.size))
+        u, fac, its = solve_state(prob, q2, pair.state, warm_start=triple.u,
+                                  fac=triple.lin)
+        assert its >= 2
+        A = assemble_matrix(prob.a_u_fields, pair.state, pair.state,
+                            coeffs={"u": u, "q": q2})
+        x = rng.standard_normal(pair.state.nfree)
+        assert np.linalg.norm(fac.solve(A @ x) - x) <= 1e-10 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("scale", [10.0, -1.0])
+    def test_poor_chord_converges(self, scale):
+        # 10 J contracts too weakly and is refreshed after the first step;
+        # -J points uphill, so the stale line search stalls and is retried
+        prob, mesh, pair = plaplace_setup(cell=0.5, domain=HOLED_RECT)
+        q = DiscreteFunction(pair.control, 10.0 * np.ones(pair.control.ndofs))
+        cold, _, _ = solve_state(prob, q, pair.state)
+        start = zero_function(pair.state)
+        J = assemble_matrix(prob.a_u_fields, pair.state, pair.state,
+                            coeffs={"u": start, "q": q})
+        u, _, _ = solve_state(prob, q, pair.state, warm_start=start,
+                              fac=Factorization(scale * J))
+        assert np.linalg.norm(state_residual(prob, u, q)) <= 1e-10
+        diff = integrate(
+            lambda ctx: (ctx.val("a") - ctx.val("b")) ** 2,
+            mesh,
+            coeffs={"a": u, "b": cold},
+        )
+        assert np.sqrt(diff) <= 1e-10
 
 
 class TestAdjoint:
