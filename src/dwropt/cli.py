@@ -84,6 +84,14 @@ def _emit_self_reference(cfg, stored_goals):
     return path
 
 
+def _make_output_dir(path):
+    """Create the output directory, so a bad path fails before any level runs."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path!r}: {exc}") from None
+
+
 def _stored_references(cfg):
     from .driver import instantiate
 
@@ -102,6 +110,7 @@ def main(argv=None):
     try:
         if args.command == "run":
             cfg = load_config(args.config)
+            _make_output_dir(cfg.output_dir)
             reports = run_adaptive(cfg)
             emit_outputs(reports, cfg)
             if args.self_reference:
@@ -118,6 +127,7 @@ def main(argv=None):
             if args.max_levels is not None:
                 overrides["max_levels"] = args.max_levels
             cfg = preset_config(args.name, **overrides)
+            _make_output_dir(cfg.output_dir)
             reports = run_adaptive(cfg)
             emit_outputs(reports, cfg)
             if args.self_reference:
@@ -125,6 +135,7 @@ def main(argv=None):
             print(f"wrote {os.path.join(cfg.output_dir, 'levels.csv')}")
         elif args.command == "compare-stopping":
             cfg = load_config(args.config)
+            _make_output_dir(cfg.output_dir)
             standard, adaptive = compare_stopping(cfg)
             path = os.path.join(cfg.output_dir, "comparison.csv")
             with open(path, "w", encoding="utf-8") as fh:
@@ -150,6 +161,7 @@ def main(argv=None):
                     f"--alphas names alpha {', '.join(twice)} more than once "
                     "(values are told apart by their :g form)"
                 )
+            _make_output_dir(cfg.output_dir)
             runs = sweep_alpha(cfg, alphas)
             path = os.path.join(cfg.output_dir, "sweep.csv")
             with open(path, "w", encoding="utf-8") as fh:

@@ -144,7 +144,11 @@ def parse_config(text):
 
 def load_config(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_config(text)
 
 
 def instantiate(config):
@@ -385,12 +389,12 @@ def _run(config, capture=None):
         high_prev = (sol["triple2"].u, sol["triple2"].q)
         if abs(bd.eta_h2) > 0:
             eta_prev = abs(bd.eta_h2)
-        # the KKT triples, their LU factors and the spaces' caches are not
-        # needed by the next level; free them before it allocates its own.
-        # The carried functions keep their spaces alive, so empty the caches.
+        # the KKT triples, the pairs' operators and the state spaces' scatter
+        # maps are not needed by the next level; free them before it
+        # allocates its own.  The carried functions keep their spaces alive,
+        # so empty those caches.
         for pair in (sol["pair"], sol["pair2"]):
             pair.state.drop_cached()
-            pair.control.drop_cached()
         del sol, bd
     return reports
 
@@ -463,6 +467,7 @@ def render_summary(reports, config):
     lines = [
         f"preset            {config.preset}",
         f"levels            {len(reports)}",
+        f"total wall time   {sum(r.wall_time for r in reports):.3f} s",
         f"final cells       {last.cells}",
         f"final total DOFs  {last.dofs_total}",
         f"final eta_h2      {last.eta_h2:.6e}",
@@ -477,6 +482,10 @@ def render_summary(reports, config):
     lines.append("goal values at the finest level:")
     for name, val in last.goal_values.items():
         lines.append(f"  {name:16s} {val: .10e}")
+    lines.append("")
+    lines.append("wall time per level:")
+    for r in reports:
+        lines.append(f"  level {r.level:<9d} {r.wall_time:.3f} s")
     return "\n".join(lines) + "\n"
 
 

@@ -25,7 +25,6 @@ from . import kernels
 from .fem import build_space, function_from_free, region_cell_mask, sweep
 from .reduced import (
     assemble_terms,
-    coupling,
     goal_gradient,
     lagrangian_uu,
     reduced_gradient,
@@ -94,9 +93,9 @@ def solve_reduced_adjoint(problem, goal, triple, krylov_tol=1e-10,
 def recover_v(problem, triple, p):
     """Tangent state of the goal adjoint direction p."""
     triple.require_consistent()
-    state, ctrl = triple.u.space, triple.q.space
-    B = coupling(state, ctrl)
-    return function_from_free(state, triple.lin.solve(-(B @ p.coefs[ctrl.free_dofs])))
+    B = triple.pair.coupling
+    x = p.coefs[triple.q.space.free_dofs]
+    return function_from_free(triple.u.space, triple.lin.solve(-(B @ x)))
 
 
 def recover_y(problem, goal, triple, v):

@@ -5,12 +5,14 @@ variables, discontinuous ones the controls.  Hanging and Dirichlet DOFs
 are expressed as affine combinations of master DOFs and eliminated during
 assembly, so solved systems only ever see the unconstrained unknowns.
 
-All quadrature runs through one generator, :func:`sweep`: it picks the
-Gauss order, selects the cells of a region box and yields one
-:class:`FormContext` per chunk of cells, carrying the quadrature points,
-the weights ``wdet`` and the reference basis of each space.  Weak forms are
-supplied as small "field" callables that receive such a context and return
-pointwise coefficient arrays:
+Forms with variable coefficients run through one quadrature generator,
+:func:`sweep`: it picks the Gauss order, selects the cells of a region box
+and yields one :class:`FormContext` per chunk of cells, carrying the
+quadrature points, the weights ``wdet`` and the reference basis of each
+space.  The constant operators (masses and the Laplacian stiffness) need
+no sweep: :func:`reference_matrix` scales one reference element matrix
+per cell.  Weak forms are supplied as small "field" callables that
+receive a context and return pointwise coefficient arrays:
 
     matrix forms  ->  (K, c)   with  a(trial, test) = grad(test)·K·grad(trial) + c·test·trial
     vector forms  ->  (g, h)   with  F(test)        = g·test + h·grad(test)
@@ -226,7 +228,7 @@ class Space:
         return self._cache[key]
 
     def drop_cached(self):
-        """Forget everything cached on the space: operators, factors, maps."""
+        """Forget the matrix scatter map cached on the space."""
         self._cache.clear()
 
     # -- constraint application ------------------------------------------
@@ -369,7 +371,8 @@ def sweep(mesh, coeffs=None, spaces=(), nquad=None, region=None):
         raise AssemblyError("a space or coefficient lives on a different mesh")
     if nquad is None:
         nquad = max([1] + [s.degree for s in spaces]) + 1 + QUAD_EXTRA
-    cells = _selected_cells(mesh, region)
+    mask = region_cell_mask(mesh, region)
+    cells = np.arange(mesh.ncells) if mask is None else np.flatnonzero(mask)
     step = max(1, _CHUNK_POINTS // nquad**2)
     for start in range(0, len(cells), step):
         yield FormContext(mesh, cells[start : start + step], nquad, coeffs)
@@ -386,69 +389,47 @@ def _check_finite(arr, cells, what):
         )
 
 
-def _selected_cells(mesh, region):
-    mask = region_cell_mask(mesh, region)
-    if mask is None:
-        return np.arange(mesh.ncells)
-    return np.nonzero(mask)[0]
+def _matrix_scatter(space):
+    """Map from the element matrices of all cells to the condensed CSR matrix.
 
-
-def _row_slots(space):
-    """The rows of C as (ndofs, width) tables of free columns and weights.
-
-    Rows shorter than the longest, and a second slot if no row has one, are
-    padded with column -1 and weight 0.
-    """
-
-    def build():
-        C = space.C
-        lens = np.diff(C.indptr)
-        row = np.repeat(np.arange(len(lens)), lens)
-        slot = np.arange(C.nnz) - C.indptr[row]
-        width = max(int(lens.max(initial=0)), 2)
-        cols = np.full((len(lens), width), -1, dtype=np.int64)
-        wts = np.zeros((len(lens), width))
-        cols[row, slot] = C.indices
-        wts[row, slot] = C.data
-        return cols, wts
-
-    return space.cached("row_slots", build)
-
-
-def _matrix_scatter(test, trial, cells):
-    """Map from element matrices to the condensed CSR matrix.
-
-    Returns (S, indices, indptr): for the element entries of these cells
-    flattened cell by cell, as the kernel returns them, the condensed matrix
-    is csr_matrix((S @ entries, indices, indptr)).  Entry (c, i, j) adds
-    w_t * w_r times itself to (I, J) for every entry (I, w_t) of its test
-    DOF's C row and (J, w_r) of its trial DOF's.  One sort of int64 keys,
+    Returns (S, indices, indptr): for the element entries flattened cell by
+    cell, as the kernel returns them, the condensed matrix is
+    csr_matrix((S @ entries, indices, indptr)).  Entry (c, i, j) adds
+    w_i * w_j times itself to (I, J) for every entry (I, w_i) of its test
+    DOF's C row and (J, w_j) of its trial DOF's.  One sort of int64 keys,
     (I, J) above the index of the contribution, finds the pattern and S.
     """
-    ct, wt = _row_slots(test)
-    cr, wr = _row_slots(trial)
-    dt, dr = test.cell_dofs[cells], trial.cell_dofs[cells]
-    nc, nt = dt.shape
-    nr = dr.shape[1]
-    n_e = nc * nt * nr
-    jbits = int(trial.nfree).bit_length()
-    stop = test.nfree << jbits  # pairs with a padding slot key at or past this
-    kt = np.where(ct >= 0, ct << jbits, stop)
-    kr = np.where(cr >= 0, cr, stop)
+    # the rows of C as (ndofs, width) tables of free columns and weights,
+    # padded with column -1 and weight 0 to the longest row, and at least 2
+    C = space.C
+    lens = np.diff(C.indptr)
+    row = np.repeat(np.arange(len(lens)), lens)
+    slot = np.arange(C.nnz) - C.indptr[row]
+    cs = np.full((len(lens), max(int(lens.max(initial=0)), 2)), -1, dtype=np.int64)
+    ws = np.zeros(cs.shape)
+    cs[row, slot] = C.indices
+    ws[row, slot] = C.data
+
+    d = space.cell_dofs
+    nc, n = d.shape
+    n_e = nc * n * n
+    jbits = int(space.nfree).bit_length()
+    stop = space.nfree << jbits  # pairs with a padding slot key at or past this
+    kt = np.where(cs >= 0, cs << jbits, stop)
+    kr = np.where(cs >= 0, cs, stop)
 
     # contributions past the first C entry of a DOF (hanging DOFs only):
     # later test slots with every trial slot, the first with later trial slots
-    c, i = np.nonzero(ct[dt, 1] >= 0)
+    c, i = np.nonzero(cs[d, 1] >= 0)
     later_t = (
-        kt[dt[c, i], 1:][:, :, None, None] + kr[dr[c]][:, None],
-        wt[dt[c, i], 1:][:, :, None, None] * wr[dr[c]][:, None],
-        ((c * nt + i) * nr)[:, None, None, None] + np.arange(nr)[:, None],
+        kt[d[c, i], 1:][:, :, None, None] + kr[d[c]][:, None],
+        ws[d[c, i], 1:][:, :, None, None] * ws[d[c]][:, None],
+        ((c * n + i) * n)[:, None, None, None] + np.arange(n)[:, None],
     )
-    c, j = np.nonzero(cr[dr, 1] >= 0)
     later_r = (
-        kt[dt[c], 0][:, :, None] + kr[dr[c, j], 1:][:, None, :],
-        wt[dt[c], 0][:, :, None] * wr[dr[c, j], 1:][:, None, :],
-        (((c * nt)[:, None] + np.arange(nt)) * nr + j[:, None])[:, :, None],
+        kt[d[c], 0][:, :, None] + kr[d[c, i], 1:][:, None, :],
+        ws[d[c], 0][:, :, None] * ws[d[c, i], 1:][:, None, :],
+        (((c * n)[:, None] + np.arange(n)) * n + i[:, None])[:, :, None],
     )
     xk, xw, xe = [], [], []
     for k, wx, e in (later_t, later_r):
@@ -467,12 +448,11 @@ def _matrix_scatter(test, trial, cells):
     key[n_e:] = (xk << tbits) + np.arange(n_e, n_e + nx)
     w[n_e:] = xw
     # first C entries of both DOFs, indexed by the entry itself
-    kt0, kr0 = kt[:, 0] << tbits, kr[:, 0] << tbits
-    wt0, wr0 = wt[:, 0], wr[:, 0]
-    at = kt0[dt] + (np.arange(nc)[:, None] * nt + np.arange(nt)) * nr
-    ar = kr0[dr] + np.arange(nr)
-    np.add(at[:, :, None], ar[:, None, :], out=key[:n_e].reshape(nc, nt, nr))
-    np.multiply(wt0[dt][:, :, None], wr0[dr][:, None, :], out=w[:n_e].reshape(nc, nt, nr))
+    at = (kt[:, 0] << tbits)[d] + (np.arange(nc)[:, None] * n + np.arange(n)) * n
+    ar = (kr[:, 0] << tbits)[d] + np.arange(n)
+    np.add(at[:, :, None], ar[:, None, :], out=key[:n_e].reshape(nc, n, n))
+    w0 = ws[:, 0][d]
+    np.multiply(w0[:, :, None], w0[:, None, :], out=w[:n_e].reshape(nc, n, n))
     key.sort()
     key = key[: np.searchsorted(key, stop << tbits)]
     idx = key & ((1 << tbits) - 1)
@@ -490,43 +470,67 @@ def _matrix_scatter(test, trial, cells):
         (w, idx.astype(np.int32), starts.astype(np.int32)), shape=(len(pairs), n_e)
     )
     indices = (pairs & ((1 << jbits) - 1)).astype(np.int32)
-    indptr = np.searchsorted(pairs, np.arange(test.nfree + 1) << jbits).astype(np.int32)
+    indptr = np.searchsorted(pairs, np.arange(space.nfree + 1) << jbits).astype(np.int32)
     # shared by every matrix assembled with this map
     indices.flags.writeable = False
     indptr.flags.writeable = False
     return S, indices, indptr
 
 
-def assemble_matrix(form, test, trial, coeffs=None, nquad=None, region=None):
-    """Assemble a bilinear form into a condensed sparse matrix.
+def assemble_matrix(form, space, coeffs=None, nquad=None):
+    """Assemble a bilinear form on one space over the whole mesh.
 
-    Returns a csr matrix of shape (test.nfree, trial.nfree); constrained
-    rows/columns are eliminated through the spaces' constraint maps.  The
-    kernel's element matrices reach the condensed matrix through one sparse
-    mat-vec with a map cached on the test space per (trial space, region):
-    the first assembly of a pair builds it, later ones reuse it.  The
-    condensed pattern holds every structurally coupled pair of free DOFs,
-    explicit zeros included.
+    Returns a condensed csr matrix of shape (space.nfree, space.nfree);
+    constrained rows/columns are eliminated through the constraint map.
+    The kernel's element matrices reach the condensed matrix through one
+    sparse mat-vec with a map cached on the space: the first assembly
+    builds it, later ones reuse it.  The condensed pattern holds every
+    structurally coupled pair of free DOFs, explicit zeros included.
     """
-    if trial.mesh is not test.mesh:
-        raise AssemblyError("test and trial spaces live on different meshes")
-    # the key holds the trial space, but never the test space itself: a space
-    # in its own cache would live until the cycle collector runs
-    S, indices, indptr = test.cached(
-        ("matrix", None if trial is test else trial, region),
-        lambda: _matrix_scatter(test, trial, _selected_cells(test.mesh, region)),
-    )
+    S, indices, indptr = space.cached("matrix", lambda: _matrix_scatter(space))
     entries = [np.empty(0)]
-    for ctx in sweep(test.mesh, coeffs, (test, trial), nquad, region):
+    for ctx in sweep(space.mesh, coeffs, (space,), nquad):
         K, cf = form(ctx)
         _check_finite(K, ctx.cells, "matrix coefficient")
         _check_finite(cf, ctx.cells, "matrix coefficient")
-        loc = kernels.local_matrix(
-            ctx.wdet, *ctx.basis(test), *ctx.basis(trial), ctx.inv_h, K, cf
-        )
+        basis = ctx.basis(space)
+        loc = kernels.local_matrix(ctx.wdet, *basis, *basis, ctx.inv_h, K, cf)
         entries.append(loc.ravel())
     data = S @ np.concatenate(entries)
-    return sp.csr_matrix((data, indices, indptr), shape=(test.nfree, trial.nfree))
+    return sp.csr_matrix((data, indices, indptr), shape=(space.nfree, space.nfree))
+
+
+def reference_matrix(test, trial=None, inverse=False):
+    """A constant-coefficient operator as a condensed csr matrix, without quadrature.
+
+    With a trial space, the mass matrix (trial, test); without one, the
+    Laplacian stiffness (grad test, grad test) of test with itself.  On a
+    square cell of side h the element matrix is h^2 M_ref or K_ref, the
+    matrix on the unit cell, so the element matrices form one block
+    diagonal; the rows of C gathered by cell_dofs condense it.
+    inverse=True gives the inverse of a DG mass instead: its DOFs run cell
+    by cell and its C is the identity, so that is kron(diag(h^-2), inv(M_ref)).
+    """
+    stiffness = trial is None
+    trial = test if stiffness else trial
+    if trial.mesh is not test.mesh:
+        raise AssemblyError("test and trial spaces live on different meshes")
+    n1d = max(test.degree, trial.degree) + 1  # exact for both products
+    _, w, phi_t, gphi_t = _tabulated(test.degree, n1d)
+    _, _, phi_r, gphi_r = _tabulated(trial.degree, n1d)
+    if stiffness:
+        ref = np.einsum("q,qid,qjd->ij", w, gphi_t, gphi_r)
+        scale = np.ones(test.mesh.ncells)
+    else:
+        ref = np.einsum("q,qi,qj->ij", w, phi_t, phi_r)
+        scale = test.mesh.cell_h() ** 2
+    if inverse:
+        if stiffness or trial is not test or test.family != "dg":
+            raise DwroptError("only a DG mass has a block-diagonal inverse")
+        return sp.kron(sp.diags(1.0 / scale), np.linalg.inv(ref), format="csr")
+    blocks = sp.kron(sp.diags(scale), ref, format="csr")
+    gather_t, gather_r = test.C[test.cell_dofs.ravel()], trial.C[trial.cell_dofs.ravel()]
+    return (gather_t.T @ blocks @ gather_r).tocsr()
 
 
 def assemble_vector(form, test, coeffs=None, nquad=None, region=None):
@@ -572,10 +576,6 @@ def integrate(form, mesh, coeffs=None, nquad=None, region=None):
 # common elementary forms
 
 
-def mass_fields(ctx):
-    return None, np.ones(ctx.x.shape[:2])
-
-
 def stiffness_fields(ctx):
     nc, nq = ctx.x.shape[:2]
     K = np.zeros((nc, nq, 2, 2))
@@ -591,8 +591,8 @@ def stiffness_fields(ctx):
 class Factorization:
     """Sparse LU factorization of a symmetric positive definite matrix.
 
-    Every matrix solved here is symmetric positive definite: the Poisson and
-    p-Laplace state Jacobians and the DG control masses.  So SuperLU runs in
+    Every matrix solved here is a state Jacobian, symmetric positive
+    definite: the Poisson stiffness and the p-Laplace Jacobians.  So SuperLU runs in
     symmetric mode: one minimum degree ordering of A + A^T permutes rows and
     columns alike, and the diagonal supplies the pivots (no row
     interchanges).  That keeps the fill of a Cholesky factor, about half of

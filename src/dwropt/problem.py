@@ -45,7 +45,9 @@ class ProblemDefinition:
     Every form callable follows fem's field conventions.  The second
     derivative of the operator, a_uu(u)(., .; z), is a matrix form that
     reads the state and the dual weight from coefficients ``u`` and
-    ``z``; it is None when the operator is linear in the state.
+    ``z``; it is None when the operator is linear in the state.  A linear
+    operator is the Laplacian: its Jacobian is the factorized stiffness
+    of the SpacePair, not assembled from a_u_fields.
     """
 
     name: str

@@ -8,12 +8,14 @@ trial starts from the factor of the accepted iterate.  Its iteration
 counts (``its``, ``KKTTriple.state_iterations``) count chord steps.  It
 returns the state with the Jacobian factorized at it, which the KKT
 triple keeps and reuses for every adjoint, tangent and Hessian-vector
-solve at that point; a linear operator's Jacobian is factorized once per
-space.  The reduced Hessian and the goal-adjoint chain are composed from
-that factorization and three assembled sparse operators: the
-control-to-state coupling and the control mass (cached per space) and
-the Lagrangian's state Hessian (one per KKT point).  One Hessian
-application costs two triangular solve pairs and four sparse mat-vecs.
+solve at that point; a linear operator's Jacobian is the Laplacian,
+factorized once per :class:`SpacePair`.  The reduced Hessian and the
+goal-adjoint chain are composed from that factorization and sparse
+operators: the control-to-state coupling and the control mass, which the
+pair owns for the whole level, and the Lagrangian's state Hessian (one
+per KKT point).  One Hessian application costs two triangular solve pairs
+and four sparse mat-vecs; its CG preconditioner is a mat-vec with the
+block-diagonal inverse of the control mass.
 
 Dual vectors (assembled functionals) are always condensed, i.e. indexed
 by the unconstrained DOFs of their test space.
@@ -22,6 +24,7 @@ by the unconstrained DOFs of their test space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .fem import (
     assemble_matrix,
     assemble_vector,
     function_from_free,
-    mass_fields,
+    reference_matrix,
     zero_function,
 )
 
@@ -49,16 +52,45 @@ MAX_BACKTRACKS = 20
 
 @dataclass(frozen=True)
 class SpacePair:
-    """State and control spaces of one discretization level."""
+    """State and control spaces of one discretization level.
+
+    The pair owns the operators that stay fixed on the level, each built
+    on first use from reference element matrices.  Control enters both
+    shipped operators as a_q(q, v) = -(q, v) and the tracking cost makes
+    J_uu the state mass.
+    """
 
     state: object
     control: object
+
+    @cached_property
+    def coupling(self):
+        """a_q as a condensed matrix: state-test rows, control-trial columns."""
+        return -reference_matrix(self.state, self.control)
+
+    @cached_property
+    def control_mass(self):
+        return reference_matrix(self.control, self.control)
+
+    @cached_property
+    def control_mass_inverse(self):
+        return reference_matrix(self.control, self.control, inverse=True)
+
+    @cached_property
+    def state_mass(self):
+        return reference_matrix(self.state, self.state)
+
+    @cached_property
+    def stiffness_factor(self):
+        """Factorized Laplacian: the Jacobian of a linear state operator."""
+        return Factorization(reference_matrix(self.state))
 
 
 @dataclass
 class KKTTriple:
     """State, control and adjoint with the factorized state Jacobian at u."""
 
+    pair: SpacePair
     u: DiscreteFunction
     q: DiscreteFunction
     z: DiscreteFunction
@@ -121,41 +153,9 @@ def _ju_vector(problem, u, q):
 
 
 def _jacobian(problem, u, q):
-    """Factorized state Jacobian at (u, q).
-
-    A linear operator has a constant Jacobian, factorized once per space.
-    """
-    space = u.space
-
-    def build():
-        return Factorization(
-            assemble_matrix(problem.a_u_fields, space, space, coeffs={"u": u, "q": q})
-        )
-
-    if problem.a_uu_fields is None:
-        return space.cached(("a_u_const", problem.name), build)
-    return build()
-
-
-def control_mass(control_space):
-    """Control mass matrix and its factorization (cached on the space)."""
-
-    def build():
-        M = assemble_matrix(mass_fields, control_space, control_space)
-        return M, Factorization(M)
-
-    return control_space.cached("mass", build)
-
-
-def coupling(state, ctrl):
-    """a_q as a condensed matrix: state-test rows, control-trial columns.
-
-    Control enters both shipped operators as -integral(q v), so this is
-    minus the mixed mass matrix, cached on the state space per control
-    space.
-    """
-    return state.cached(
-        ("coupling", ctrl), lambda: -assemble_matrix(mass_fields, state, ctrl)
+    """Factorized Jacobian of a nonlinear state operator at (u, q)."""
+    return Factorization(
+        assemble_matrix(problem.a_u_fields, u.space, coeffs={"u": u, "q": q})
     )
 
 
@@ -163,15 +163,12 @@ def lagrangian_uu(problem, triple):
     """State Hessian of the Lagrangian, J_uu - a_uu(u)(., .; z), as a matrix.
 
     Built on first use at a consistent triple and kept on it.  For a
-    linear operator it is the state mass, cached on the space.
+    linear operator it is the pair's state mass.
     """
     triple.require_consistent()
     if triple.l_uu is None:
-        state = triple.u.space
         if problem.a_uu_fields is None:
-            triple.l_uu = state.cached(
-                "state_mass", lambda: assemble_matrix(mass_fields, state, state)
-            )
+            triple.l_uu = triple.pair.state_mass
         else:
 
             def fields(ctx):
@@ -179,22 +176,21 @@ def lagrangian_uu(problem, triple):
                 return -K, np.ones(ctx.x.shape[:2])
 
             triple.l_uu = assemble_matrix(
-                fields, state, state, coeffs={"u": triple.u, "z": triple.z}
+                fields, triple.u.space, coeffs={"u": triple.u, "z": triple.z}
             )
     return triple.l_uu
 
 
-def dual_norm(control_space, g):
+def dual_norm(pair, g):
     """Mass-weighted dual norm sqrt(g' M^-1 g); mesh-size independent."""
-    _, fac = control_mass(control_space)
-    return float(np.sqrt(max(g @ fac.solve(g), 0.0)))
+    return float(np.sqrt(max(g @ (pair.control_mass_inverse @ g), 0.0)))
 
 
 # ---------------------------------------------------------------------------
 # state and adjoint solves
 
 
-def solve_state(problem, q, space, warm_start=None, tol_abs=1e-10,
+def solve_state(problem, q, pair, warm_start=None, tol_abs=1e-10,
                 tol_rel=1e-12, max_iter=50, fac=None):
     """Damped chord solve of the state equation at the control q.
 
@@ -207,6 +203,7 @@ def solve_state(problem, q, space, warm_start=None, tol_abs=1e-10,
     current.  Returns (u, fac, its): the state, the Jacobian factorized at
     it and the number of chord steps.
     """
+    space = pair.state
     u = warm_start.copy() if warm_start is not None else zero_function(space)
     u = DiscreteFunction(space, space.distribute(u.coefs))
     res = state_residual(problem, u, q)
@@ -214,7 +211,7 @@ def solve_state(problem, q, space, warm_start=None, tol_abs=1e-10,
     norm = norm0
     linear = problem.a_uu_fields is None
     if linear:
-        fac = _jacobian(problem, u, q)
+        fac = pair.stiffness_factor
     fresh = linear  # fac is the Jacobian at u
     for it in range(max_iter):
         converged = norm <= tol_abs or norm <= tol_rel * norm0
@@ -262,16 +259,17 @@ def _damped_step(problem, q, u, res, norm, fac):
     return None
 
 
-def _with_adjoint(problem, q, u, fac, its):
+def _with_adjoint(problem, pair, q, u, fac, its):
     """Consistent KKT triple at the solved state u = S(q): adds the adjoint."""
     z = function_from_free(u.space, fac.solve_transposed(_ju_vector(problem, u, q)))
-    return KKTTriple(u=u, q=q, z=z, lin=fac, consistent=True, state_iterations=its)
+    return KKTTriple(pair=pair, u=u, q=q, z=z, lin=fac, consistent=True,
+                     state_iterations=its)
 
 
 def make_consistent(problem, q, pair, warm_u=None, tol_abs=1e-10, tol_rel=1e-12):
     """State + adjoint solve at q, yielding a consistent KKT triple."""
-    u, fac, its = solve_state(problem, q, pair.state, warm_u, tol_abs, tol_rel)
-    return _with_adjoint(problem, q, u, fac, its)
+    u, fac, its = solve_state(problem, q, pair, warm_u, tol_abs, tol_rel)
+    return _with_adjoint(problem, pair, q, u, fac, its)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +279,8 @@ def make_consistent(problem, q, pair, warm_u=None, tol_abs=1e-10, tol_rel=1e-12)
 def reduced_gradient(problem, triple):
     """Assembled first derivative of the reduced cost (dual vector)."""
     triple.require_consistent()
-    state, ctrl = triple.u.space, triple.q.space
-    g = assemble_vector(problem.j_q_fields, ctrl, coeffs={"q": triple.q})
-    return g - coupling(state, ctrl).T @ triple.z.coefs[state.free_dofs]
+    g = assemble_vector(problem.j_q_fields, triple.q.space, coeffs={"q": triple.q})
+    return g - triple.pair.coupling.T @ triple.z.coefs[triple.u.space.free_dofs]
 
 
 def goal_gradient(problem, goal, triple):
@@ -295,7 +292,7 @@ def goal_gradient(problem, goal, triple):
     if goal.iu_terms:
         rhs = assemble_terms(goal.iu_terms, state, coeffs)
         w = triple.lin.solve_transposed(rhs)
-        out -= coupling(state, ctrl).T @ w
+        out -= triple.pair.coupling.T @ w
     return out
 
 
@@ -307,13 +304,11 @@ def hessvec(problem, triple, dq):
     Hessian and the control mass; returns a dual vector.
     """
     triple.require_consistent()
-    ctrl = triple.q.space
-    B = coupling(triple.u.space, ctrl)
-    M, _ = control_mass(ctrl)
-    x = dq.coefs[ctrl.free_dofs]
-    du = triple.lin.solve(-(B @ x))
+    pair = triple.pair
+    x = dq.coefs[pair.control.free_dofs]
+    du = triple.lin.solve(-(pair.coupling @ x))
     dz = triple.lin.solve_transposed(lagrangian_uu(problem, triple) @ du)
-    return problem.alpha * (M @ x) - B.T @ dz
+    return problem.alpha * (pair.control_mass @ x) - pair.coupling.T @ dz
 
 
 def solve_reduced_system(problem, triple, rhs, krylov_tol=1e-10, max_iter=500,
@@ -321,21 +316,22 @@ def solve_reduced_system(problem, triple, rhs, krylov_tol=1e-10, max_iter=500,
     """Preconditioned CG on the reduced Hessian.
 
     The preconditioner is the inverse of the alpha-scaled control mass
-    matrix.  Nonpositive curvature aborts with the offending direction,
-    unless truncation is requested (Newton globalization): then the CG
-    progress so far, or the preconditioned right-hand side, is returned.
+    matrix, applied as a block-diagonal mat-vec.  Nonpositive curvature
+    aborts with the offending direction, unless truncation is requested
+    (Newton globalization): then the CG progress so far, or the
+    preconditioned right-hand side, is returned.
     """
     triple.require_consistent()
     ctrl = triple.q.space
     b = np.asarray(rhs, dtype=np.float64)
     if not np.any(b):
         return zero_function(ctrl)
-    _, mfac = control_mass(ctrl)
+    m_inv = triple.pair.control_mass_inverse
     inv_alpha = 1.0 / problem.alpha
 
     x = np.zeros(ctrl.nfree)
     r = b.copy()
-    z = mfac.solve(r) * inv_alpha
+    z = (m_inv @ r) * inv_alpha
     rho = float(r @ z)
     rho0 = rho
     p = z.copy()
@@ -352,7 +348,7 @@ def solve_reduced_system(problem, triple, rhs, krylov_tol=1e-10, max_iter=500,
         a = rho / pHp
         x += a * p
         r -= a * Hp
-        z = mfac.solve(r) * inv_alpha
+        z = (m_inv @ r) * inv_alpha
         rho_new = float(r @ z)
         if np.sqrt(max(rho_new, 0.0) / rho0) <= krylov_tol:
             return function_from_free(ctrl, x)
@@ -382,10 +378,10 @@ def _newton_update(problem, triple, pair, g, krylov_tol):
     s = 1.0
     for _ in range(MAX_BACKTRACKS):
         q_trial = DiscreteFunction(pair.control, triple.q.coefs + s * dq.coefs)
-        u, fac, its = solve_state(problem, q_trial, pair.state,
+        u, fac, its = solve_state(problem, q_trial, pair,
                                   warm_start=triple.u, fac=triple.lin)
         if problem.j_value(u, q_trial) <= j0 + ARMIJO_C * s * slope + j_noise:
-            return _with_adjoint(problem, q_trial, u, fac, its), s
+            return _with_adjoint(problem, pair, q_trial, u, fac, its), s
         s *= BACKTRACK_FACTOR
     raise LineSearchError("reduced Newton line search failed")
 
@@ -399,7 +395,7 @@ def newton_standard(problem, pair, q0, tol_abs=1e-7, tol_rel=8e-5,
     triple = make_consistent(problem, q0, pair, warm_u)
     log = NewtonLog()
     g = reduced_gradient(problem, triple)
-    ng0 = dual_norm(pair.control, g)
+    ng0 = dual_norm(pair, g)
     ng = ng0
     while True:
         log.record(ng, triple)
@@ -417,7 +413,7 @@ def newton_standard(problem, pair, q0, tol_abs=1e-7, tol_rel=8e-5,
         triple, s = _newton_update(problem, triple, pair, g, krylov_tol)
         log.step_sizes.append(s)
         g = reduced_gradient(problem, triple)
-        ng = dual_norm(pair.control, g)
+        ng = dual_norm(pair, g)
 
 
 def newton_reduced_adaptive(problem, goal_combined, pair, q0, gamma, eta_prev,
@@ -450,7 +446,7 @@ def newton_reduced_adaptive(problem, goal_combined, pair, q0, gamma, eta_prev,
         g = reduced_gradient(problem, triple)
         guard = abs(float(g @ p.coefs[pair.control.free_dofs]))
         log.record(guard, triple)
-        ng = dual_norm(pair.control, g)
+        ng = dual_norm(pair, g)
         if ng0 is None:
             ng0 = ng
         if guard <= threshold:

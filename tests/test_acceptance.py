@@ -327,8 +327,8 @@ class TestCriterion6:
                 h = 1e-5
                 qp = DiscreteFunction(pair.control, q.coefs + h * dq.coefs)
                 qm = DiscreteFunction(pair.control, q.coefs - h * dq.coefs)
-                up, _, _ = solve_state(prob, qp, pair.state)
-                um, _, _ = solve_state(prob, qm, pair.state)
+                up, _, _ = solve_state(prob, qp, pair)
+                um, _, _ = solve_state(prob, qm, pair)
                 jp, jm = prob.j_value(up, qp), prob.j_value(um, qm)
                 fd = (jp - jm) / (2 * h)
                 err = abs(fd - directional) / max(1.0, abs(directional))
@@ -383,7 +383,7 @@ class TestCriterion6:
                 return assemble_vector(prob.residual_fields, space,
                                        coeffs={"u": ub, "q": q}, nquad=5)
 
-            A = assemble_matrix(prob.a_u_fields, space, space, coeffs={"u": u},
+            A = assemble_matrix(prob.a_u_fields, space, coeffs={"u": u},
                                 nquad=5)
             fd1 = (res(DiscreteFunction(space, u.coefs + h * d1.coefs))
                    - res(DiscreteFunction(space, u.coefs - h * d1.coefs))) / (2 * h)
@@ -391,11 +391,11 @@ class TestCriterion6:
             e1 /= max(1.0, np.max(np.abs(fd1)))
 
             auu = assemble_matrix(
-                prob.a_uu_fields, space, space, coeffs={"u": u, "z": d2}, nquad=5,
+                prob.a_uu_fields, space, coeffs={"u": u, "z": d2}, nquad=5,
             ) @ d1.coefs[space.free_dofs]
 
             def a_u_dir(ub):
-                M = assemble_matrix(prob.a_u_fields, space, space,
+                M = assemble_matrix(prob.a_u_fields, space,
                                     coeffs={"u": ub}, nquad=5)
                 return M @ d1.coefs[space.free_dofs]
 

@@ -176,6 +176,14 @@ class TestEmission:
             assert os.path.exists(paths[name])
         csv = open(paths["levels.csv"]).read()
         assert csv == render_csv(reports)
+        summary = open(paths["summary.txt"]).read().splitlines()
+        total = sum(r.wall_time for r in reports)
+        assert total > 0
+        assert f"total wall time   {total:.3f} s" in summary
+        per_level = summary[summary.index("wall time per level:") + 1:]
+        assert [line.split() for line in per_level] == [
+            ["level", str(r.level), f"{r.wall_time:.3f}", "s"] for r in reports
+        ]
 
     def test_single_report_csv(self, small_run):
         cfg, reports = small_run
@@ -308,9 +316,10 @@ def test_chord_state_solves_save_factorizations(factorizations, name, levels,
 
 
 def test_linear_state_factorizations(factorizations):
-    # per level: the constant Jacobian and the control mass of both pairs
+    # per level: the Poisson Jacobian of both pairs; the control masses are
+    # inverted block by block, without a factorization
     run_adaptive(preset_config("example1_cost", max_levels=4))
-    assert factorizations[0] == 16
+    assert factorizations[0] == 8
 
 
 def test_newton_csv_rows_match_logs(tmp_path):
@@ -361,6 +370,19 @@ class TestCli:
     def test_missing_config_exit_2(self):
         assert cli_main(["run", "/nonexistent/path.cfg"]) == 2
 
+    @pytest.mark.parametrize("below", ["", "out"], ids=["file", "under_file"])
+    def test_output_dir_on_a_file_exit_2(self, tmp_path, capsys, monkeypatch, below):
+        # an existing regular file, or a path under one, fails before any level runs
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setattr("dwropt.cli.run_adaptive", lambda cfg: pytest.fail("ran"))
+        code = cli_main(["preset", "example1_cost", "--max-levels", "1",
+                         "--out", str(blocker / below)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("line", [
         "nonsense_key = 1",
         "max_levels = abc",
@@ -376,10 +398,13 @@ class TestCli:
         # example3's control_band box (1, 2, 6.25, 2.5) cuts cells of size 0.5
         "preset = example3\ncell_size = 0.5",
         "preset = example1_l1\nsmoothing_delta = -1",
+        b"\xff\xfe preset",  # not UTF-8
     ])
     def test_bad_config_exit_2(self, tmp_path, capsys, line):
         cfgfile = tmp_path / "bad.cfg"
-        cfgfile.write_text(f"preset = example1_cost\n{line}\n")
+        if isinstance(line, str):
+            line = line.encode("utf-8")
+        cfgfile.write_bytes(b"preset = example1_cost\n" + line + b"\n")
         assert cli_main(["run", str(cfgfile)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")

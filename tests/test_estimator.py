@@ -82,7 +82,7 @@ class TestGoalGradient:
         h = 1e-5
 
         def i_of(qv):
-            u, _, _ = solve_state(prob, qv, pair.state, tol_abs=1e-13)
+            u, _, _ = solve_state(prob, qv, pair, tol_abs=1e-13)
             return goal.value(u, qv)
 
         fd = (
@@ -183,7 +183,7 @@ class TestRecovery:
         from dwropt.reduced import assemble_terms
 
         A = assemble_matrix(
-            prob.a_u_fields, pair.state, pair.state, coeffs={"u": triple.u, "q": q}
+            prob.a_u_fields, pair.state, coeffs={"u": triple.u, "q": q}
         ).toarray()
         rhs = assemble_terms(goal.iu_terms, pair.state, {"u": triple.u, "q": q})
         rhs = rhs + assemble_vector(
@@ -221,6 +221,7 @@ def _transferred_enriched(sol, keep_adjoint=False):
     t = sol["triple"]
     a = sol["adj_low"]
     kkt2 = KKTTriple(
+        pair=pair2,
         u=transfer(t.u, pair2.state),
         q=transfer(t.q, pair2.control),
         z=transfer(t.z, pair2.state),

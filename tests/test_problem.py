@@ -118,7 +118,7 @@ class TestPLaplaceInstance:
             build_space(self.mesh, "dg", 1), np.zeros(self.mesh.ncells * 4)
         )
         A = assemble_matrix(
-            self.prob.a_u_fields, self.space, self.space,
+            self.prob.a_u_fields, self.space,
             coeffs={"u": u}, nquad=5,
         )
         exact = A @ du.coefs[self.space.free_dofs]
@@ -139,14 +139,14 @@ class TestPLaplaceInstance:
         d2 = self._random_fn()
         zf = self._random_fn()
         exact = assemble_matrix(
-            self.prob.a_uu_fields, self.space, self.space,
+            self.prob.a_uu_fields, self.space,
             coeffs={"u": u, "z": zf}, nquad=5,
         ) @ d1.coefs[self.space.free_dofs]
         h = 1e-5
 
         def a_u_apply(ubase):
             A = assemble_matrix(
-                self.prob.a_u_fields, self.space, self.space,
+                self.prob.a_u_fields, self.space,
                 coeffs={"u": ubase}, nquad=5,
             )
             return A @ d1.coefs[self.space.free_dofs]
@@ -162,7 +162,7 @@ class TestPLaplaceInstance:
     def test_a_u_matrix_symmetric(self):
         u = self._random_fn()
         A = assemble_matrix(
-            self.prob.a_u_fields, self.space, self.space, coeffs={"u": u}
+            self.prob.a_u_fields, self.space, coeffs={"u": u}
         )
         diff = (A - A.T).toarray()
         assert np.max(np.abs(diff)) <= 1e-12 * max(1.0, abs(A).max())

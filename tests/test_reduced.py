@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from dwropt.errors import NegativeCurvatureError, StaleTripleError
+from dwropt.errors import DwroptError, NegativeCurvatureError, StaleTripleError
 from dwropt.fem import (
     DiscreteFunction,
     Factorization,
@@ -11,6 +12,7 @@ from dwropt.fem import (
     function_from_free,
     integrate,
     interpolate,
+    reference_matrix,
     zero_function,
 )
 from dwropt.estimator import recover_v, recover_y
@@ -52,7 +54,7 @@ def plaplace_setup(cell=0.25, alpha=0.1, domain=UNIT_SQUARE):
 
 def cost_at(prob, q, pair):
     """Reduced cost j(q) = J(S(q), q), one state solve."""
-    u, _, _ = solve_state(prob, q, pair.state)
+    u, _, _ = solve_state(prob, q, pair)
     return prob.j_value(u, q)
 
 
@@ -60,11 +62,28 @@ def random_control(space, rng, scale=1.0):
     return DiscreteFunction(space, rng.standard_normal(space.ndofs) * scale)
 
 
+class TestSpacePair:
+    @pytest.mark.parametrize("degree", [0, 1])
+    def test_control_mass_inverse_is_block_inverse(self, degree):
+        mesh = build_initial(HOLED_RECT, 1.0)
+        for picks in ([0, 3], [1, 2]):
+            ids = [mesh.ncells - 1 - i for i in picks]
+            mesh = refine(mesh, CellSet(frozenset(ids), mesh.generation))
+        pair = SpacePair(build_space(mesh, "cg", degree + 1), build_space(mesh, "dg", degree))
+        eye = pair.control_mass_inverse @ pair.control_mass
+        assert abs(eye - sp.eye(pair.control.nfree)).max() <= 1e-13
+        assert pair.control_mass_inverse is pair.control_mass_inverse
+        # only a DG mass is block-diagonal
+        for args in ((pair.state, pair.state), (pair.control,)):
+            with pytest.raises(DwroptError, match="block-diagonal"):
+                reference_matrix(*args, inverse=True)
+
+
 class TestSolveState:
     def test_poisson_one_step(self):
         prob, mesh, pair = poisson_setup()
         q = interpolate(pair.control, lambda x, y: np.sin(np.pi * x) * y)
-        u, fac, its = solve_state(prob, q, pair.state)
+        u, fac, its = solve_state(prob, q, pair)
         assert its == 1
         res = state_residual(prob, u, q)
         assert np.linalg.norm(res) <= 1e-10
@@ -72,14 +91,14 @@ class TestSolveState:
     def test_plaplace_trivial_solution(self):
         prob, mesh, pair = plaplace_setup()
         q = zero_function(pair.control)
-        u, _, _ = solve_state(prob, q, pair.state)
+        u, _, _ = solve_state(prob, q, pair)
         assert np.max(np.abs(u.coefs)) == 0.0
 
     def test_plaplace_uniqueness_cross_check(self):
         # same solution from zero and from a perturbed start
         prob, mesh, pair = plaplace_setup(cell=0.5, domain=HOLED_RECT)
         q = DiscreteFunction(pair.control, 10.0 * np.ones(pair.control.ndofs))
-        u1, _, _ = solve_state(prob, q, pair.state, tol_abs=1e-9)
+        u1, _, _ = solve_state(prob, q, pair, tol_abs=1e-9)
         res = state_residual(prob, u1, q)
         assert np.linalg.norm(res) <= 1e-7
         rng = np.random.default_rng(0)
@@ -87,7 +106,7 @@ class TestSolveState:
             pair.state,
             pair.state.distribute(u1.coefs + 0.3 * rng.standard_normal(pair.state.ndofs)),
         )
-        u2, _, _ = solve_state(prob, q, pair.state, warm_start=start, tol_abs=1e-9)
+        u2, _, _ = solve_state(prob, q, pair, warm_start=start, tol_abs=1e-9)
         diff = integrate(
             lambda ctx: (ctx.val("a") - ctx.val("b")) ** 2,
             mesh,
@@ -102,10 +121,10 @@ class TestSolveState:
         triple = make_consistent(prob, q, pair)
         rng = np.random.default_rng(3)
         q2 = DiscreteFunction(pair.control, q.coefs + rng.standard_normal(q.coefs.size))
-        u, fac, its = solve_state(prob, q2, pair.state, warm_start=triple.u,
+        u, fac, its = solve_state(prob, q2, pair, warm_start=triple.u,
                                   fac=triple.lin)
         assert its >= 2
-        A = assemble_matrix(prob.a_u_fields, pair.state, pair.state,
+        A = assemble_matrix(prob.a_u_fields, pair.state,
                             coeffs={"u": u, "q": q2})
         x = rng.standard_normal(pair.state.nfree)
         assert np.linalg.norm(fac.solve(A @ x) - x) <= 1e-10 * np.linalg.norm(x)
@@ -116,11 +135,11 @@ class TestSolveState:
         # -J points uphill, so the stale line search stalls and is retried
         prob, mesh, pair = plaplace_setup(cell=0.5, domain=HOLED_RECT)
         q = DiscreteFunction(pair.control, 10.0 * np.ones(pair.control.ndofs))
-        cold, _, _ = solve_state(prob, q, pair.state)
+        cold, _, _ = solve_state(prob, q, pair)
         start = zero_function(pair.state)
-        J = assemble_matrix(prob.a_u_fields, pair.state, pair.state,
+        J = assemble_matrix(prob.a_u_fields, pair.state,
                             coeffs={"u": start, "q": q})
-        u, _, _ = solve_state(prob, q, pair.state, warm_start=start,
+        u, _, _ = solve_state(prob, q, pair, warm_start=start,
                               fac=Factorization(scale * J))
         assert np.linalg.norm(state_residual(prob, u, q)) <= 1e-10
         diff = integrate(
@@ -180,6 +199,7 @@ class TestReducedGradient:
     def test_stale_triple_rejected(self):
         prob, mesh, pair = poisson_setup()
         t = KKTTriple(
+            pair=pair,
             u=zero_function(pair.state),
             q=zero_function(pair.control),
             z=zero_function(pair.state),
@@ -248,7 +268,7 @@ class TestReducedGradient:
             )
             triple = make_consistent(prob, q, pair)
             g = reduced_gradient(prob, triple)
-            errs.append(dual_norm(pair.control, g))
+            errs.append(dual_norm(pair, g))
         assert errs[1] < 0.5 * errs[0]
 
 
@@ -321,7 +341,7 @@ class TestSolveReducedSystem:
         q1 = DiscreteFunction(pair.control, triple.q.coefs + dq.coefs)
         t1 = make_consistent(prob, q1, pair)
         g1 = reduced_gradient(prob, t1)
-        assert dual_norm(pair.control, g1) <= 1e-8 * max(1.0, dual_norm(pair.control, g))
+        assert dual_norm(pair, g1) <= 1e-8 * max(1.0, dual_norm(pair, g))
 
     def test_spd_pairing(self):
         prob, mesh, pair = poisson_setup(cell=0.5)
@@ -338,7 +358,7 @@ class TestNewtonStandard:
         triple, log = newton_standard(prob, pair, zero_function(pair.control))
         assert log.stop_reason in ("absolute", "relative")
         g = reduced_gradient(prob, triple)
-        assert dual_norm(pair.control, g) <= 1e-7 or log.stop_reason == "relative"
+        assert dual_norm(pair, g) <= 1e-7 or log.stop_reason == "relative"
         assert log.iterations == 1  # quadratic problem: one exact step
 
     def test_zero_iterations_at_optimum(self):

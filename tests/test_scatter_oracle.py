@@ -1,11 +1,13 @@
-"""The assembly scatter against the direct scatter it replaced.
+"""The assembly scatter and the reference-matrix operators against a direct scatter.
 
 `assemble_matrix` sends element entries to the condensed matrix through a
-sparse map cached on the test space, and `assemble_vector` sums element
-vectors per DOF with np.bincount.  The oracles below are the paths they
-replaced: the unconstrained matrix built as COO, converted to CSR and
-condensed to C_t^T A C_r on every call, and the element vectors added up
-with np.add.at and condensed with C^T.
+sparse map cached on the space, `reference_matrix` builds the masses and
+the Laplacian stiffness from reference element matrices, and
+`assemble_vector` sums element vectors per DOF with np.bincount.  The
+oracles below are the paths they replaced: quadrature element matrices
+built as a COO matrix, converted to CSR and condensed to C_t^T A C_r on
+every call, and the element vectors added up with np.add.at and condensed
+with C^T.
 """
 
 import numpy as np
@@ -14,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwropt import kernels
-from dwropt.fem import assemble_matrix, assemble_vector, build_space, sweep
+from dwropt.fem import (
+    assemble_matrix,
+    assemble_vector,
+    build_space,
+    reference_matrix,
+    stiffness_fields,
+    sweep,
+)
 from dwropt.mesh import HOLED_RECT, UNIT_SQUARE, CellSet, build_initial, refine
 
 #: initial meshes, each with a region box along mesh lines
@@ -69,6 +78,10 @@ def matrix_form(s):
     return form
 
 
+def mass_fields(ctx):
+    return None, np.ones(ctx.x.shape[:2])
+
+
 def vector_form(s):
     def form(ctx):
         x, y = ctx.x[..., 0], ctx.x[..., 1]
@@ -100,18 +113,24 @@ def test_cached_scatter_matches_direct_scatter(root, seq, dirichlet):
     cg = [build_space(mesh, "cg", d, constrain_dirichlet=dirichlet) for d in (1, 2, 3)]
     dg = [build_space(mesh, "dg", d) for d in (0, 1)]
 
+    for space in cg:
+        before = None
+        # the second call reuses the map the first one built
+        for s in (1.0, 2.5):
+            new = assemble_matrix(matrix_form(s), space)
+            old = oracle_matrix(matrix_form(s), space, space)
+            assert new.shape == old.shape == (space.nfree, space.nfree)
+            assert close(new, old), space.degree
+            assert before is None or len(space._cache) == before
+            before = len(space._cache)
+        new = reference_matrix(space)
+        assert close(new, oracle_matrix(stiffness_fields, space, space)), space.degree
+        for trial in cg + dg:
+            new = reference_matrix(space, trial)
+            old = oracle_matrix(mass_fields, space, trial)
+            assert new.shape == old.shape == (space.nfree, trial.nfree)
+            assert close(new, old), (space.degree, trial.family, trial.degree)
     for region in (None, box):
-        for test in cg:
-            for trial in cg + dg:
-                before = None
-                # the second call reuses the map the first one built
-                for s in (1.0, 2.5):
-                    new = assemble_matrix(matrix_form(s), test, trial, region=region)
-                    old = oracle_matrix(matrix_form(s), test, trial, region=region)
-                    assert new.shape == old.shape == (test.nfree, trial.nfree)
-                    assert close(new, old), (test.degree, trial.family, trial.degree, region)
-                    assert before is None or len(test._cache) == before
-                    before = len(test._cache)
         for test in cg + dg:
             for s in (1.0, 2.5):
                 new = assemble_vector(vector_form(s), test, region=region)
