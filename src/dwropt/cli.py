@@ -135,7 +135,8 @@ def main(argv=None):
             print(f"wrote {os.path.join(cfg.output_dir, 'levels.csv')}")
         elif args.command == "compare-stopping":
             cfg = load_config(args.config)
-            _make_output_dir(cfg.output_dir)
+            for mode in ("standard", "adaptive"):  # the per-run subdirectories
+                _make_output_dir(os.path.join(cfg.output_dir, mode))
             standard, adaptive = compare_stopping(cfg)
             path = os.path.join(cfg.output_dir, "comparison.csv")
             with open(path, "w", encoding="utf-8") as fh:
@@ -161,7 +162,8 @@ def main(argv=None):
                     f"--alphas names alpha {', '.join(twice)} more than once "
                     "(values are told apart by their :g form)"
                 )
-            _make_output_dir(cfg.output_dir)
+            for name in names:
+                _make_output_dir(os.path.join(cfg.output_dir, f"alpha_{name}"))
             runs = sweep_alpha(cfg, alphas)
             path = os.path.join(cfg.output_dir, "sweep.csv")
             with open(path, "w", encoding="utf-8") as fh:

@@ -93,21 +93,34 @@ class _Preset:
     cell_size: float
     alpha: float
     problem_kind: str  # poisson | plaplace
+    reads: tuple = ()  # the _PRESET_KEYS this preset uses
 
 
 PRESETS = {
     "example1_cost": _Preset("unit_square", 0.5, 0.01, "poisson"),
-    "example1_l1": _Preset("unit_square", 0.5, 0.01, "poisson"),
-    "example2_uq": _Preset("holed_rect", 0.5, 1.0, "plaplace"),
-    "example3": _Preset("holed_rect", 0.25, 0.01, "plaplace"),
+    "example1_l1": _Preset("unit_square", 0.5, 0.01, "poisson", ("smoothing_delta",)),
+    "example2_uq": _Preset("holed_rect", 0.5, 1.0, "plaplace", ("p", "epsilon")),
+    "example3": _Preset("holed_rect", 0.25, 0.01, "plaplace", ("p", "epsilon")),
 }
+
+#: keys that only some presets read; giving one to another preset is an error
+_PRESET_KEYS = ("p", "epsilon", "smoothing_delta")
+
+
+def _check_given(cfg, given):
+    """Reject keys given to a validated config whose preset never reads them."""
+    unread = [k for k in _PRESET_KEYS
+              if k in given and k not in PRESETS[cfg.preset].reads]
+    if unread:
+        raise ConfigError(f"preset {cfg.preset} does not use {', '.join(unread)}")
+    return cfg
 
 
 def preset_config(name, **overrides):
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
     cfg = Config(preset=name, **overrides)
-    return cfg.validate()
+    return _check_given(cfg.validate(), overrides)
 
 
 _CONFIG_KEYS = {f.name for f in fields(Config)}
@@ -117,8 +130,9 @@ _INF_KEYS = ("tol_dis", "target_dofs_state", "target_dofs_total")
 
 
 def parse_config(text):
-    """Flat key = value configuration; unknown keys are rejected."""
+    """Flat key = value configuration; unknown or unused keys are rejected."""
     cfg = Config()
+    given = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -128,6 +142,7 @@ def parse_config(text):
         key, val = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {ln}: unknown configuration key {key!r}")
+        given.add(key)
         if key in _STR_KEYS:
             setattr(cfg, key, val)
             continue
@@ -139,7 +154,7 @@ def parse_config(text):
                 f"line {ln}: {key} must be {'an integer' if kind is int else 'a number'}, "
                 f"got {val!r}"
             ) from None
-    return cfg.validate()
+    return _check_given(cfg.validate(), given)
 
 
 def load_config(path):

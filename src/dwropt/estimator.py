@@ -90,7 +90,7 @@ def solve_reduced_adjoint(problem, goal, triple, krylov_tol=1e-10,
     )
 
 
-def recover_v(problem, triple, p):
+def recover_v(triple, p):
     """Tangent state of the goal adjoint direction p."""
     triple.require_consistent()
     B = triple.pair.coupling
@@ -117,7 +117,7 @@ def adjoint_chain(problem, goal, triple, p=None, krylov_tol=1e-10):
         p = solve_reduced_adjoint(
             problem, goal, triple, krylov_tol=krylov_tol, truncate_on_negative=True
         )
-    v = recover_v(problem, triple, p)
+    v = recover_v(triple, p)
     y = recover_y(problem, goal, triple, v)
     return AdjointTriple(v=v, p=p, y=y)
 

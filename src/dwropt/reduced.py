@@ -1,4 +1,4 @@
-"""Reduced-space optimization: state solves, adjoints, Newton drivers.
+"""Reduced-space optimization: state solves, adjoints, reduced Newton.
 
 The control-to-state map is realized by one damped chord iteration on
 the nonlinear state residual, :func:`solve_state`: a factorized Jacobian
@@ -16,6 +16,10 @@ pair owns for the whole level, and the Lagrangian's state Hessian (one
 per KKT point).  One Hessian application costs two triangular solve pairs
 and four sparse mat-vecs; its CG preconditioner is a mat-vec with the
 block-diagonal inverse of the control mass.
+
+One reduced-Newton loop serves both stopping rules: :func:`newton_standard`
+stops on the gradient norm, :func:`newton_reduced_adaptive` also once the
+goal-weighted iteration error |j'(q)(p)| drops below gamma * eta.
 
 Dual vectors (assembled functionals) are always condensed, i.e. indexed
 by the unconstrained DOFs of their test space.
@@ -358,16 +362,17 @@ def solve_reduced_system(problem, triple, rhs, krylov_tol=1e-10, max_iter=500,
 
 
 # ---------------------------------------------------------------------------
-# Newton drivers
+# reduced Newton: one loop, two stopping rules
 
 
-def _newton_update(problem, triple, pair, g, krylov_tol):
+def _newton_update(problem, triple, g, krylov_tol):
     """One Newton step with Armijo backtracking on the reduced cost.
 
     Near convergence the predicted decrease falls below the accuracy of
     evaluating j through a state re-solve; the acceptance test allows
     that evaluation noise so the final tiny steps are not rejected.
     """
+    pair = triple.pair
     dq = solve_reduced_system(
         problem, triple, -g, krylov_tol=krylov_tol, truncate_on_negative=True
     )
@@ -386,34 +391,59 @@ def _newton_update(problem, triple, pair, g, krylov_tol):
     raise LineSearchError("reduced Newton line search failed")
 
 
+def _newton(problem, pair, q0, guard, tol_abs, tol_rel, krylov_tol, max_iter,
+            warm_u):
+    """Reduced Newton loop; guard is None or (combined goal, threshold).
+
+    With a guard, each iterate refreezes the goal, solves for its adjoint
+    p and records |j'(q)(p)|, stopping once that reaches the threshold;
+    without one it records the gradient norm.  The absolute, relative and
+    max_iter exits follow.  Returns (triple, p or None, log).
+    """
+    triple = make_consistent(problem, q0, pair, warm_u)
+    log = NewtonLog()
+    p = ng0 = None
+    while True:
+        g = reduced_gradient(problem, triple)
+        ng = dual_norm(pair, g)
+        ng0 = ng if ng0 is None else ng0
+        measure = ng
+        if guard is not None:
+            goal_k = guard[0].refreeze(triple.u, triple.q)
+            # truncation: far-from-converged iterates may see an indefinite
+            # reduced Hessian; an inexact p only loosens the stopping guard
+            p = solve_reduced_system(
+                problem, triple, -goal_gradient(problem, goal_k, triple),
+                krylov_tol=krylov_tol, truncate_on_negative=True,
+            )
+            measure = abs(float(g @ p.coefs[pair.control.free_dofs]))
+        log.record(measure, triple)
+        if guard is not None and measure <= guard[1]:
+            log.stop_reason = "adaptive"
+        elif ng <= tol_abs:
+            log.stop_reason = "absolute"
+        elif ng <= tol_rel * ng0:
+            log.stop_reason = "relative"
+        elif log.iterations >= max_iter:
+            log.stop_reason = "maxiter"
+            raise NonConvergenceError(
+                f"reduced Newton: {max_iter} iterations, residual {measure:.3e}"
+            )
+        if log.stop_reason:
+            return triple, p, log
+        triple, s = _newton_update(problem, triple, g, krylov_tol)
+        log.step_sizes.append(s)
+
+
 def newton_standard(problem, pair, q0, tol_abs=1e-7, tol_rel=8e-5,
                     krylov_tol=1e-10, max_iter=50, warm_u=None):
     """Reduced Newton with the classical gradient-norm stopping rule.
 
     warm_u, if given, starts the first state solve.
     """
-    triple = make_consistent(problem, q0, pair, warm_u)
-    log = NewtonLog()
-    g = reduced_gradient(problem, triple)
-    ng0 = dual_norm(pair, g)
-    ng = ng0
-    while True:
-        log.record(ng, triple)
-        if ng <= tol_abs:
-            log.stop_reason = "absolute"
-            return triple, log
-        if ng <= tol_rel * ng0:
-            log.stop_reason = "relative"
-            return triple, log
-        if log.iterations >= max_iter:
-            log.stop_reason = "maxiter"
-            raise NonConvergenceError(
-                f"reduced Newton: {max_iter} iterations, gradient {ng:.3e}"
-            )
-        triple, s = _newton_update(problem, triple, pair, g, krylov_tol)
-        log.step_sizes.append(s)
-        g = reduced_gradient(problem, triple)
-        ng = dual_norm(pair, g)
+    triple, _, log = _newton(problem, pair, q0, None, tol_abs, tol_rel,
+                             krylov_tol, max_iter, warm_u)
+    return triple, log
 
 
 def newton_reduced_adaptive(problem, goal_combined, pair, q0, gamma, eta_prev,
@@ -421,47 +451,12 @@ def newton_reduced_adaptive(problem, goal_combined, pair, q0, gamma, eta_prev,
                             tol_abs=1e-7, tol_rel=8e-5, warm_u=None):
     """Reduced Newton stopped by the goal-weighted iteration-error guard.
 
-    After every update the goal adjoint direction is recomputed with the
-    combined functional refrozen at the current iterate; the loop ends
-    once |j'(q)(p)| drops below gamma times the previous discretization
-    estimate.  The classical gradient-norm criteria stay active as
-    additional exits, so the adaptive rule can only stop earlier than
-    the standard one.  warm_u, if given, starts the first state solve.
-    Returns the triple, the goal adjoint p, the log.
+    The loop of :func:`newton_standard` with one extra exit, taken once
+    |j'(q)(p)| drops below gamma times the previous discretization
+    estimate, so it can only stop earlier.  warm_u, if given, starts the
+    first state solve.  Returns the triple, the goal adjoint p, the log.
     """
     if gamma <= 0 or eta_prev <= 0:
         raise NonConvergenceError("gamma and eta_prev must be positive")
-    triple = make_consistent(problem, q0, pair, warm_u)
-    log = NewtonLog()
-    threshold = gamma * eta_prev
-    ng0 = None
-    while True:
-        goal_k = goal_combined.refreeze(triple.u, triple.q)
-        ig = goal_gradient(problem, goal_k, triple)
-        # truncation: far-from-converged iterates may see an indefinite
-        # reduced Hessian; an inexact p only loosens the stopping guard
-        p = solve_reduced_system(
-            problem, triple, -ig, krylov_tol=krylov_tol, truncate_on_negative=True
-        )
-        g = reduced_gradient(problem, triple)
-        guard = abs(float(g @ p.coefs[pair.control.free_dofs]))
-        log.record(guard, triple)
-        ng = dual_norm(pair, g)
-        if ng0 is None:
-            ng0 = ng
-        if guard <= threshold:
-            log.stop_reason = "adaptive"
-            return triple, p, log
-        if ng <= tol_abs:
-            log.stop_reason = "absolute"
-            return triple, p, log
-        if ng <= tol_rel * ng0:
-            log.stop_reason = "relative"
-            return triple, p, log
-        if log.iterations >= max_iter:
-            log.stop_reason = "maxiter"
-            raise NonConvergenceError(
-                f"adaptive Newton: {max_iter} iterations, guard {guard:.3e}"
-            )
-        triple, s = _newton_update(problem, triple, pair, g, krylov_tol)
-        log.step_sizes.append(s)
+    return _newton(problem, pair, q0, (goal_combined, gamma * eta_prev),
+                   tol_abs, tol_rel, krylov_tol, max_iter, warm_u)

@@ -74,6 +74,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             preset_config("example99")
 
+    def test_unread_keys_rejected(self):
+        with pytest.raises(ConfigError, match="does not use p"):
+            preset_config("example1_cost", p=3.0)
+        # the presets that read them accept them, given either way
+        assert preset_config("example2_uq", p=3.0, epsilon=0.5).p == 3.0
+        assert parse_config("preset = example1_l1\nsmoothing_delta = 1e-6"
+                            ).smoothing_delta == 1e-6
+        assert parse_config("p = 3\npreset = example3").p == 3.0
+
     @settings(max_examples=200, deadline=None)
     @given(CONFIG_ENTRIES)
     def test_any_text_parses_or_raises_config_error(self, entries):
@@ -383,6 +392,25 @@ class TestCli:
         assert err.startswith("configuration error: ")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command, blocked", [
+        (["compare-stopping"], "adaptive"),
+        (["sweep-alpha", "--alphas", "1"], "alpha_1"),
+    ], ids=["compare_stopping", "sweep_alpha"])
+    def test_run_subdir_on_a_file_exit_2(self, tmp_path, capsys, monkeypatch,
+                                         command, blocked):
+        # a file in the place of a per-run subdirectory fails before any level runs
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / blocked).write_text("")
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"preset = example1_cost\nmax_levels = 1\noutput_dir = {out}\n")
+        monkeypatch.setattr("dwropt.driver.run_adaptive", lambda cfg: pytest.fail("ran"))
+        code = cli_main([command[0], str(cfgfile), *command[1:]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize("line", [
         "nonsense_key = 1",
         "max_levels = abc",
@@ -398,6 +426,10 @@ class TestCli:
         # example3's control_band box (1, 2, 6.25, 2.5) cuts cells of size 0.5
         "preset = example3\ncell_size = 0.5",
         "preset = example1_l1\nsmoothing_delta = -1",
+        # keys the example1_cost preset never reads
+        "p = 3",
+        "epsilon = 0.5",
+        "smoothing_delta = 1e-6",
         b"\xff\xfe preset",  # not UTF-8
     ])
     def test_bad_config_exit_2(self, tmp_path, capsys, line):
@@ -583,3 +615,21 @@ class TestWarmStartInvariance:
             coeffs={"a": cold.q, "b": warm.q},
         )
         assert np.sqrt(diff) <= 1e-9
+
+
+class TestTracerTargets:
+    def test_targets_resolve_to_distinct_objects(self):
+        # the benchmark tracer charges a span to each target; an alias of
+        # another target would be wrapped twice
+        import importlib
+        import importlib.util
+        from functools import reduce
+
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        objs = [reduce(getattr, attr.split("."), importlib.import_module(f"dwropt.{module}"))
+                for module, attr in tracer.TARGETS]
+        assert all(callable(o) for o in objs)
+        assert len({id(o) for o in objs}) == len(tracer.TARGETS) == 30

@@ -135,7 +135,7 @@ class TestRecovery:
         prob = make_poisson_control(0.01)
         mesh, pair = make_pair(0.5)
         triple = make_consistent(prob, zero_function(pair.control), pair)
-        v = recover_v(prob, triple, zero_function(pair.control))
+        v = recover_v(triple, zero_function(pair.control))
         assert np.max(np.abs(v.coefs)) == 0.0
 
     def test_manufactured_v(self):
@@ -149,7 +149,7 @@ class TestRecovery:
             p = interpolate(
                 pair.control, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
             )
-            v = recover_v(prob, triple, p)
+            v = recover_v(triple, p)
 
             def err(ctx):
                 x, y = ctx.x[..., 0], ctx.x[..., 1]
@@ -176,7 +176,7 @@ class TestRecovery:
         q = DiscreteFunction(pair.control, rng.standard_normal(pair.control.ndofs))
         triple = make_consistent(prob, q, pair)
         p = DiscreteFunction(pair.control, rng.standard_normal(pair.control.ndofs))
-        v = recover_v(prob, triple, p)
+        v = recover_v(triple, p)
         y = recover_y(prob, goal, triple, v)
         # dense oracle on the tiny free system: A^T y = I_u + M v
         from dwropt.fem import assemble_matrix, assemble_vector

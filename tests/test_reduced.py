@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dwropt.errors import DwroptError, NegativeCurvatureError, StaleTripleError
+from dwropt.errors import (
+    DwroptError,
+    NegativeCurvatureError,
+    NonConvergenceError,
+    StaleTripleError,
+)
 from dwropt.fem import (
     DiscreteFunction,
     Factorization,
@@ -403,6 +408,33 @@ class TestNewtonAdaptive:
         g = reduced_gradient(prob, triple)
         assert abs(float(g @ p.coefs[pair.control.free_dofs])) <= 1e-7
 
+    def _plaplace_start(self):
+        # the cost goal, unlike uq_product, has a nonzero derivative at q = 0
+        prob, mesh, pair = plaplace_setup(cell=0.5, domain=HOLED_RECT, alpha=1.0)
+        q0 = zero_function(pair.control)
+        return prob, pair, q0, self._combined(prob, pair, make_consistent(prob, q0, pair))
+
+    def test_unreachable_guard_matches_standard(self):
+        # a guard that never fires leaves the gradient-norm exits: same iterates
+        prob, pair, q0, goal = self._plaplace_start()
+        std, log_std = newton_standard(prob, pair, q0, tol_abs=1e-8)
+        ada, p, log_ada = newton_reduced_adaptive(
+            prob, goal, pair, q0, gamma=1e-2, eta_prev=1e-300, tol_abs=1e-8
+        )
+        assert log_ada.iterations >= 1 and p is not None
+        np.testing.assert_array_equal(ada.q.coefs, std.q.coefs)
+        np.testing.assert_array_equal(ada.u.coefs, std.u.coefs)
+        assert log_ada.step_sizes == log_std.step_sizes
+        assert log_ada.stop_reason == log_std.stop_reason != "adaptive"
+
+    def test_max_iter_zero_raises(self):
+        prob, pair, q0, goal = self._plaplace_start()
+        with pytest.raises(NonConvergenceError, match="0 iterations"):
+            newton_standard(prob, pair, q0, tol_abs=1e-8, max_iter=0)
+        with pytest.raises(NonConvergenceError, match="0 iterations"):
+            newton_reduced_adaptive(prob, goal, pair, q0, gamma=1e-2,
+                                    eta_prev=1e-300, tol_abs=1e-8, max_iter=0)
+
 
 # ---------------------------------------------------------------------------
 # reference: the quadrature-closure formulations the assembled operators
@@ -510,7 +542,7 @@ class TestAssembledOperatorsMatchClosures:
         _assert_close(reduced_gradient(prob, t), _ref_reduced_gradient(prob, t))
         _assert_close(goal_gradient(prob, goal, t), _ref_goal_gradient(prob, goal, t))
         _assert_close(hessvec(prob, t, dq), _ref_hessvec(prob, t, dq))
-        v = recover_v(prob, t, dq)
+        v = recover_v(t, dq)
         _assert_close(v.coefs, _ref_recover_v(prob, t, dq).coefs)
         y = recover_y(prob, goal, t, v)
         _assert_close(y.coefs, _ref_recover_y(prob, goal, t, v).coefs)
