@@ -180,9 +180,9 @@ def main(argv=None):
         partial = getattr(exc, "reports", None)
         if partial:
             try:
-                emit_outputs(partial, cfg)
+                emit_outputs(partial, exc.config)
                 print(f"flushed {len(partial)} completed level(s) to "
-                      f"{cfg.output_dir}", file=sys.stderr)
+                      f"{exc.config.output_dir}", file=sys.stderr)
             except Exception:
                 pass
         return 1

@@ -181,14 +181,13 @@ def instantiate(config):
     mesh = build_initial(DOMAINS[preset.domain], cell)
     # refinement keeps a box aligned with the initial mesh lines aligned
     for goal in goals:
-        for _, _, region in goal.iu_terms + goal.iq_terms:
-            try:
-                region_cell_mask(mesh, region)
-            except RegionError:
-                raise ConfigError(
-                    f"cell_size {cell} does not align with the region box "
-                    f"{region} of goal {goal.name}"
-                ) from None
+        try:
+            region_cell_mask(mesh, goal.region)
+        except RegionError:
+            raise ConfigError(
+                f"cell_size {cell} does not align with the region box "
+                f"{goal.region} of goal {goal.name}"
+            ) from None
     return problem, goals, mesh
 
 
@@ -372,9 +371,11 @@ def _run(config, capture=None):
             sol = _solve_level(problem, goals, mesh, config,
                                (low_prev, high_prev, eta_prev))
         except DwroptError as exc:
-            # completed levels ride along so callers can flush them
+            # completed levels and the config they ran with ride along, so
+            # callers can flush them to this run's own output_dir
             err = DwroptError(f"level {level}: {exc}")
             err.reports = reports
+            err.config = config
             raise err from exc
         report = _make_report(level, mesh, sol)
         report.wall_time = time.perf_counter() - t0

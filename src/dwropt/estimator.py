@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .fem import build_space, function_from_free, region_cell_mask, sweep
+from .fem import assemble_vector, build_space, function_from_free, sweep
 from .reduced import (
-    assemble_terms,
     goal_gradient,
     lagrangian_uu,
     reduced_gradient,
@@ -102,8 +101,9 @@ def recover_y(problem, goal, triple, v):
     """Second adjoint from the first row of the adjoint optimality system."""
     triple.require_consistent()
     state = triple.u.space
-    rhs = assemble_terms(goal.iu_terms, state, {"u": triple.u, "q": triple.q})
-    rhs += lagrangian_uu(problem, triple) @ v.coefs[state.free_dofs]
+    rhs = lagrangian_uu(problem, triple) @ v.coefs[state.free_dofs]
+    if goal.iu_fields is not None:
+        rhs += assemble_vector(goal.iu_fields, state, {"u": triple.u, "q": triple.q})
     return function_from_free(state, triple.lin.solve_transposed(rhs))
 
 
@@ -124,25 +124,6 @@ def adjoint_chain(problem, goal, triple, p=None, krylov_tol=1e-10):
 
 # ---------------------------------------------------------------------------
 # estimator sweep
-
-
-def _goal_term_fields(terms, ctx):
-    """Pointwise (g, h) of summed goal-derivative terms, region-masked."""
-    nc, nq = ctx.x.shape[:2]
-    g_out = np.zeros((nc, nq))
-    h_out = None
-    for scale, fields, region in terms:
-        g, h = fields(ctx)
-        if region is not None:
-            mask = region_cell_mask(ctx.mesh, region)[ctx.cells].astype(np.float64)
-        else:
-            mask = None
-        if g is not None:
-            g_out += scale * (g if mask is None else g * mask[:, None])
-        if h is not None:
-            hh = scale * (h if mask is None else h * mask[:, None, None])
-            h_out = hh if h_out is None else h_out + hh
-    return g_out, h_out
 
 
 def _apply_K(K, grad):
@@ -179,16 +160,18 @@ def _part_fields(problem, goal, ctx):
     parts.append((ctx.val("p"), -_apply_K(K, ctx.grad("v")), "z"))
 
     # rho_y = I_u(.) + J_uu(v, .) - a_uu(v, .)(z) - a_u(., y)   weighted by u2 - u
-    g, h = _goal_term_fields(goal.iu_terms, ctx)
+    g, h = (None, None) if goal.iu_fields is None else goal.iu_fields(ctx)
+    gy = ctx.val("v") if g is None else g + ctx.val("v")
     hy = -_apply_K(K, ctx.grad("y"))
     if problem.a_uu_fields is not None:
         K_uu, _ = problem.a_uu_fields(ctx)
         hy -= _apply_K(K_uu, ctx.grad("v"))
-    parts.append((g + ctx.val("v"), hy if h is None else h + hy, "u"))
+    parts.append((gy, hy if h is None else h + hy, "u"))
 
     # rho_p = I_q(.) + J_qq(p, .) - a_q(., y)   weighted by q2 - q
-    g, h = _goal_term_fields(goal.iq_terms, ctx)
-    parts.append((g + problem.alpha * ctx.val("p") + ctx.val("y"), h, "q"))
+    g, h = (None, None) if goal.iq_fields is None else goal.iq_fields(ctx)
+    gp = problem.alpha * ctx.val("p")
+    parts.append(((gp if g is None else g + gp) + ctx.val("y"), h, "q"))
 
     return parts
 

@@ -6,13 +6,15 @@ are expressed as affine combinations of master DOFs and eliminated during
 assembly, so solved systems only ever see the unconstrained unknowns.
 
 Forms with variable coefficients run through one quadrature generator,
-:func:`sweep`: it picks the Gauss order, selects the cells of a region box
-and yields one :class:`FormContext` per chunk of cells, carrying the
-quadrature points, the weights ``wdet`` and the reference basis of each
-space.  The constant operators (masses and the Laplacian stiffness) need
-no sweep: :func:`reference_matrix` scales one reference element matrix
-per cell.  Weak forms are supplied as small "field" callables that
-receive a context and return pointwise coefficient arrays:
+:func:`sweep`: it picks the Gauss order and yields one :class:`FormContext`
+per chunk of cells, carrying the quadrature points, the weights ``wdet``
+and the reference basis of each space.  Every sweep covers the whole
+mesh; a form restricted to a box multiplies its fields by
+:func:`region_cell_mask` of the context's cells.  The constant operators
+(masses and the Laplacian stiffness) need no sweep:
+:func:`reference_matrix` scales one reference element matrix per cell.
+Weak forms are supplied as small "field" callables that receive a
+context and return pointwise coefficient arrays:
 
     matrix forms  ->  (K, c)   with  a(trial, test) = grad(test)·K·grad(trial) + c·test·trial
     vector forms  ->  (g, h)   with  F(test)        = g·test + h·grad(test)
@@ -23,7 +25,6 @@ Any entry may be None to drop that term.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -356,8 +357,8 @@ class FormContext:
         return self._grads[name]
 
 
-def sweep(mesh, coeffs=None, spaces=(), nquad=None, region=None):
-    """Gauss quadrature over the mesh, or a region box, one cell chunk at a time.
+def sweep(mesh, coeffs=None, spaces=(), nquad=None):
+    """Gauss quadrature over the mesh, one cell chunk at a time.
 
     Yields one FormContext per chunk of about _CHUNK_POINTS quadrature
     points, cells in ascending order.  The rule has nquad points per
@@ -371,8 +372,7 @@ def sweep(mesh, coeffs=None, spaces=(), nquad=None, region=None):
         raise AssemblyError("a space or coefficient lives on a different mesh")
     if nquad is None:
         nquad = max([1] + [s.degree for s in spaces]) + 1 + QUAD_EXTRA
-    mask = region_cell_mask(mesh, region)
-    cells = np.arange(mesh.ncells) if mask is None else np.flatnonzero(mask)
+    cells = np.arange(mesh.ncells)
     step = max(1, _CHUNK_POINTS // nquad**2)
     for start in range(0, len(cells), step):
         yield FormContext(mesh, cells[start : start + step], nquad, coeffs)
@@ -533,14 +533,14 @@ def reference_matrix(test, trial=None, inverse=False):
     return (gather_t.T @ blocks @ gather_r).tocsr()
 
 
-def assemble_vector(form, test, coeffs=None, nquad=None, region=None):
+def assemble_vector(form, test, coeffs=None, nquad=None):
     """Assemble a linear functional into a condensed vector (test.nfree,).
 
     The element vectors are summed per DOF in the order they come
     (np.bincount) and then condensed with C^T.
     """
     cells, entries = [np.empty(0, dtype=np.int64)], [np.empty((0, test.nloc))]
-    for ctx in sweep(test.mesh, coeffs, (test,), nquad, region):
+    for ctx in sweep(test.mesh, coeffs, (test,), nquad):
         gf, hf = form(ctx)
         _check_finite(gf, ctx.cells, "functional coefficient")
         _check_finite(hf, ctx.cells, "functional coefficient")
@@ -556,20 +556,16 @@ def assemble_vector(form, test, coeffs=None, nquad=None, region=None):
     return test.C.T @ out
 
 
-def integrate(form, mesh, coeffs=None, nquad=None, region=None):
-    """Integrate a pointwise scalar field over the mesh (or a region box).
+def integrate(form, mesh, coeffs=None, nquad=None):
+    """Integrate a pointwise scalar field over the mesh.
 
-    form(ctx) must return an (ncells, nq) array.  A region that selects no
-    cells integrates to zero with a warning.
+    form(ctx) must return an (ncells, nq) array.
     """
-    total, empty = 0.0, True
-    for ctx in sweep(mesh, coeffs, (), nquad, region):
+    total = 0.0
+    for ctx in sweep(mesh, coeffs, (), nquad):
         field = form(ctx)
         _check_finite(field, ctx.cells, "integrand")
         total += float(kernels.cell_integrals(ctx.wdet, field).sum())
-        empty = False
-    if empty:
-        warnings.warn("integration region selects no cells; returning 0")
     return total
 
 

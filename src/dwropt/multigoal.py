@@ -40,7 +40,10 @@ class CombinedGoal:
     value(u, q) = sum_l s_l (r_l - I_l(u, q)) / w_l  with r_l evaluated on
     enriched spaces, w_l = |I_l(freeze)| (or 1 on degeneracy) and s_l the
     deviation sign at the freeze point.  At the freeze point the value
-    coincides with the absolute-value form exactly.
+    coincides with the absolute-value form exactly.  Its derivative forms
+    ``iu_fields`` and ``iq_fields`` are single vector forms, the members'
+    forms scaled by -s_l / w_l and summed pointwise, so assembling one
+    costs one quadrature sweep however many goals are combined.
     """
 
     goals: tuple
@@ -53,20 +56,31 @@ class CombinedGoal:
     reference: None = None
 
     @property
-    def iu_terms(self):
-        terms = []
-        for goal, s, w in zip(self.goals, self.signs, self.weights):
-            for scale, fields, region in goal.iu_terms:
-                terms.append((-s / w * scale, fields, region))
-        return tuple(terms)
+    def iu_fields(self):
+        return self._scaled_sum([g.iu_fields for g in self.goals])
 
     @property
-    def iq_terms(self):
-        terms = []
-        for goal, s, w in zip(self.goals, self.signs, self.weights):
-            for scale, fields, region in goal.iq_terms:
-                terms.append((-s / w * scale, fields, region))
-        return tuple(terms)
+    def iq_fields(self):
+        return self._scaled_sum([g.iq_fields for g in self.goals])
+
+    def _scaled_sum(self, forms):
+        """The members' forms times -s_l / w_l as one form; None if none has one."""
+        terms = [(-s / w, f) for f, s, w in zip(forms, self.signs, self.weights)
+                 if f is not None]
+        if not terms:
+            return None
+
+        def fields(ctx):
+            g_sum = h_sum = None
+            for c, form in terms:
+                g, h = form(ctx)
+                if g is not None:
+                    g_sum = c * g if g_sum is None else g_sum + c * g
+                if h is not None:
+                    h_sum = c * h if h_sum is None else h_sum + c * h
+            return g_sum, h_sum
+
+        return fields
 
     def value(self, u, q):
         return float(

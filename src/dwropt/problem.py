@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .fem import integrate, stiffness_fields
+from .fem import integrate, region_cell_mask, stiffness_fields
 
 TRACKING_BOX = (2.5, 2.5, 4.5, 4.5)  # u_des = -1 inside, 0 elsewhere
 
@@ -199,17 +199,22 @@ def make_plaplace_control(alpha, p, eps):
 
 @dataclass(frozen=True)
 class GoalFunctional:
-    """Quantity of interest with first derivatives.
+    """Quantity of interest with its first derivatives.
 
-    Derivatives are tuples of (scale, fields, region) terms: ``iu_terms``
-    act on the state test space, ``iq_terms`` on the control test space.
+    ``iu_fields`` and ``iq_fields`` are fem vector forms of the
+    derivative in the state and in the control; None means the goal does
+    not depend on that variable.  A goal over a box multiplies its value
+    integrand and its forms by the box's cell mask and names the box in
+    ``region``, which only the configuration check reads (the box must
+    align with the initial mesh lines).
     """
 
     name: str
     value_fn: Callable
-    iu_terms: tuple = ()
-    iq_terms: tuple = ()
+    iu_fields: Callable | None = None
+    iq_fields: Callable | None = None
     reference: float | None = None
+    region: tuple | None = None
 
     def value(self, u, q):
         return self.value_fn(u, q)
@@ -219,13 +224,8 @@ def _cost_goal(problem, reference=None):
     def value(u, q):
         return problem.j_value(u, q)
 
-    return GoalFunctional(
-        name="cost",
-        value_fn=value,
-        iu_terms=((1.0, problem.j_u_fields, None),),
-        iq_terms=((1.0, problem.j_q_fields, None),),
-        reference=reference,
-    )
+    return GoalFunctional("cost", value, problem.j_u_fields, problem.j_q_fields,
+                          reference)
 
 
 def _l1_goal(reference=None, smoothing=1e-8):
@@ -239,13 +239,7 @@ def _l1_goal(reference=None, smoothing=1e-8):
         delta = max(smoothing * ctx.functions["u"].norm_max(), 1e-150)
         return uv / np.sqrt(uv * uv + delta * delta), None
 
-    return GoalFunctional(
-        name="l1_norm",
-        value_fn=value,
-        iu_terms=((1.0, iu_fields, None),),
-        iq_terms=(),
-        reference=reference,
-    )
+    return GoalFunctional("l1_norm", value, iu_fields, reference=reference)
 
 
 def _uq_product_goal(name="uq_product", reference=None):
@@ -268,13 +262,7 @@ def _uq_product_goal(name="uq_product", reference=None):
     def iq_fields(ctx):
         return ctx.val("u") ** 2 * ctx.val("q"), None
 
-    return GoalFunctional(
-        name=name,
-        value_fn=value,
-        iu_terms=((1.0, iu_fields, None),),
-        iq_terms=((1.0, iq_fields, None),),
-        reference=reference,
-    )
+    return GoalFunctional(name, value, iu_fields, iq_fields, reference)
 
 
 def _state_tracking_goal(problem, reference):
@@ -286,13 +274,8 @@ def _state_tracking_goal(problem, reference):
 
         return integrate(fields, u.space.mesh, coeffs={"u": u})
 
-    def iu_fields(ctx):
-        x, y = ctx.x[..., 0], ctx.x[..., 1]
-        return ctx.val("u") - problem.u_des(x, y), None
-
-    return GoalFunctional(
-        "state_misfit", value, ((1.0, iu_fields, None),), (), reference
-    )
+    return GoalFunctional("state_misfit", value, problem.j_u_fields,
+                          reference=reference)
 
 
 def _control_tracking_goal(problem, reference):
@@ -308,24 +291,28 @@ def _control_tracking_goal(problem, reference):
         x, y = ctx.x[..., 0], ctx.x[..., 1]
         return ctx.val("q") - problem.q_des(x, y), None
 
-    return GoalFunctional(
-        "control_misfit", value, (), ((1.0, iq_fields, None),), reference
-    )
+    return GoalFunctional("control_misfit", value, None, iq_fields, reference)
 
 
 def _box_integral_goal(name, which, box, reference):
+    """Integral of the state (which = "u") or the control ("q") over a box."""
+
+    def indicator(ctx):
+        inside = region_cell_mask(ctx.mesh, box)[ctx.cells, None]
+        return np.broadcast_to(inside, ctx.x.shape[:2]).astype(np.float64)
+
     def value(u, q):
-        f = u if which == "u" else q
         return integrate(
-            lambda ctx: ctx.val("w"), u.space.mesh, coeffs={"w": f}, region=box
+            lambda ctx: indicator(ctx) * ctx.val("w"),
+            u.space.mesh,
+            coeffs={"w": u if which == "u" else q},
         )
 
-    def one(ctx):
-        return np.ones(ctx.x.shape[:2]), None
+    def fields(ctx):
+        return indicator(ctx), None
 
-    iu = ((1.0, one, box),) if which == "u" else ()
-    iq = ((1.0, one, box),) if which == "q" else ()
-    return GoalFunctional(name, value, iu, iq, reference)
+    return GoalFunctional(name, value, fields if which == "u" else None,
+                          fields if which == "q" else None, reference, box)
 
 
 def make_goals(preset, problem, smoothing=1e-8):

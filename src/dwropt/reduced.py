@@ -135,16 +135,6 @@ class NewtonLog:
 # assembly helpers
 
 
-def assemble_terms(terms, space, coeffs):
-    """Sum of scaled (fields, region) functional terms over one test space."""
-    out = np.zeros(space.nfree)
-    for scale, fields, region in terms:
-        if scale == 0.0:
-            continue
-        out += scale * assemble_vector(fields, space, coeffs=coeffs, region=region)
-    return out
-
-
 def state_residual(problem, u, q):
     """Condensed residual vector of the state equation at (u, q)."""
     return assemble_vector(
@@ -156,8 +146,10 @@ def _ju_vector(problem, u, q):
     return assemble_vector(problem.j_u_fields, u.space, coeffs={"u": u, "q": q})
 
 
-def _jacobian(problem, u, q):
-    """Factorized Jacobian of a nonlinear state operator at (u, q)."""
+def _jacobian(problem, pair, u, q):
+    """Factorized state Jacobian at (u, q); the pair's Laplacian if linear."""
+    if problem.a_uu_fields is None:
+        return pair.stiffness_factor
     return Factorization(
         assemble_matrix(problem.a_u_fields, u.space, coeffs={"u": u, "q": q})
     )
@@ -203,9 +195,10 @@ def solve_state(problem, q, pair, warm_start=None, tol_abs=1e-10,
     each step reduces the residual norm by at least the ratio CHORD_RATE;
     after a weaker step the Jacobian is factorized afresh at the new
     iterate, and a line search that stalls on a stale factor is retried
-    once with a fresh one.  A linear operator's constant Jacobian is always
-    current.  Returns (u, fac, its): the state, the Jacobian factorized at
-    it and the number of chord steps.
+    once with a fresh one.  A linear operator's Jacobian is the pair's
+    factorized Laplacian, so refactorizing it costs nothing.  Returns
+    (u, fac, its): the state, the Jacobian factorized at it and the number
+    of chord steps.
     """
     space = pair.state
     u = warm_start.copy() if warm_start is not None else zero_function(space)
@@ -213,31 +206,27 @@ def solve_state(problem, q, pair, warm_start=None, tol_abs=1e-10,
     res = state_residual(problem, u, q)
     norm0 = float(np.linalg.norm(res))
     norm = norm0
-    linear = problem.a_uu_fields is None
-    if linear:
-        fac = pair.stiffness_factor
-    fresh = linear  # fac is the Jacobian at u
+    fresh = False  # fac is the Jacobian at u
     for it in range(max_iter):
         converged = norm <= tol_abs or norm <= tol_rel * norm0
         if fac is None or (converged and not fresh):
             fac = None  # free the stale factor before building the next
-            fac, fresh = _jacobian(problem, u, q), True
+            fac, fresh = _jacobian(problem, pair, u, q), True
         if converged:
             return u, fac, it
         step = _damped_step(problem, q, u, res, norm, fac)
         if step is None and not fresh:
             fac = None
-            fac, fresh = _jacobian(problem, u, q), True
+            fac, fresh = _jacobian(problem, pair, u, q), True
             step = _damped_step(problem, q, u, res, norm, fac)
         if step is None:
             raise LineSearchError(
                 f"state Newton line search stalled at residual {norm:.3e}"
             )
         u, res, norm_new = step
-        if not linear:
-            fresh = False
-            if norm_new > CHORD_RATE * norm:
-                fac = None  # refactorize at the new iterate
+        fresh = False
+        if norm_new > CHORD_RATE * norm:
+            fac = None  # refactorize at the new iterate
         norm = norm_new
     raise NonConvergenceError(
         f"state Newton did not reach tolerance in {max_iter} iterations "
@@ -291,12 +280,12 @@ def goal_gradient(problem, goal, triple):
     """Assembled derivative of the reduced goal i(q) = I(S(q), q) (dual vector)."""
     triple.require_consistent()
     coeffs = {"u": triple.u, "q": triple.q}
-    state, ctrl = triple.u.space, triple.q.space
-    out = assemble_terms(goal.iq_terms, ctrl, coeffs)
-    if goal.iu_terms:
-        rhs = assemble_terms(goal.iu_terms, state, coeffs)
-        w = triple.lin.solve_transposed(rhs)
-        out -= triple.pair.coupling.T @ w
+    iu, iq = goal.iu_fields, goal.iq_fields
+    ctrl = triple.q.space
+    out = np.zeros(ctrl.nfree) if iq is None else assemble_vector(iq, ctrl, coeffs)
+    if iu is not None:
+        rhs = assemble_vector(iu, triple.u.space, coeffs)
+        out -= triple.pair.coupling.T @ triple.lin.solve_transposed(rhs)
     return out
 
 

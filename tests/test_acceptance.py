@@ -25,6 +25,7 @@ from dwropt.fem import (
 )
 from dwropt.mesh import UNIT_SQUARE, build_initial
 from dwropt.problem import (
+    GoalFunctional,
     make_goals,
     make_plaplace_control,
     make_poisson_control,
@@ -432,21 +433,21 @@ class TestCriterion7:
         triple, triple2 = sol["triple"], sol["triple2"]
         c = 2.5
 
-        class Scaled:
-            name = "scaled"
-            reference = None
-            iu_terms = tuple((c * s, f, r) for s, f, r in goal.iu_terms)
-            iq_terms = tuple((c * s, f, r) for s, f, r in goal.iq_terms)
+        def scaled(form):
+            if form is None:
+                return None
+            return lambda ctx: tuple(None if a is None else c * a for a in form(ctx))
 
-            def value(self, u, q):
-                return c * goal.value(u, q)
-
+        scaled_goal = GoalFunctional(
+            "scaled", lambda u, q: c * goal.value(u, q),
+            scaled(goal.iu_fields), scaled(goal.iq_fields),
+        )
         low1 = (triple, adjoint_chain(prob, goal, triple, krylov_tol=1e-13))
         enr1 = (triple2, adjoint_chain(prob, goal, triple2, krylov_tol=1e-13))
-        low2 = (triple, adjoint_chain(prob, Scaled(), triple, krylov_tol=1e-13))
-        enr2 = (triple2, adjoint_chain(prob, Scaled(), triple2, krylov_tol=1e-13))
+        low2 = (triple, adjoint_chain(prob, scaled_goal, triple, krylov_tol=1e-13))
+        enr2 = (triple2, adjoint_chain(prob, scaled_goal, triple2, krylov_tol=1e-13))
         e1 = localize_pu(prob, goal, low1, enr1).eta_h2
-        e2 = localize_pu(prob, Scaled(), low2, enr2).eta_h2
+        e2 = localize_pu(prob, scaled_goal, low2, enr2).eta_h2
         err = abs(e2 - c * e1) / max(1e-300, abs(c * e1))
         _report("7 (goal-scaling linearity <= 1e-12 relative)", err <= 1e-12,
                 f"{err:.2e}")

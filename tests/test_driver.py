@@ -557,6 +557,33 @@ class TestPartialFlush:
         csv = (tmp_path / "out" / "levels.csv").read_text()
         assert len(csv.strip().splitlines()) == 2  # header + level 0
 
+    def test_failed_run_of_comparison_flushes_to_its_subdirectory(
+            self, tmp_path, monkeypatch, capsys):
+        import dwropt.driver as drv
+        from dwropt.errors import DwroptError
+
+        real = drv._solve_level
+        calls = {"n": 0}
+
+        def flaky(*args, **kwargs):
+            # calls 1-2: the standard run; 3-4: the adaptive one
+            calls["n"] += 1
+            if calls["n"] == 4:
+                raise DwroptError("injected failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(drv, "_solve_level", flaky)
+        out = tmp_path / "out"
+        cfgfile = tmp_path / "f.cfg"
+        cfgfile.write_text(
+            f"preset = example1_cost\nmax_levels = 2\noutput_dir = {out}\n"
+        )
+        assert cli_main(["compare-stopping", str(cfgfile)]) == 1
+        csv = (out / "adaptive" / "levels.csv").read_text()
+        assert len(csv.strip().splitlines()) == 2  # header + level 0
+        assert not (out / "levels.csv").exists()
+        assert str(out / "adaptive") in capsys.readouterr().err
+
 
 class TestWarmStartInvariance:
     def test_final_control_start_independent(self):

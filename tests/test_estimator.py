@@ -44,6 +44,18 @@ def l2_norm(f):
     )
 
 
+def scaled_form(form, c):
+    """The vector form c * form (None stays None)."""
+    if form is None:
+        return None
+
+    def fields(ctx):
+        g, h = form(ctx)
+        return None if g is None else c * g, None if h is None else c * h
+
+    return fields
+
+
 def make_pair(cell=0.25):
     mesh = build_initial(UNIT_SQUARE, cell)
     return mesh, SpacePair(build_space(mesh, "cg", 1), build_space(mesh, "dg", 1))
@@ -115,8 +127,8 @@ class TestPropositionSuite:
         scaled = GoalFunctional(
             "2cost",
             lambda u, q: 2 * goal.value(u, q),
-            tuple((2 * s, f, r) for s, f, r in goal.iu_terms),
-            tuple((2 * s, f, r) for s, f, r in goal.iq_terms),
+            scaled_form(goal.iu_fields, 2),
+            scaled_form(goal.iq_fields, 2),
         )
         p = solve_reduced_adjoint(prob, scaled, triple)
         assert l2_norm(p) <= 1e-9 * max(1.0, l2_norm(triple.q))
@@ -180,12 +192,11 @@ class TestRecovery:
         y = recover_y(prob, goal, triple, v)
         # dense oracle on the tiny free system: A^T y = I_u + M v
         from dwropt.fem import assemble_matrix, assemble_vector
-        from dwropt.reduced import assemble_terms
 
         A = assemble_matrix(
             prob.a_u_fields, pair.state, coeffs={"u": triple.u, "q": q}
         ).toarray()
-        rhs = assemble_terms(goal.iu_terms, pair.state, {"u": triple.u, "q": q})
+        rhs = assemble_vector(goal.iu_fields, pair.state, {"u": triple.u, "q": q})
         rhs = rhs + assemble_vector(
             lambda ctx: (ctx.val("v"), None), pair.state, coeffs={"v": v}
         )
@@ -301,16 +312,10 @@ class TestEstimator:
         goal = sol["combined"]
         c = 3.7
 
-        class Scaled:
-            name = "scaled"
-            reference = None
-            iu_terms = tuple((c * s, f, r) for s, f, r in goal.iu_terms)
-            iq_terms = tuple((c * s, f, r) for s, f, r in goal.iq_terms)
-
-            def value(self, u, q):
-                return c * goal.value(u, q)
-
-        scaled = Scaled()
+        scaled = GoalFunctional(
+            "scaled", lambda u, q: c * goal.value(u, q),
+            scaled_form(goal.iu_fields, c), scaled_form(goal.iq_fields, c),
+        )
         low1 = (triple, adjoint_chain(prob, goal, triple, krylov_tol=1e-13))
         enr1 = (triple2, adjoint_chain(prob, goal, triple2, krylov_tol=1e-13))
         low2 = (triple, adjoint_chain(prob, scaled, triple, krylov_tol=1e-13))

@@ -28,7 +28,7 @@ from dwropt.fem import (
     zero_function,
 )
 from dwropt.mesh import CellSet, HOLED_RECT, UNIT_SQUARE, build_initial, refine
-from dwropt.problem import make_plaplace_control
+from dwropt.problem import _box_integral_goal, make_goals, make_plaplace_control
 
 
 def mark(mesh, ids):
@@ -215,13 +215,16 @@ class TestAssembly:
             assemble_vector(bad, s)
 
     def test_empty_region_gives_zeros(self):
+        # a box goal over a box that holds no cell: zero derivative and value
         m0 = build_initial(UNIT_SQUARE, 0.5)
         m = refine(m0, mark(m0, [0]))
         test = build_space(m, "cg", 2)
-        box = (5.0, 5.0, 6.0, 6.0)
-        b = assemble_vector(lambda ctx: (np.ones(ctx.x.shape[:2]), None), test, region=box)
+        goal = _box_integral_goal("outside", "u", (5.0, 5.0, 6.0, 6.0), None)
+        b = assemble_vector(goal.iu_fields, test)
         assert b.shape == (test.nfree,)
         assert not b.any()
+        u = interpolate(test, lambda x, y: 1.0 + x * y)
+        assert goal.value(u, None) == 0.0
 
 
 class TestSolve:
@@ -438,11 +441,12 @@ class TestIntegrate:
             for c in range(m.ncells)
             if org[c, 0] >= 4.0 - 1e-12 and org[c, 0] + h[c] <= 5.0 + 1e-12
         )
-        got = integrate(
-            lambda ctx: np.ones(ctx.x.shape[:2]),
-            m,
-            region=(4.0, -np.inf, 5.0, np.inf),
-        )
+        (strip,) = [g for g in make_goals("example3", make_plaplace_control(1.0, 4.0, 1.0))
+                    if g.name == "state_strip"]
+        assert strip.region == (4.0, -np.inf, 5.0, np.inf)
+        ones = interpolate(build_space(m, "cg", 1, constrain_dirichlet=False),
+                           lambda x, y: np.ones_like(x))
+        got = strip.value(ones, None)
         assert got == pytest.approx(expected, rel=1e-13)
         assert got == pytest.approx(5.0, rel=1e-13)
 
@@ -469,12 +473,3 @@ class TestIntegrate:
                 assemble_matrix(lambda ctx: (None, value(ctx)), s, coeffs={"u": u})
             with pytest.raises(AssemblyError, match="different mesh"):
                 reference_matrix(s, u.space)
-
-    def test_region_outside_warns(self):
-        m = build_initial(UNIT_SQUARE, 0.5)
-        with pytest.warns(UserWarning):
-            got = integrate(
-                lambda ctx: np.ones(ctx.x.shape[:2]), m, region=(5.0, 5.0, 6.0, 6.0)
-            )
-        assert got == 0.0
-

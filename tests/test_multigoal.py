@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dwropt.errors import WeightDegeneracyError
-from dwropt.fem import DiscreteFunction, build_space, interpolate
+from dwropt.fem import DiscreteFunction, assemble_vector, build_space, interpolate
 from dwropt.mesh import UNIT_SQUARE, build_initial
 from dwropt.multigoal import build_combined, weighting_default
 from dwropt.problem import GoalFunctional
-from dwropt.reduced import assemble_terms
 
 
 class TestWeighting:
@@ -49,8 +48,8 @@ def _poly_goal(name, cu, cq, offset=0.0):
             out += cq * integrate(lambda c: c.val("q"), mesh, coeffs={"q": q})
         return out
 
-    iu = ((cu, lambda c: (np.ones(c.x.shape[:2]), None), None),) if cu else ()
-    iq = ((cq, lambda c: (np.ones(c.x.shape[:2]), None), None),) if cq else ()
+    iu = (lambda c: (np.full(c.x.shape[:2], cu), None)) if cu else None
+    iq = (lambda c: (np.full(c.x.shape[:2], cq), None)) if cq else None
     return GoalFunctional(name, value, iu, iq)
 
 
@@ -107,8 +106,8 @@ class TestBuildCombined:
         rng = np.random.default_rng(3)
         du = DiscreteFunction(su, su.distribute(rng.standard_normal(su.ndofs)))
         dq = DiscreteFunction(sq, rng.standard_normal(sq.ndofs))
-        gu = assemble_terms(comb.iu_terms, su, {"u": uf, "q": qf})
-        gq = assemble_terms(comb.iq_terms, sq, {"u": uf, "q": qf})
+        gu = assemble_vector(comb.iu_fields, su, {"u": uf, "q": qf})
+        gq = assemble_vector(comb.iq_fields, sq, {"u": uf, "q": qf})
         h = 1e-6
         fd_u = (
             comb.value(DiscreteFunction(su, uf.coefs + h * du.coefs), qf)
@@ -152,3 +151,11 @@ class TestBuildCombined:
         assert re.refs == comb.refs
         assert re.freeze_values != comb.freeze_values
         assert re.value_at_freeze() == pytest.approx(0.0, abs=1e-14)
+
+
+class TestCombinedForms:
+    def test_no_member_form_gives_none(self):
+        mesh, su, sq, u2, q2, uf, qf = _fields()
+        comb = build_combined([_poly_goal("a", 1.0, 0.0)], (u2, q2), (uf, qf))
+        assert comb.iq_fields is None
+        assert comb.iu_fields is not None

@@ -11,6 +11,7 @@ from dwropt.fem import (
     interpolate,
 )
 from dwropt.mesh import HOLED_RECT, UNIT_SQUARE, build_initial
+from dwropt.multigoal import build_combined
 from dwropt.problem import (
     make_goals,
     make_plaplace_control,
@@ -175,6 +176,25 @@ class TestPLaplaceInstance:
         np.testing.assert_allclose(prob.q_des(x, y), 1.0)
 
 
+def _assert_fd_consistent(goal, u, q, du, dq):
+    """Assembled goal derivatives against central differences of its value.
+
+    A side without a derivative form must leave the value unchanged.
+    """
+    coeffs = {"u": u, "q": q}
+    h = 1e-6
+    for d, form, which in ((du, goal.iu_fields, "u"), (dq, goal.iq_fields, "q")):
+        up = {**coeffs, which: DiscreteFunction(d.space, coeffs[which].coefs + h * d.coefs)}
+        um = {**coeffs, which: DiscreteFunction(d.space, coeffs[which].coefs - h * d.coefs)}
+        fd = (goal.value(up["u"], up["q"]) - goal.value(um["u"], um["q"])) / (2 * h)
+        if form is None:
+            directional = 0.0
+        else:
+            gvec = assemble_vector(form, d.space, coeffs=coeffs)
+            directional = float(gvec @ d.coefs[d.space.free_dofs])
+        assert fd == pytest.approx(directional, rel=1e-6, abs=1e-9)
+
+
 class TestGoals:
     def test_example1_cost_reference(self):
         prob = make_poisson_control(0.01)
@@ -194,8 +214,8 @@ class TestGoals:
         m = build_initial(UNIT_SQUARE, 0.25)
         s = build_space(m, "cg", 1, constrain_dirichlet=False)
         u = interpolate(s, lambda x, y: 2.0 + x + 0 * y)
-        (scale, fields, region), = goal.iu_terms
-        got = assemble_vector(fields, s, coeffs={"u": u})
+        assert goal.iq_fields is None
+        got = assemble_vector(goal.iu_fields, s, coeffs={"u": u})
         ones = assemble_vector(lambda ctx: (np.ones(ctx.x.shape[:2]), None), s)
         np.testing.assert_allclose(got, ones, rtol=1e-7)
 
@@ -211,22 +231,32 @@ class TestGoals:
         q = DiscreteFunction(sq, rng.standard_normal(sq.ndofs))
         du = DiscreteFunction(su, su.distribute(rng.standard_normal(su.ndofs)))
         dq = DiscreteFunction(sq, rng.standard_normal(sq.ndofs))
-        coeffs = {"u": u, "q": q}
-        gu = sum(
-            sc * assemble_vector(f, su, coeffs=coeffs, region=r)
-            for sc, f, r in goal.iu_terms
-        )
-        gq = sum(
-            sc * assemble_vector(f, sq, coeffs=coeffs, region=r)
-            for sc, f, r in goal.iq_terms
-        )
-        h = 1e-6
-        for d, gvec, which in ((du, gu, "u"), (dq, gq, "q")):
-            up = {**coeffs, which: DiscreteFunction(d.space, coeffs[which].coefs + h * d.coefs)}
-            um = {**coeffs, which: DiscreteFunction(d.space, coeffs[which].coefs - h * d.coefs)}
-            fd = (goal.value(up["u"], up["q"]) - goal.value(um["u"], um["q"])) / (2 * h)
-            directional = float(gvec @ d.coefs[d.space.free_dofs])
-            assert fd == pytest.approx(directional, rel=1e-6, abs=1e-9)
+        _assert_fd_consistent(goal, u, q, du, dq)
+
+    @pytest.mark.parametrize("name", [
+        "state_misfit", "control_misfit", "state_strip", "control_band",
+        "uq_product", "combined",
+    ])
+    def test_example3_goal_fd_consistency(self, name):
+        # the box goals' masked forms stand in for region-restricted sweeps
+        prob = make_plaplace_control(0.01, 4.0, 1.0)
+        goals = make_goals("example3", prob)
+        m = build_initial(HOLED_RECT, 0.25)
+        su = build_space(m, "cg", 1, constrain_dirichlet=False)
+        sq = build_space(m, "dg", 1)
+        rng = np.random.default_rng(2)
+
+        def random_pair():
+            return (DiscreteFunction(su, su.distribute(rng.standard_normal(su.ndofs))),
+                    DiscreteFunction(sq, rng.standard_normal(sq.ndofs)))
+
+        u, q = random_pair()
+        du, dq = random_pair()
+        if name == "combined":
+            goal = build_combined(goals, random_pair(), (u, q))
+        else:
+            goal = next(g for g in goals if g.name == name)
+        _assert_fd_consistent(goal, u, q, du, dq)
 
     def test_example3_names_and_references(self):
         prob = make_plaplace_control(0.01, 4.0, 1.0)

@@ -27,7 +27,6 @@ from dwropt.problem import make_goals, make_plaplace_control, make_poisson_contr
 from dwropt.reduced import (
     KKTTriple,
     SpacePair,
-    assemble_terms,
     dual_norm,
     goal_gradient,
     hessvec,
@@ -277,6 +276,29 @@ class TestReducedGradient:
         assert errs[1] < 0.5 * errs[0]
 
 
+class TestGoalGradient:
+    def test_one_sweep_per_derivative_side(self, monkeypatch):
+        # five example3 goals combined: one iq and one iu assembly in all
+        import dwropt.reduced as red
+
+        prob, mesh, pair = plaplace_setup(cell=0.25, alpha=0.01, domain=HOLED_RECT)
+        rng = np.random.default_rng(5)
+        t = make_consistent(prob, random_control(pair.control, rng), pair)
+        q2 = random_control(pair.control, rng)
+        u2, _, _ = solve_state(prob, q2, pair)
+        comb = build_combined(make_goals("example3", prob), (u2, q2), (t.u, t.q))
+        spaces = []
+        real = red.assemble_vector
+
+        def counting(form, test, *args, **kwargs):
+            spaces.append(test)
+            return real(form, test, *args, **kwargs)
+
+        monkeypatch.setattr(red, "assemble_vector", counting)
+        goal_gradient(prob, comb, t)
+        assert spaces == [pair.control, pair.state]
+
+
 class TestHessvec:
     def test_spd_and_base_point_independence(self):
         prob, mesh, pair = poisson_setup()
@@ -484,9 +506,9 @@ def _ref_reduced_gradient(prob, t):
 
 def _ref_goal_gradient(prob, goal, t):
     coeffs = {"u": t.u, "q": t.q}
-    out = assemble_terms(goal.iq_terms, t.q.space, coeffs)
+    out = assemble_vector(goal.iq_fields, t.q.space, coeffs)
     w = function_from_free(
-        t.u.space, t.lin.solve_transposed(assemble_terms(goal.iu_terms, t.u.space, coeffs))
+        t.u.space, t.lin.solve_transposed(assemble_vector(goal.iu_fields, t.u.space, coeffs))
     )
     return out + assemble_vector(
         lambda ctx: (ctx.val("w"), None), t.q.space, coeffs={"w": w}
@@ -510,7 +532,7 @@ def _ref_hessvec(prob, t, dq):
 
 
 def _ref_recover_y(prob, goal, t, v):
-    rhs = assemble_terms(goal.iu_terms, t.u.space, {"u": t.u, "q": t.q})
+    rhs = assemble_vector(goal.iu_fields, t.u.space, {"u": t.u, "q": t.q})
     return function_from_free(t.u.space, t.lin.solve_transposed(rhs + _ref_l_uu(prob, t, v)))
 
 
