@@ -405,12 +405,13 @@ def _run(config, capture=None):
         high_prev = (sol["triple2"].u, sol["triple2"].q)
         if abs(bd.eta_h2) > 0:
             eta_prev = abs(bd.eta_h2)
-        # the KKT triples, the pairs' operators and the state spaces' scatter
-        # maps are not needed by the next level; free them before it
-        # allocates its own.  The carried functions keep their spaces alive,
-        # so empty those caches.
+        # the KKT triples, the pairs' operators, the state spaces' scatter
+        # maps and the spaces' load integrals are not needed by the next
+        # level; free them before it allocates its own.  The carried
+        # functions keep their spaces alive, so empty those caches.
         for pair in (sol["pair"], sol["pair2"]):
             pair.state.drop_cached()
+            pair.control.drop_cached()
         del sol, bd
     return reports
 
@@ -467,14 +468,20 @@ def render_newton_csv(reports):
     """One row per reduced-Newton iterate of both problems of every level.
 
     step_size is the step that produced the iterate (nan for the start);
-    state_iterations counts the chord steps of the iterate's state solve.
+    state_iterations counts the chord steps of the iterate's state solve,
+    cg_iterations the CG iterations of the reduced system solve of the
+    step that produced the iterate (empty for the start).
     """
-    lines = ["level,problem,iteration,residual,step_size,state_iterations"]
+    lines = ["level,problem,iteration,residual,step_size,state_iterations,"
+             "cg_iterations"]
     for r in reports:
         for problem, log in (("low", r.log_low), ("enriched", r.log_enriched)):
             for k, (res, its) in enumerate(zip(log.residuals, log.state_iterations)):
                 step = log.step_sizes[k - 1] if k else None
-                lines.append(f"{r.level},{problem},{k},{_fmt(res)},{_fmt(step)},{its}")
+                cg = log.cg_iterations[k - 1] if k else ""
+                lines.append(
+                    f"{r.level},{problem},{k},{_fmt(res)},{_fmt(step)},{its},{cg}"
+                )
     return "\n".join(lines) + "\n"
 
 

@@ -83,10 +83,11 @@ def solve_reduced_adjoint(problem, goal, triple, krylov_tol=1e-10,
                           truncate_on_negative=False):
     """Goal adjoint p: reduced Hessian applied to p equals -i'(q)."""
     rhs = -goal_gradient(problem, goal, triple)
-    return solve_reduced_system(
+    p, _ = solve_reduced_system(
         problem, triple, rhs, krylov_tol=krylov_tol,
         truncate_on_negative=truncate_on_negative,
     )
+    return p
 
 
 def recover_v(triple, p):

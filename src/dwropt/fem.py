@@ -12,7 +12,10 @@ and the reference basis of each space.  Every sweep covers the whole
 mesh; a form restricted to a box multiplies its fields by
 :func:`region_cell_mask` of the context's cells.  The constant operators
 (masses and the Laplacian stiffness) need no sweep:
-:func:`reference_matrix` scales one reference element matrix per cell.
+:func:`reference_matrix` scales one reference element matrix per cell,
+and :func:`reference_apply` applies the same operator cell by cell
+without building it.  Integrals of analytic data against the test
+functions of a space are cached on the space (:func:`load_vector`).
 Weak forms are supplied as small "field" callables that receive a
 context and return pointwise coefficient arrays:
 
@@ -26,6 +29,7 @@ Any entry may be None to drop that term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -229,7 +233,8 @@ class Space:
         return self._cache[key]
 
     def drop_cached(self):
-        """Forget the matrix scatter map cached on the space."""
+        """Forget what is cached on the space: the matrix scatter map and
+        the load integrals of analytic data (:func:`load_vector`)."""
         self._cache.clear()
 
     # -- constraint application ------------------------------------------
@@ -313,10 +318,13 @@ def region_cell_mask(mesh, region):
 class FormContext:
     """One chunk of a quadrature sweep, handed to form callables.
 
-    Carries the chunk's cells, the physical quadrature points x (nc, nq, 2),
-    the weights wdet (nc, nq) (Gauss weight times h^2), inv_h (nc,) and the
-    coefficient functions by name.  val and grad evaluate a coefficient at
-    the points; basis(space) is the space's reference (phi, gphi) there.
+    Carries the chunk's cells, the weights wdet (nc, nq) (Gauss weight
+    times h^2), inv_h (nc,) and the coefficient functions by name.  The
+    physical quadrature points x (nc, nq, 2) are built on first read, so a
+    form without analytic data does not pay for them; a form that needs
+    only the shape (nc, nq) reads wdet.shape.  val and grad evaluate a
+    coefficient at the points; basis(space) is the space's reference
+    (phi, gphi) there.
     """
 
     def __init__(self, mesh, cells, n1d, functions):
@@ -324,16 +332,22 @@ class FormContext:
         self.cells = cells
         self.functions = functions
         self._n1d = n1d
-        qpts, w, _, _ = _tabulated(1, n1d)
+        _, w, _, _ = _tabulated(1, n1d)
         h = mesh.cell_h()[cells]
-        org = mesh.cell_origin()[cells]
         self.inv_h = 1.0 / h
         self.wdet = w[None, :] * (h**2)[:, None]
-        self.x = np.empty((len(cells), len(w), 2))
-        self.x[:, :, 0] = org[:, 0:1] + qpts[None, :, 0] * h[:, None]
-        self.x[:, :, 1] = org[:, 1:2] + qpts[None, :, 1] * h[:, None]
         self._vals = {}
         self._grads = {}
+
+    @cached_property
+    def x(self):
+        qpts = _tabulated(1, self._n1d)[0]
+        h = self.mesh.cell_h()[self.cells]
+        org = self.mesh.cell_origin()[self.cells]
+        x = np.empty(self.wdet.shape + (2,))
+        x[:, :, 0] = org[:, 0:1] + qpts[None, :, 0] * h[:, None]
+        x[:, :, 1] = org[:, 1:2] + qpts[None, :, 1] * h[:, None]
+        return x
 
     def basis(self, space):
         return _tabulated(space.degree, self._n1d)[2:]
@@ -357,21 +371,29 @@ class FormContext:
         return self._grads[name]
 
 
+def gauss_points(*spaces):
+    """Default Gauss points per direction for forms over these spaces.
+
+    QUAD_EXTRA more than one past the highest degree (at least 1).
+    """
+    return max([1] + [s.degree for s in spaces]) + 1 + QUAD_EXTRA
+
+
 def sweep(mesh, coeffs=None, spaces=(), nquad=None):
     """Gauss quadrature over the mesh, one cell chunk at a time.
 
     Yields one FormContext per chunk of about _CHUNK_POINTS quadrature
     points, cells in ascending order.  The rule has nquad points per
-    direction; by default QUAD_EXTRA more than one past the highest degree
-    among the spaces and the coefficients.  Every space and coefficient
-    must live on mesh (AssemblyError otherwise).
+    direction; by default gauss_points of the spaces and the coefficients'
+    spaces.  Every space and coefficient must live on mesh (AssemblyError
+    otherwise).
     """
     coeffs = coeffs or {}
     spaces = [*spaces, *(f.space for f in coeffs.values())]
     if any(s.mesh is not mesh for s in spaces):
         raise AssemblyError("a space or coefficient lives on a different mesh")
     if nquad is None:
-        nquad = max([1] + [s.degree for s in spaces]) + 1 + QUAD_EXTRA
+        nquad = gauss_points(*spaces)
     cells = np.arange(mesh.ncells)
     step = max(1, _CHUNK_POINTS // nquad**2)
     for start in range(0, len(cells), step):
@@ -500,6 +522,40 @@ def assemble_matrix(form, space, coeffs=None, nquad=None):
     return sp.csr_matrix((data, indices, indptr), shape=(space.nfree, space.nfree))
 
 
+def _reference_element(test, trial):
+    """(ref, scale, trial) of a constant-coefficient operator on square cells.
+
+    ref is the element matrix on the unit cell, and the element matrix of a
+    cell is scale times ref: h^2 for a mass (trial given), None (one) for
+    the Laplacian stiffness (trial None, returned as test).
+    """
+    stiffness = trial is None
+    trial = test if stiffness else trial
+    if trial.mesh is not test.mesh:
+        raise AssemblyError("test and trial spaces live on different meshes")
+    n1d = max(test.degree, trial.degree) + 1  # exact for both products
+    _, w, phi_t, gphi_t = _tabulated(test.degree, n1d)
+    _, _, phi_r, gphi_r = _tabulated(trial.degree, n1d)
+    if stiffness:
+        return np.einsum("q,qid,qjd->ij", w, gphi_t, gphi_r), None, trial
+    ref = np.einsum("q,qi,qj->ij", w, phi_t, phi_r)
+    return ref, test.mesh.cell_h() ** 2, trial
+
+
+def _block_diagonal(scale, ref):
+    """kron(diag(scale), ref) as csr, built directly from its arrays.
+
+    The nonzeros of ref, times scale cell by cell, in row order: the
+    arrays sp.kron builds, at a fraction of its cost.
+    """
+    nc, (nt, nr) = len(scale), ref.shape
+    i, j = np.nonzero(ref)
+    data = (scale[:, None] * ref[i, j]).ravel()
+    indices = (np.arange(nc)[:, None] * nr + j).ravel()
+    indptr = np.concatenate([[0], np.cumsum(np.tile(np.bincount(i, minlength=nt), nc))])
+    return sp.csr_matrix((data, indices, indptr), shape=(nc * nt, nc * nr))
+
+
 def reference_matrix(test, trial=None, inverse=False):
     """A constant-coefficient operator as a condensed csr matrix, without quadrature.
 
@@ -511,26 +567,32 @@ def reference_matrix(test, trial=None, inverse=False):
     inverse=True gives the inverse of a DG mass instead: its DOFs run cell
     by cell and its C is the identity, so that is kron(diag(h^-2), inv(M_ref)).
     """
-    stiffness = trial is None
-    trial = test if stiffness else trial
-    if trial.mesh is not test.mesh:
-        raise AssemblyError("test and trial spaces live on different meshes")
-    n1d = max(test.degree, trial.degree) + 1  # exact for both products
-    _, w, phi_t, gphi_t = _tabulated(test.degree, n1d)
-    _, _, phi_r, gphi_r = _tabulated(trial.degree, n1d)
-    if stiffness:
-        ref = np.einsum("q,qid,qjd->ij", w, gphi_t, gphi_r)
-        scale = np.ones(test.mesh.ncells)
-    else:
-        ref = np.einsum("q,qi,qj->ij", w, phi_t, phi_r)
-        scale = test.mesh.cell_h() ** 2
+    ref, scale, trial = _reference_element(test, trial)
     if inverse:
-        if stiffness or trial is not test or test.family != "dg":
+        if scale is None or trial is not test or test.family != "dg":
             raise DwroptError("only a DG mass has a block-diagonal inverse")
-        return sp.kron(sp.diags(1.0 / scale), np.linalg.inv(ref), format="csr")
-    blocks = sp.kron(sp.diags(scale), ref, format="csr")
+        return _block_diagonal(1.0 / scale, np.linalg.inv(ref))
+    if scale is None:
+        scale = np.ones(test.mesh.ncells)
+    blocks = _block_diagonal(scale, ref)
     gather_t, gather_r = test.C[test.cell_dofs.ravel()], trial.C[trial.cell_dofs.ravel()]
     return (gather_t.T @ blocks @ gather_r).tocsr()
+
+
+def reference_apply(x, test, trial=None):
+    """reference_matrix(test, trial) @ x, cell by cell, without the matrix.
+
+    x holds the unconstrained values of trial (of test for the stiffness).
+    The cells' trial values, gathered through C and cell_dofs, meet the
+    reference element matrix in one matmul; the element vectors are summed
+    per DOF with np.bincount and condensed with C^T.
+    """
+    ref, scale, trial = _reference_element(test, trial)
+    loc = (trial.C @ x)[trial.cell_dofs] @ ref.T
+    if scale is not None:
+        loc *= scale[:, None]
+    out = np.bincount(test.cell_dofs.ravel(), weights=loc.ravel(), minlength=test.ndofs)
+    return test.C.T @ out
 
 
 def assemble_vector(form, test, coeffs=None, nquad=None):
@@ -569,11 +631,26 @@ def integrate(form, mesh, coeffs=None, nquad=None):
     return total
 
 
+def load_vector(space, fn, nquad):
+    """Condensed integrals of a callable fn(x, y) against the test functions.
+
+    The Gauss rule has nquad points per direction.  The vector is cached
+    on the space per (fn, nquad): analytic data is integrated once per
+    space, not at every evaluation that needs it.
+    """
+
+    def fields(ctx):
+        return fn(ctx.x[..., 0], ctx.x[..., 1]), None
+
+    return space.cached(("load", fn, nquad),
+                        lambda: assemble_vector(fields, space, nquad=nquad))
+
+
 # common elementary forms
 
 
 def stiffness_fields(ctx):
-    nc, nq = ctx.x.shape[:2]
+    nc, nq = ctx.wdet.shape
     K = np.zeros((nc, nq, 2, 2))
     K[:, :, 0, 0] = 1.0
     K[:, :, 1, 1] = 1.0

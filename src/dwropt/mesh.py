@@ -200,11 +200,19 @@ def _fits(extent, cell_size):
 
 
 def check_cell_size(domain, cell_size):
-    """Raise SizingError unless square cells of this size tile the domain."""
+    """Raise SizingError unless square cells of this size tile the domain.
+
+    The corners of the root grid must also fit the 64-bit keys of a
+    KeyTable.
+    """
     if not (_fits(domain.extent[0], cell_size) and _fits(domain.extent[1], cell_size)):
         raise SizingError(
             f"cell size {cell_size} does not divide domain extent {domain.extent}"
         )
+    nx, ny = (round(e / cell_size) for e in domain.extent)
+    if (nx + 1) * (ny + 1) >= 1 << 63:
+        raise SizingError(f"cell size {cell_size} gives a root grid too large "
+                          "for 64-bit point keys")
     for box in domain.holes:
         for v in box:
             if not _fits(max(abs(v), cell_size), cell_size) and abs(v) > 1e-12:

@@ -22,7 +22,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError
-from .fem import integrate, region_cell_mask, stiffness_fields
+from .fem import (
+    gauss_points,
+    integrate,
+    load_vector,
+    reference_apply,
+    region_cell_mask,
+    stiffness_fields,
+)
 
 TRACKING_BOX = (2.5, 2.5, 4.5, 4.5)  # u_des = -1 inside, 0 elsewhere
 
@@ -47,7 +54,9 @@ class ProblemDefinition:
     reads the state and the dual weight from coefficients ``u`` and
     ``z``; it is None when the operator is linear in the state.  A linear
     operator is the Laplacian: its Jacobian is the factorized stiffness
-    of the SpacePair, not assembled from a_u_fields.
+    of the SpacePair, not assembled from a_u_fields, and the state solve
+    forms its residual from reference-element products and the load of
+    f (the estimator still reads residual_fields).
     """
 
     name: str
@@ -72,15 +81,32 @@ class ProblemDefinition:
         return self.alpha * (ctx.val("q") - self.q_des(x, y)), None
 
     def j_value(self, u, q):
-        mesh = u.space.mesh
+        """J(u, q) = 1/2 |u - u_des|^2 + alpha/2 |q - q_des|^2 (L2 norms).
 
-        def fields(ctx):
-            x, yy = ctx.x[..., 0], ctx.x[..., 1]
-            du = ctx.val("u") - self.u_des(x, yy)
-            dq = ctx.val("q") - self.q_des(x, yy)
-            return 0.5 * du * du + 0.5 * self.alpha * dq * dq
+        Without a quadrature sweep: see _half_misfit.  The data integrals
+        use the Gauss rule of a sweep over both spaces.
+        """
+        nquad = gauss_points(u.space, q.space)
+        return (_half_misfit(u, self.u_des, nquad)
+                + self.alpha * _half_misfit(q, self.q_des, nquad))
 
-        return integrate(fields, mesh, coeffs={"u": u, "q": q})
+
+def _half_misfit(f, data, nquad):
+    """1/2 |f - data|^2 as 1/2 x'Mx - x'b + c for the free values x of f.
+
+    Mx is a reference-element mass product; b, the integrals of data
+    against the test functions, and c = 1/2 of the integral of data^2 are
+    cached on f's space (Gauss rule with nquad points per direction).
+    """
+    space = f.space
+    x = f.coefs[space.free_dofs]
+
+    def half_square():
+        return 0.5 * integrate(lambda ctx: data(ctx.x[..., 0], ctx.x[..., 1]) ** 2,
+                               space.mesh, nquad=nquad)
+
+    c = space.cached(("half_square", data, nquad), half_square)
+    return 0.5 * (x @ reference_apply(x, space, space)) - x @ load_vector(space, data, nquad) + c
 
 
 def make_poisson_control(alpha):
@@ -299,7 +325,7 @@ def _box_integral_goal(name, which, box, reference):
 
     def indicator(ctx):
         inside = region_cell_mask(ctx.mesh, box)[ctx.cells, None]
-        return np.broadcast_to(inside, ctx.x.shape[:2]).astype(np.float64)
+        return np.broadcast_to(inside, ctx.wdet.shape).astype(np.float64)
 
     def value(u, q):
         return integrate(

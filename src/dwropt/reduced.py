@@ -9,9 +9,11 @@ counts (``its``, ``KKTTriple.state_iterations``) count chord steps.  It
 returns the state with the Jacobian factorized at it, which the KKT
 triple keeps and reuses for every adjoint, tangent and Hessian-vector
 solve at that point; a linear operator's Jacobian is the Laplacian,
-factorized once per :class:`SpacePair`.  The reduced Hessian and the
-goal-adjoint chain are composed from that factorization and sparse
-operators: the control-to-state coupling and the control mass, which the
+factorized once per :class:`SpacePair`, and its residual, like the cost
+derivatives, is a product with constant operators plus data integrals
+cached on the spaces, without a quadrature sweep.  The reduced Hessian
+and the goal-adjoint chain are composed from that factorization and
+sparse operators: the control-to-state coupling and the control mass, which the
 pair owns for the whole level, and the Lagrangian's state Hessian (one
 per KKT point).  One Hessian application costs two triangular solve pairs
 and four sparse mat-vecs; its CG preconditioner is a mat-vec with the
@@ -44,6 +46,9 @@ from .fem import (
     assemble_matrix,
     assemble_vector,
     function_from_free,
+    gauss_points,
+    load_vector,
+    reference_apply,
     reference_matrix,
     zero_function,
 )
@@ -113,13 +118,15 @@ class NewtonLog:
     """Verbatim per-iteration record of one Newton run.
 
     residuals and state_iterations have one entry per iterate (the chord
-    steps of the state solve that produced its triple), step_sizes one
-    per update.
+    steps of the state solve that produced its triple), step_sizes and
+    cg_iterations one per update (the CG iterations, that is Hessian
+    applications, of the step's reduced system solve).
     """
 
     residuals: list = field(default_factory=list)
     step_sizes: list = field(default_factory=list)
     state_iterations: list = field(default_factory=list)
+    cg_iterations: list = field(default_factory=list)
     stop_reason: str = ""
 
     def record(self, residual, triple):
@@ -136,14 +143,28 @@ class NewtonLog:
 
 
 def state_residual(problem, u, q):
-    """Condensed residual vector of the state equation at (u, q)."""
+    """Condensed residual vector of the state equation at (u, q).
+
+    A linear operator's residual is K u - M q - F: reference-element
+    products with the stiffness and the state-control mass, and the load
+    F of f cached on the state space.  A nonlinear one is assembled.
+    """
+    state, ctrl = u.space, q.space
+    if problem.a_uu_fields is None:
+        uf, qf = u.coefs[state.free_dofs], q.coefs[ctrl.free_dofs]
+        return (reference_apply(uf, state) - reference_apply(qf, state, ctrl)
+                - load_vector(state, problem.f, gauss_points(state, ctrl)))
     return assemble_vector(
-        problem.residual_fields, u.space, coeffs={"u": u, "q": q}
+        problem.residual_fields, state, coeffs={"u": u, "q": q}
     )
 
 
 def _ju_vector(problem, u, q):
-    return assemble_vector(problem.j_u_fields, u.space, coeffs={"u": u, "q": q})
+    """dJ/du as M u - b: a mass product and the cached load of u_des."""
+    state = u.space
+    uf = u.coefs[state.free_dofs]
+    return (reference_apply(uf, state, state)
+            - load_vector(state, problem.u_des, gauss_points(state, q.space)))
 
 
 def _jacobian(problem, pair, u, q):
@@ -169,7 +190,7 @@ def lagrangian_uu(problem, triple):
 
             def fields(ctx):
                 K, _ = problem.a_uu_fields(ctx)
-                return -K, np.ones(ctx.x.shape[:2])
+                return -K, np.ones(ctx.wdet.shape)
 
             triple.l_uu = assemble_matrix(
                 fields, triple.u.space, coeffs={"u": triple.u, "z": triple.z}
@@ -270,10 +291,17 @@ def make_consistent(problem, q, pair, warm_u=None, tol_abs=1e-10, tol_rel=1e-12)
 
 
 def reduced_gradient(problem, triple):
-    """Assembled first derivative of the reduced cost (dual vector)."""
+    """Assembled first derivative of the reduced cost (dual vector).
+
+    Its J_q term is alpha (M q - b), with the pair's control mass and the
+    load of q_des cached on the control space.
+    """
     triple.require_consistent()
-    g = assemble_vector(problem.j_q_fields, triple.q.space, coeffs={"q": triple.q})
-    return g - triple.pair.coupling.T @ triple.z.coefs[triple.u.space.free_dofs]
+    pair, ctrl = triple.pair, triple.q.space
+    qf = triple.q.coefs[ctrl.free_dofs]
+    g = problem.alpha * (pair.control_mass @ qf
+                         - load_vector(ctrl, problem.q_des, gauss_points(ctrl)))
+    return g - pair.coupling.T @ triple.z.coefs[triple.u.space.free_dofs]
 
 
 def goal_gradient(problem, goal, triple):
@@ -312,13 +340,14 @@ def solve_reduced_system(problem, triple, rhs, krylov_tol=1e-10, max_iter=500,
     matrix, applied as a block-diagonal mat-vec.  Nonpositive curvature
     aborts with the offending direction, unless truncation is requested
     (Newton globalization): then the CG progress so far, or the
-    preconditioned right-hand side, is returned.
+    preconditioned right-hand side, is returned.  Returns (solution,
+    iterations), one iteration per Hessian application.
     """
     triple.require_consistent()
     ctrl = triple.q.space
     b = np.asarray(rhs, dtype=np.float64)
     if not np.any(b):
-        return zero_function(ctrl)
+        return zero_function(ctrl), 0
     m_inv = triple.pair.control_mass_inverse
     inv_alpha = 1.0 / problem.alpha
 
@@ -333,7 +362,7 @@ def solve_reduced_system(problem, triple, rhs, krylov_tol=1e-10, max_iter=500,
         pHp = float(p @ Hp)
         if pHp <= 0.0:
             if truncate_on_negative:
-                return function_from_free(ctrl, x if it > 0 else z)
+                return function_from_free(ctrl, x if it > 0 else z), it + 1
             raise NegativeCurvatureError(
                 f"nonpositive curvature {pHp:.3e} in reduced CG",
                 direction=function_from_free(ctrl, p),
@@ -344,7 +373,7 @@ def solve_reduced_system(problem, triple, rhs, krylov_tol=1e-10, max_iter=500,
         z = (m_inv @ r) * inv_alpha
         rho_new = float(r @ z)
         if np.sqrt(max(rho_new, 0.0) / rho0) <= krylov_tol:
-            return function_from_free(ctrl, x)
+            return function_from_free(ctrl, x), it + 1
         p = z + (rho_new / rho) * p
         rho = rho_new
     raise NonConvergenceError(f"reduced CG stalled after {max_iter} iterations")
@@ -360,9 +389,10 @@ def _newton_update(problem, triple, g, krylov_tol):
     Near convergence the predicted decrease falls below the accuracy of
     evaluating j through a state re-solve; the acceptance test allows
     that evaluation noise so the final tiny steps are not rejected.
+    Returns (triple, step size, CG iterations of the step solve).
     """
     pair = triple.pair
-    dq = solve_reduced_system(
+    dq, cg_its = solve_reduced_system(
         problem, triple, -g, krylov_tol=krylov_tol, truncate_on_negative=True
     )
     slope = float(g @ dq.coefs[pair.control.free_dofs])
@@ -375,7 +405,7 @@ def _newton_update(problem, triple, g, krylov_tol):
         u, fac, its = solve_state(problem, q_trial, pair,
                                   warm_start=triple.u, fac=triple.lin)
         if problem.j_value(u, q_trial) <= j0 + ARMIJO_C * s * slope + j_noise:
-            return _with_adjoint(problem, pair, q_trial, u, fac, its), s
+            return _with_adjoint(problem, pair, q_trial, u, fac, its), s, cg_its
         s *= BACKTRACK_FACTOR
     raise LineSearchError("reduced Newton line search failed")
 
@@ -401,7 +431,7 @@ def _newton(problem, pair, q0, guard, tol_abs, tol_rel, krylov_tol, max_iter,
             goal_k = guard[0].refreeze(triple.u, triple.q)
             # truncation: far-from-converged iterates may see an indefinite
             # reduced Hessian; an inexact p only loosens the stopping guard
-            p = solve_reduced_system(
+            p, _ = solve_reduced_system(
                 problem, triple, -goal_gradient(problem, goal_k, triple),
                 krylov_tol=krylov_tol, truncate_on_negative=True,
             )
@@ -420,8 +450,9 @@ def _newton(problem, pair, q0, guard, tol_abs, tol_rel, krylov_tol, max_iter,
             )
         if log.stop_reason:
             return triple, p, log
-        triple, s = _newton_update(problem, triple, g, krylov_tol)
+        triple, s, cg_its = _newton_update(problem, triple, g, krylov_tol)
         log.step_sizes.append(s)
+        log.cg_iterations.append(cg_its)
 
 
 def newton_standard(problem, pair, q0, tol_abs=1e-7, tol_rel=8e-5,

@@ -331,7 +331,25 @@ def test_linear_state_factorizations(factorizations):
     assert factorizations[0] == 8
 
 
-def test_newton_csv_rows_match_logs(tmp_path):
+def test_newton_csv_rows_match_logs(tmp_path, monkeypatch):
+    import dwropt.reduced as red
+
+    # hessvec calls inside each Newton step's update, in the order run
+    hessvecs, step_cg = [0], []
+    hessvec, update = red.hessvec, red._newton_update
+
+    def counting_hessvec(*args, **kwargs):
+        hessvecs[0] += 1
+        return hessvec(*args, **kwargs)
+
+    def counting_update(*args, **kwargs):
+        before = hessvecs[0]
+        out = update(*args, **kwargs)
+        step_cg.append(hessvecs[0] - before)
+        return out
+
+    monkeypatch.setattr(red, "hessvec", counting_hessvec)
+    monkeypatch.setattr(red, "_newton_update", counting_update)
     cfg = preset_config("example3", max_levels=2, output_dir=str(tmp_path))
     reports = run_adaptive(cfg)
     paths = emit_outputs(reports, cfg)
@@ -349,8 +367,15 @@ def test_newton_csv_rows_match_logs(tmp_path):
             assert np.isnan(float(mine[0]["step_size"]))
             assert [float(row["step_size"]) for row in mine[1:]] == log.step_sizes
             assert [int(row["state_iterations"]) for row in mine] == log.state_iterations
+            assert mine[0]["cg_iterations"] == ""
+            assert [int(row["cg_iterations"]) for row in mine[1:]] == log.cg_iterations
             nrows += its + 1
     assert len(rows) == nrows
+    # each level solves the enriched problem first, then the low one
+    ran = [n for r in reports for n in (*r.log_enriched.cg_iterations,
+                                        *r.log_low.cg_iterations)]
+    assert ran == step_cg
+    assert all(n > 0 for n in step_cg)
     assert max(r.newton_its_low for r in reports) > 1
 
 
@@ -421,6 +446,7 @@ class TestCli:
         "cell_size = 0.3",
         "cell_size = 0",
         "cell_size = 5e-324",
+        b"cell_size = 1e-300",  # a root grid past the 64-bit lattice keys
         "reference_source = file",
         "quad_extra = 1",
         # example3's control_band box (1, 2, 6.25, 2.5) cuts cells of size 0.5

@@ -1,6 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+
+import dwropt.fem as fem
+import dwropt.reduced as red
 
 from dwropt.errors import (
     DwroptError,
@@ -357,14 +362,15 @@ class TestSolveReducedSystem:
     def test_zero_rhs(self):
         prob, mesh, pair = poisson_setup()
         triple = make_consistent(prob, zero_function(pair.control), pair)
-        x = solve_reduced_system(prob, triple, np.zeros(pair.control.nfree))
+        x, its = solve_reduced_system(prob, triple, np.zeros(pair.control.nfree))
         assert np.max(np.abs(x.coefs)) == 0.0
+        assert its == 0
 
     def test_newton_step_reaches_optimum(self):
         prob, mesh, pair = poisson_setup()
         triple = make_consistent(prob, zero_function(pair.control), pair)
         g = reduced_gradient(prob, triple)
-        dq = solve_reduced_system(prob, triple, -g, krylov_tol=1e-12)
+        dq, _ = solve_reduced_system(prob, triple, -g, krylov_tol=1e-12)
         q1 = DiscreteFunction(pair.control, triple.q.coefs + dq.coefs)
         t1 = make_consistent(prob, q1, pair)
         g1 = reduced_gradient(prob, t1)
@@ -375,7 +381,7 @@ class TestSolveReducedSystem:
         rng = np.random.default_rng(21)
         triple = make_consistent(prob, zero_function(pair.control), pair)
         rhs = rng.standard_normal(pair.control.nfree)
-        x = solve_reduced_system(prob, triple, rhs)
+        x, _ = solve_reduced_system(prob, triple, rhs)
         assert float(rhs @ x.coefs[pair.control.free_dofs]) >= 0.0
 
 
@@ -568,3 +574,91 @@ class TestAssembledOperatorsMatchClosures:
         _assert_close(v.coefs, _ref_recover_v(prob, t, dq).coefs)
         y = recover_y(prob, goal, t, v)
         _assert_close(y.coefs, _ref_recover_y(prob, goal, t, v).coefs)
+
+
+# ---------------------------------------------------------------------------
+# reference: the quadrature sweeps that the reference-element products and
+# the cached data loads replaced
+
+
+def _ref_j_value(prob, u, q):
+    def fields(ctx):
+        x, y = ctx.x[..., 0], ctx.x[..., 1]
+        du = ctx.val("u") - prob.u_des(x, y)
+        dq = ctx.val("q") - prob.q_des(x, y)
+        return 0.5 * du * du + 0.5 * prob.alpha * dq * dq
+
+    return integrate(fields, u.space.mesh, coeffs={"u": u, "q": q})
+
+
+def _ref_ju_vector(prob, u, q):
+    return assemble_vector(prob.j_u_fields, u.space, coeffs={"u": u, "q": q})
+
+
+def _ref_jq_vector(prob, q):
+    return assemble_vector(prob.j_q_fields, q.space, coeffs={"q": q})
+
+
+def _ref_state_residual(prob, u, q):
+    return assemble_vector(prob.residual_fields, u.space, coeffs={"u": u, "q": q})
+
+
+def _close(new, old):
+    return np.max(np.abs(new - old)) <= 1e-12 * np.max(np.abs(old))
+
+
+class TestProductsMatchQuadrature:
+    @pytest.mark.parametrize("degree", [1, 2])
+    @pytest.mark.parametrize("which", ["poisson", "plaplace"])
+    def test_against_quadrature(self, which, degree):
+        if which == "poisson":
+            prob, mesh = make_poisson_control(ALPHA), build_initial(UNIT_SQUARE, 0.25)
+        else:
+            # u_des jumps on the tracking box, q_des = 1
+            prob, mesh = make_plaplace_control(0.1, 4.0, 1.0), build_initial(HOLED_RECT, 0.5)
+        mesh = refine(mesh, CellSet(frozenset({0, 5, 11}), mesh.generation))
+        pair = SpacePair(
+            build_space(mesh, "cg", degree), build_space(mesh, "dg", degree - 1)
+        )
+        rng = np.random.default_rng(29)
+        for _ in range(3):
+            u = function_from_free(pair.state, rng.standard_normal(pair.state.nfree))
+            q = random_control(pair.control, rng)
+            j_new, j_old = prob.j_value(u, q), _ref_j_value(prob, u, q)
+            assert abs(j_new - j_old) <= 1e-12 * abs(j_old)
+            assert _close(red._ju_vector(prob, u, q), _ref_ju_vector(prob, u, q))
+            assert _close(state_residual(prob, u, q), _ref_state_residual(prob, u, q))
+            # with a zero adjoint the reduced gradient is its J_q term
+            t = KKTTriple(pair=pair, u=u, q=q, z=zero_function(pair.state),
+                          consistent=True)
+            assert _close(reduced_gradient(prob, t), _ref_jq_vector(prob, q))
+
+
+def test_cached_level_makes_no_quadrature_sweep(monkeypatch):
+    # once a level's loads are cached, the Poisson state and adjoint solves,
+    # the reduced gradient and the cost are products and solves only
+    from dwropt.driver import instantiate, preset_config
+
+    problem, _, mesh = instantiate(preset_config("example1_cost"))
+    pair = SpacePair(build_space(mesh, "cg", 1), build_space(mesh, "dg", 0))
+    q = interpolate(pair.control, lambda x, y: np.sin(np.pi * x) * y)
+
+    def level():
+        t = make_consistent(problem, q, pair)
+        return reduced_gradient(problem, t), problem.j_value(t.u, t.q)
+
+    g0, j0 = level()
+    sweeps = []
+    for name in ("assemble_vector", "integrate"):
+        original = getattr(fem, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            sweeps.append(_name)
+            return _original(*args, **kwargs)
+
+        for mod in [m for n, m in sys.modules.items() if n.startswith("dwropt")]:
+            if vars(mod).get(name) is original:
+                monkeypatch.setattr(mod, name, counting)
+    g1, j1 = level()
+    assert sweeps == []
+    assert np.array_equal(g0, g1) and j0 == j1

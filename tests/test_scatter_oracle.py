@@ -2,9 +2,11 @@
 
 `assemble_matrix` sends element entries to the condensed matrix through a
 sparse map cached on the space, `reference_matrix` builds the masses and
-the Laplacian stiffness from reference element matrices, and
-`assemble_vector` sums element vectors per DOF with np.bincount.  The
-oracles below are the paths they replaced: quadrature element matrices
+the Laplacian stiffness from reference element matrices, `reference_apply`
+applies them cell by cell without the matrix, and `assemble_vector` sums
+element vectors per DOF with np.bincount.  The oracles below are the
+paths they replaced (for `reference_apply`, the matrix of
+`reference_matrix`): quadrature element matrices
 built as a COO matrix, converted to CSR and condensed to C_t^T A C_r on
 every call, and the element vectors added up with np.add.at and condensed
 with C^T.  A vector form restricted to a box multiplies its fields by the
@@ -22,6 +24,7 @@ from dwropt.fem import (
     assemble_matrix,
     assemble_vector,
     build_space,
+    reference_apply,
     reference_matrix,
     region_cell_mask,
     stiffness_fields,
@@ -112,10 +115,10 @@ steps = st.lists(
 )
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.sampled_from(ROOTS), steps, st.booleans())
-def test_cached_scatter_matches_direct_scatter(root, seq, dirichlet):
-    domain, size, box = root
+def refined_spaces(root, seq, dirichlet):
+    """CG spaces of degrees 1-3 and DG spaces of degrees 0-1 on the root
+    mesh refined by the drawn steps, hanging nodes included."""
+    domain, size, _ = root
     mesh = build_initial(domain, size)
     for finest, picks in seq:
         pool = np.nonzero(mesh.level == mesh.level.max())[0] if finest else np.arange(mesh.ncells)
@@ -123,6 +126,14 @@ def test_cached_scatter_matches_direct_scatter(root, seq, dirichlet):
         mesh = refine(mesh, CellSet(frozenset(ids), mesh.generation))
     cg = [build_space(mesh, "cg", d, constrain_dirichlet=dirichlet) for d in (1, 2, 3)]
     dg = [build_space(mesh, "dg", d) for d in (0, 1)]
+    return cg, dg
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(ROOTS), steps, st.booleans())
+def test_cached_scatter_matches_direct_scatter(root, seq, dirichlet):
+    box = root[2]
+    cg, dg = refined_spaces(root, seq, dirichlet)
 
     for space in cg:
         before = None
@@ -149,3 +160,19 @@ def test_cached_scatter_matches_direct_scatter(root, seq, dirichlet):
                 assert new.shape == (test.nfree,)
                 # the same additions in the same order
                 assert np.array_equal(new, old), (test.family, test.degree, region)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(ROOTS), steps, st.booleans(), st.integers(0, 2**32 - 1))
+def test_reference_apply_matches_reference_matrix(root, seq, dirichlet, seed):
+    # the pairs checked above: CG stiffness, CG x CG and CG x DG masses, DG masses
+    cg, dg = refined_spaces(root, seq, dirichlet)
+    rng = np.random.default_rng(seed)
+    pairs = [(s, None) for s in cg] + [(s, t) for s in cg for t in cg + dg]
+    pairs += [(s, s) for s in dg]
+    for test, trial in pairs:
+        x = rng.standard_normal((test if trial is None else trial).nfree)
+        new = reference_apply(x, test, trial)
+        old = reference_matrix(test, trial) @ x
+        assert new.shape == (test.nfree,)
+        assert close(new, old), (test.family, test.degree, trial and trial.degree)
