@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import resource
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -225,6 +226,7 @@ class LevelReport:
     marked: CellSet | None = None
     fallback_weighting: bool = False
     wall_time: float = 0.0
+    peak_rss_mb: float = 0.0  # the process's peak resident set size at the level's end
 
 
 def _initial_guess(problem, prev, pair):
@@ -250,7 +252,8 @@ def _solve_level(problem, goals, mesh, config, warm):
     reference DOF counts and convergence orders.  Enrichment raises both
     degrees by one on the same mesh.  warm is (low, enriched, eta_prev):
     the previous level's low and enriched (u, q), or None on level 0, and
-    its discretization estimate.
+    its discretization estimate.  The returned triples are released (see
+    KKTTriple.release): a later solve with one refactorizes its Jacobian.
     """
     r = config.degree
     state = build_space(mesh, "cg", r)
@@ -294,9 +297,14 @@ def _solve_level(problem, goals, mesh, config, warm):
     adj_low = adjoint_chain(problem, combined, triple, p=p_low,
                             krylov_tol=config.krylov_tol)
     adj2 = adjoint_chain(problem, combined, triple2, krylov_tol=config.krylov_tol)
+    eta_k = compute_eta_k(problem, triple, adj_low.p)
 
+    # the estimate needs the solutions only: free the factors, operators
+    # and space caches before its sweep allocates its quadrature fields
+    triple.release()
+    triple2.release()
     breakdown = localize_pu(problem, combined, (triple, adj_low), (triple2, adj2))
-    breakdown.eta_k = compute_eta_k(problem, triple, adj_low.p)
+    breakdown.eta_k = eta_k
     return {
         "pair": pair,
         "pair2": pair2,
@@ -379,6 +387,8 @@ def _run(config, capture=None):
             raise err from exc
         report = _make_report(level, mesh, sol)
         report.wall_time = time.perf_counter() - t0
+        # ru_maxrss is in KiB on Linux
+        report.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         bd = sol["breakdown"]
 
         stop = (
@@ -405,14 +415,6 @@ def _run(config, capture=None):
         high_prev = (sol["triple2"].u, sol["triple2"].q)
         if abs(bd.eta_h2) > 0:
             eta_prev = abs(bd.eta_h2)
-        # the KKT triples, the pairs' operators, the state spaces' scatter
-        # maps and the spaces' load integrals are not needed by the next
-        # level; free them before it allocates its own.  The carried
-        # functions keep their spaces alive, so empty those caches.
-        for pair in (sol["pair"], sol["pair2"]):
-            pair.state.drop_cached()
-            pair.control.drop_cached()
-        del sol, bd
     return reports
 
 
@@ -505,6 +507,10 @@ def render_summary(reports, config):
     lines.append("goal values at the finest level:")
     for name, val in last.goal_values.items():
         lines.append(f"  {name:16s} {val: .10e}")
+    lines.append("")
+    lines.append("peak RSS per level:")
+    for r in reports:
+        lines.append(f"  level {r.level:<9d} {r.peak_rss_mb:.1f} MB")
     lines.append("")
     lines.append("wall time per level:")
     for r in reports:

@@ -95,7 +95,7 @@ def recover_v(triple, p):
     triple.require_consistent()
     B = triple.pair.coupling
     x = p.coefs[triple.q.space.free_dofs]
-    return function_from_free(triple.u.space, triple.lin.solve(-(B @ x)))
+    return function_from_free(triple.u.space, triple.factor().solve(-(B @ x)))
 
 
 def recover_y(problem, goal, triple, v):
@@ -105,7 +105,7 @@ def recover_y(problem, goal, triple, v):
     rhs = lagrangian_uu(problem, triple) @ v.coefs[state.free_dofs]
     if goal.iu_fields is not None:
         rhs += assemble_vector(goal.iu_fields, state, {"u": triple.u, "q": triple.q})
-    return function_from_free(state, triple.lin.solve_transposed(rhs))
+    return function_from_free(state, triple.factor().solve_transposed(rhs))
 
 
 def adjoint_chain(problem, goal, triple, p=None, krylov_tol=1e-10):

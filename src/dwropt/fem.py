@@ -15,7 +15,8 @@ mesh; a form restricted to a box multiplies its fields by
 :func:`reference_matrix` scales one reference element matrix per cell,
 and :func:`reference_apply` applies the same operator cell by cell
 without building it.  Integrals of analytic data against the test
-functions of a space are cached on the space (:func:`load_vector`).
+functions of a space are cached on the space (:func:`load_vector`), and
+so is the data at the quadrature points of a sweep (``FormContext.data``).
 Weak forms are supplied as small "field" callables that receive a
 context and return pointwise coefficient arrays:
 
@@ -233,8 +234,9 @@ class Space:
         return self._cache[key]
 
     def drop_cached(self):
-        """Forget what is cached on the space: the matrix scatter map and
-        the load integrals of analytic data (:func:`load_vector`)."""
+        """Forget what is cached on the space: the matrix scatter map, the
+        load integrals of analytic data (:func:`load_vector`) and that
+        data at the quadrature points (:meth:`FormContext.data`)."""
         self._cache.clear()
 
     # -- constraint application ------------------------------------------
@@ -323,15 +325,16 @@ class FormContext:
     physical quadrature points x (nc, nq, 2) are built on first read, so a
     form without analytic data does not pay for them; a form that needs
     only the shape (nc, nq) reads wdet.shape.  val and grad evaluate a
-    coefficient at the points; basis(space) is the space's reference
-    (phi, gphi) there.
+    coefficient at the points, data an analytic function; basis(space) is
+    the space's reference (phi, gphi) there.
     """
 
-    def __init__(self, mesh, cells, n1d, functions):
+    def __init__(self, mesh, cells, n1d, functions, owner=None):
         self.mesh = mesh
         self.cells = cells
         self.functions = functions
         self._n1d = n1d
+        self._owner = owner
         _, w, _, _ = _tabulated(1, n1d)
         h = mesh.cell_h()[cells]
         self.inv_h = 1.0 / h
@@ -351,6 +354,24 @@ class FormContext:
 
     def basis(self, space):
         return _tabulated(space.degree, self._n1d)[2:]
+
+    def data(self, fn):
+        """Analytic data fn(x, y) at the quadrature points, read-only.
+
+        Cached on the sweep's first space (the test space of an assembly)
+        per Gauss rule and chunk, as load_vector caches its integrals: a
+        form swept again over that space, such as a goal's state
+        derivative at every Newton iterate, evaluates fn once.
+        """
+
+        def build():
+            vals = np.asarray(fn(self.x[..., 0], self.x[..., 1]))
+            vals.flags.writeable = False
+            return vals
+
+        if self._owner is None:
+            return build()
+        return self._owner.cached(("at_points", fn, self._n1d, int(self.cells[0])), build)
 
     def val(self, name):
         if name not in self._vals:
@@ -386,7 +407,7 @@ def sweep(mesh, coeffs=None, spaces=(), nquad=None):
     points, cells in ascending order.  The rule has nquad points per
     direction; by default gauss_points of the spaces and the coefficients'
     spaces.  Every space and coefficient must live on mesh (AssemblyError
-    otherwise).
+    otherwise); the first of them keeps the contexts' data (FormContext.data).
     """
     coeffs = coeffs or {}
     spaces = [*spaces, *(f.space for f in coeffs.values())]
@@ -396,8 +417,9 @@ def sweep(mesh, coeffs=None, spaces=(), nquad=None):
         nquad = gauss_points(*spaces)
     cells = np.arange(mesh.ncells)
     step = max(1, _CHUNK_POINTS // nquad**2)
+    owner = spaces[0] if spaces else None
     for start in range(0, len(cells), step):
-        yield FormContext(mesh, cells[start : start + step], nquad, coeffs)
+        yield FormContext(mesh, cells[start : start + step], nquad, coeffs, owner)
 
 
 def _check_finite(arr, cells, what):

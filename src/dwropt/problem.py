@@ -72,13 +72,11 @@ class ProblemDefinition:
 
     def j_u_fields(self, ctx):
         """dJ/du directional form: g = u - u_des."""
-        x, y = ctx.x[..., 0], ctx.x[..., 1]
-        return ctx.val("u") - self.u_des(x, y), None
+        return ctx.val("u") - ctx.data(self.u_des), None
 
     def j_q_fields(self, ctx):
         """dJ/dq directional form: g = alpha (q - q_des)."""
-        x, y = ctx.x[..., 0], ctx.x[..., 1]
-        return self.alpha * (ctx.val("q") - self.q_des(x, y)), None
+        return self.alpha * (ctx.val("q") - ctx.data(self.q_des)), None
 
     def j_value(self, u, q):
         """J(u, q) = 1/2 |u - u_des|^2 + alpha/2 |q - q_des|^2 (L2 norms).
@@ -294,8 +292,7 @@ def _uq_product_goal(name="uq_product", reference=None):
 def _state_tracking_goal(problem, reference):
     def value(u, q):
         def fields(ctx):
-            x, y = ctx.x[..., 0], ctx.x[..., 1]
-            d = ctx.val("u") - problem.u_des(x, y)
+            d = ctx.val("u") - ctx.data(problem.u_des)
             return 0.5 * d * d
 
         return integrate(fields, u.space.mesh, coeffs={"u": u})
@@ -307,15 +304,13 @@ def _state_tracking_goal(problem, reference):
 def _control_tracking_goal(problem, reference):
     def value(u, q):
         def fields(ctx):
-            x, y = ctx.x[..., 0], ctx.x[..., 1]
-            d = ctx.val("q") - problem.q_des(x, y)
+            d = ctx.val("q") - ctx.data(problem.q_des)
             return 0.5 * d * d
 
         return integrate(fields, u.space.mesh, coeffs={"q": q})
 
     def iq_fields(ctx):
-        x, y = ctx.x[..., 0], ctx.x[..., 1]
-        return ctx.val("q") - problem.q_des(x, y), None
+        return ctx.val("q") - ctx.data(problem.q_des), None
 
     return GoalFunctional("control_misfit", value, None, iq_fields, reference)
 

@@ -8,7 +8,7 @@ trial starts from the factor of the accepted iterate.  Its iteration
 counts (``its``, ``KKTTriple.state_iterations``) count chord steps.  It
 returns the state with the Jacobian factorized at it, which the KKT
 triple keeps and reuses for every adjoint, tangent and Hessian-vector
-solve at that point; a linear operator's Jacobian is the Laplacian,
+solve at that point (and refactorizes there after a release); a linear operator's Jacobian is the Laplacian,
 factorized once per :class:`SpacePair`, and its residual, like the cost
 derivatives, is a product with constant operators plus data integrals
 cached on the spaces, without a quadrature sweep.  The reduced Hessian
@@ -94,10 +94,25 @@ class SpacePair:
         """Factorized Laplacian: the Jacobian of a linear state operator."""
         return Factorization(reference_matrix(self.state))
 
+    def release(self):
+        """Forget the cached operators and what the spaces cache.
+
+        Each operator is rebuilt on its next use, bitwise the same.
+        """
+        for name, attr in vars(SpacePair).items():
+            if isinstance(attr, cached_property):
+                vars(self).pop(name, None)
+        self.state.drop_cached()
+        self.control.drop_cached()
+
 
 @dataclass
 class KKTTriple:
-    """State, control and adjoint with the factorized state Jacobian at u."""
+    """State, control and adjoint with the factorized state Jacobian at u.
+
+    Solves with the Jacobian go through :meth:`factor`, so a triple stays
+    usable after :meth:`release` has freed its solver state.
+    """
 
     pair: SpacePair
     u: DiscreteFunction
@@ -107,10 +122,27 @@ class KKTTriple:
     consistent: bool = False
     state_iterations: int = 0
     l_uu: object = None  # lagrangian_uu, built on first use
+    problem: object = None  # the problem u solves, to refactorize at u
 
     def require_consistent(self):
         if not self.consistent:
             raise StaleTripleError("operation requires a consistent KKT triple")
+
+    def factor(self):
+        """The factorized state Jacobian at u, refactorized there after a release.
+
+        The state solve factorized it at the u it returned, so the
+        refactorized Jacobian is bitwise the same.
+        """
+        if self.lin is None:
+            self.lin = _jacobian(self.problem, self.pair, self.u, self.q)
+        return self.lin
+
+    def release(self):
+        """Free the factor, the Lagrangian's state Hessian and the pair's
+        operators and space caches; each is rebuilt on next use."""
+        self.lin = self.l_uu = None
+        self.pair.release()
 
 
 @dataclass
@@ -277,7 +309,7 @@ def _with_adjoint(problem, pair, q, u, fac, its):
     """Consistent KKT triple at the solved state u = S(q): adds the adjoint."""
     z = function_from_free(u.space, fac.solve_transposed(_ju_vector(problem, u, q)))
     return KKTTriple(pair=pair, u=u, q=q, z=z, lin=fac, consistent=True,
-                     state_iterations=its)
+                     state_iterations=its, problem=problem)
 
 
 def make_consistent(problem, q, pair, warm_u=None, tol_abs=1e-10, tol_rel=1e-12):
@@ -313,7 +345,7 @@ def goal_gradient(problem, goal, triple):
     out = np.zeros(ctrl.nfree) if iq is None else assemble_vector(iq, ctrl, coeffs)
     if iu is not None:
         rhs = assemble_vector(iu, triple.u.space, coeffs)
-        out -= triple.pair.coupling.T @ triple.lin.solve_transposed(rhs)
+        out -= triple.pair.coupling.T @ triple.factor().solve_transposed(rhs)
     return out
 
 
@@ -327,8 +359,9 @@ def hessvec(problem, triple, dq):
     triple.require_consistent()
     pair = triple.pair
     x = dq.coefs[pair.control.free_dofs]
-    du = triple.lin.solve(-(pair.coupling @ x))
-    dz = triple.lin.solve_transposed(lagrangian_uu(problem, triple) @ du)
+    fac = triple.factor()
+    du = fac.solve(-(pair.coupling @ x))
+    dz = fac.solve_transposed(lagrangian_uu(problem, triple) @ du)
     return problem.alpha * (pair.control_mass @ x) - pair.coupling.T @ dz
 
 
@@ -403,7 +436,7 @@ def _newton_update(problem, triple, g, krylov_tol):
     for _ in range(MAX_BACKTRACKS):
         q_trial = DiscreteFunction(pair.control, triple.q.coefs + s * dq.coefs)
         u, fac, its = solve_state(problem, q_trial, pair,
-                                  warm_start=triple.u, fac=triple.lin)
+                                  warm_start=triple.u, fac=triple.factor())
         if problem.j_value(u, q_trial) <= j0 + ARMIJO_C * s * slope + j_noise:
             return _with_adjoint(problem, pair, q_trial, u, fac, its), s, cg_its
         s *= BACKTRACK_FACTOR

@@ -193,6 +193,14 @@ class TestEmission:
         assert [line.split() for line in per_level] == [
             ["level", str(r.level), f"{r.wall_time:.3f}", "s"] for r in reports
         ]
+        # the peak RSS block comes before it, one line per level
+        start = summary.index("peak RSS per level:") + 1
+        rss = summary[start:summary.index("wall time per level:") - 1]
+        assert [line.split() for line in rss] == [
+            ["level", str(r.level), f"{r.peak_rss_mb:.1f}", "MB"] for r in reports
+        ]
+        peaks = [r.peak_rss_mb for r in reports]
+        assert peaks[0] > 0 and peaks == sorted(peaks)
 
     def test_single_report_csv(self, small_run):
         cfg, reports = small_run
@@ -329,6 +337,61 @@ def test_linear_state_factorizations(factorizations):
     # inverted block by block, without a factorization
     run_adaptive(preset_config("example1_cost", max_levels=4))
     assert factorizations[0] == 8
+
+
+class TestLevelRelease:
+    """A level frees its solver state before the estimate and stays usable."""
+
+    @pytest.mark.parametrize("name", ["example1_cost", "example2_uq"])
+    def test_no_factorization_alive_during_estimate(self, monkeypatch, name):
+        import gc
+        import weakref
+
+        import dwropt.driver as drv
+        from dwropt.fem import Factorization
+
+        alive, built = weakref.WeakSet(), [0]
+        init = Factorization.__init__
+
+        def tracking_init(self, matrix):
+            init(self, matrix)
+            alive.add(self)
+            built[0] += 1
+
+        localize = drv.localize_pu
+        at_estimate = []
+
+        def checking_localize(*args, **kwargs):
+            gc.collect()
+            at_estimate.append(len(alive))
+            return localize(*args, **kwargs)
+
+        monkeypatch.setattr(Factorization, "__init__", tracking_init)
+        monkeypatch.setattr(drv, "localize_pu", checking_localize)
+        cfg = preset_config(name, max_levels=1)
+        problem, goals, mesh = instantiate(cfg)
+        drv._solve_level(problem, goals, mesh, cfg, (None, None, cfg.eta0))
+        assert built[0] >= 2 and at_estimate == [0]
+
+    @pytest.mark.parametrize("name", ["example1_cost", "example2_uq"])
+    def test_released_triples_rebuild_their_factors(self, name):
+        # the refactorized Jacobians and rebuilt operators are bitwise the
+        # ones the level used, so both goal-adjoint chains repeat exactly
+        from dwropt.driver import _solve_level
+        from dwropt.estimator import adjoint_chain
+
+        cfg = preset_config(name, max_levels=1)
+        problem, goals, mesh = instantiate(cfg)
+        sol = _solve_level(problem, goals, mesh, cfg, (None, None, cfg.eta0))
+        triple, triple2, combined = sol["triple"], sol["triple2"], sol["combined"]
+        assert triple.lin is None and triple2.lin is None
+        low = adjoint_chain(problem, combined, triple, p=sol["adj_low"].p,
+                            krylov_tol=cfg.krylov_tol)
+        enr = adjoint_chain(problem, combined, triple2, krylov_tol=cfg.krylov_tol)
+        assert triple.lin is not None and triple2.lin is not None
+        for got, want in ((low, sol["adj_low"]), (enr, sol["adj2"])):
+            for attr in ("v", "p", "y"):
+                assert np.array_equal(getattr(got, attr).coefs, getattr(want, attr).coefs)
 
 
 def test_newton_csv_rows_match_logs(tmp_path, monkeypatch):
