@@ -60,7 +60,7 @@ from .estimator import (
     recover_y,
     solve_reduced_adjoint,
 )
-from .multigoal import CombinedGoal, build_combined, weighting_default
+from .multigoal import CombinedGoal, build_combined
 from .driver import Config, LevelReport, emit_outputs, preset_config, run_adaptive
 
 __version__ = "0.1.0"

@@ -20,6 +20,7 @@ from .driver import (
     PRESETS,
     compare_stopping,
     emit_outputs,
+    instantiate,
     load_config,
     preset_config,
     render_comparison_csv,
@@ -70,18 +71,17 @@ def _build_parser():
     return parser
 
 
-def _emit_self_reference(cfg, stored_goals):
-    values = self_reference_values(cfg)
+def _emit_self_reference(cfg):
+    """Write references.txt: each goal's self reference beside its stored one."""
+    _, goals, _ = instantiate(cfg)
+    stored = {g.name: g.reference for g in goals}
     lines = ["goal, self_reference, stored_reference"]
-    for name, val in values.items():
-        stored = stored_goals.get(name)
-        stored_txt = "" if stored is None else f"{stored!r}"
-        lines.append(f"{name}, {val!r}, {stored_txt}")
+    for name, val in self_reference_values(cfg).items():
+        stored_txt = "" if stored[name] is None else f"{stored[name]!r}"
+        lines.append(f"{name}, {float(val)!r}, {stored_txt}")
     path = os.path.join(cfg.output_dir, "references.txt")
-    os.makedirs(cfg.output_dir, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    return path
 
 
 def _make_output_dir(path):
@@ -92,11 +92,15 @@ def _make_output_dir(path):
         raise ConfigError(f"cannot create output directory {path!r}: {exc}") from None
 
 
-def _stored_references(cfg):
-    from .driver import instantiate
-
-    _, goals, _ = instantiate(cfg)
-    return {g.name: g.reference for g in goals}
+def _run_config(args):
+    """The configuration of a run: a file, or a preset with its overrides."""
+    if args.command == "run":
+        return load_config(args.config)
+    overrides = {"alpha": args.alpha, "output_dir": args.out,
+                 "stopping": args.stopping, "max_levels": args.max_levels}
+    return preset_config(
+        args.name, **{k: v for k, v in overrides.items() if v is not None}
+    )
 
 
 def main(argv=None):
@@ -108,30 +112,12 @@ def main(argv=None):
         return int(exc.code or 0)
 
     try:
-        if args.command == "run":
-            cfg = load_config(args.config)
+        if args.command in ("run", "preset"):
+            cfg = _run_config(args)
             _make_output_dir(cfg.output_dir)
-            reports = run_adaptive(cfg)
-            emit_outputs(reports, cfg)
+            emit_outputs(run_adaptive(cfg), cfg)
             if args.self_reference:
-                _emit_self_reference(cfg, _stored_references(cfg))
-            print(f"wrote {os.path.join(cfg.output_dir, 'levels.csv')}")
-        elif args.command == "preset":
-            overrides = {}
-            if args.alpha is not None:
-                overrides["alpha"] = args.alpha
-            if args.out is not None:
-                overrides["output_dir"] = args.out
-            if args.stopping is not None:
-                overrides["stopping"] = args.stopping
-            if args.max_levels is not None:
-                overrides["max_levels"] = args.max_levels
-            cfg = preset_config(args.name, **overrides)
-            _make_output_dir(cfg.output_dir)
-            reports = run_adaptive(cfg)
-            emit_outputs(reports, cfg)
-            if args.self_reference:
-                _emit_self_reference(cfg, _stored_references(cfg))
+                _emit_self_reference(cfg)
             print(f"wrote {os.path.join(cfg.output_dir, 'levels.csv')}")
         elif args.command == "compare-stopping":
             cfg = load_config(args.config)
@@ -169,10 +155,7 @@ def main(argv=None):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(render_sweep_csv(runs))
             print(f"wrote {path}")
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (FileNotFoundError, IsADirectoryError) as exc:
+    except (ConfigError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DwroptError as exc:

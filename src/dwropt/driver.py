@@ -224,7 +224,6 @@ class LevelReport:
     log_low: NewtonLog | None = None
     log_enriched: NewtonLog | None = None
     marked: CellSet | None = None
-    fallback_weighting: bool = False
     wall_time: float = 0.0
     peak_rss_mb: float = 0.0  # the process's peak resident set size at the level's end
 
@@ -363,11 +362,16 @@ def _make_report(level, mesh, sol):
         stop_reason=sol["log"].stop_reason,
         log_low=sol["log"],
         log_enriched=sol["log2"],
-        fallback_weighting=combined.fallback_used,
     )
 
 
-def _run(config, capture=None):
+def run_adaptive(config, capture=None):
+    """Solve, estimate, mark and refine until a stop rule fires.
+
+    ``config.refinement`` selects Dörfler marking (adaptive) or marking
+    every cell (uniform).  A ``capture`` dict, if given, receives each
+    level's mesh and enriched solution (u, q).
+    """
     config.validate()
     problem, goals, mesh = instantiate(config)
     low_prev = high_prev = None
@@ -416,15 +420,6 @@ def _run(config, capture=None):
         if abs(bd.eta_h2) > 0:
             eta_prev = abs(bd.eta_h2)
     return reports
-
-
-def run_adaptive(config):
-    """Solve, estimate, mark and refine until a stop rule fires.
-
-    ``config.refinement`` selects Dörfler marking (adaptive) or marking
-    every cell (uniform).
-    """
-    return _run(config)
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +642,7 @@ def self_reference_values(config, extra_refinements=2):
     from .mesh import refine_all
 
     capture = {}
-    _run(config, capture=capture)
+    run_adaptive(config, capture=capture)
     problem, goals, _ = instantiate(config)
     mesh = capture["mesh"]
     for _ in range(extra_refinements):

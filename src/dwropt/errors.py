@@ -41,12 +41,8 @@ class NegativeCurvatureError(DwroptError):
         self.direction = direction
 
 
-class StaleTripleError(DwroptError):
-    """An operation required a consistent KKT triple but got a stale one."""
-
-
 class WeightDegeneracyError(DwroptError):
-    """A goal-combination weight vanished; absolute weighting is the fallback."""
+    """A goal combination's enriched reference evaluation is not finite."""
 
 
 class ConfigError(DwroptError):

@@ -92,7 +92,6 @@ def solve_reduced_adjoint(problem, goal, triple, krylov_tol=1e-10,
 
 def recover_v(triple, p):
     """Tangent state of the goal adjoint direction p."""
-    triple.require_consistent()
     B = triple.pair.coupling
     x = p.coefs[triple.q.space.free_dofs]
     return function_from_free(triple.u.space, triple.factor().solve(-(B @ x)))
@@ -100,7 +99,6 @@ def recover_v(triple, p):
 
 def recover_y(problem, goal, triple, v):
     """Second adjoint from the first row of the adjoint optimality system."""
-    triple.require_consistent()
     state = triple.u.space
     rhs = lagrangian_uu(problem, triple) @ v.coefs[state.free_dofs]
     if goal.iu_fields is not None:

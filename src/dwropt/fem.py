@@ -658,11 +658,13 @@ def load_vector(space, fn, nquad):
 
     The Gauss rule has nquad points per direction.  The vector is cached
     on the space per (fn, nquad): analytic data is integrated once per
-    space, not at every evaluation that needs it.
+    space, not at every evaluation that needs it.  The values of fn come
+    from FormContext.data, so a form swept over the space with the same
+    rule shares them.
     """
 
     def fields(ctx):
-        return fn(ctx.x[..., 0], ctx.x[..., 1]), None
+        return ctx.data(fn), None
 
     return space.cached(("load", fn, nquad),
                         lambda: assemble_vector(fields, space, nquad=nquad))
@@ -697,17 +699,15 @@ class Factorization:
     """
 
     def __init__(self, matrix):
-        m = matrix.tocsc()
         try:
             self._lu = spla.splu(
-                m,
+                matrix.tocsc(),
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options=dict(SymmetricMode=True),
             )
         except RuntimeError as exc:
             raise SingularSystemError(str(exc)) from exc
-        self.shape = m.shape
 
     def solve(self, b):
         x = self._lu.solve(np.asarray(b, dtype=np.float64))
@@ -756,32 +756,3 @@ def transfer(f, target):
     out = np.zeros(target.ndofs)
     out[target.cell_dofs.ravel()] = vals.ravel()
     return DiscreteFunction(target, target.distribute(out))
-
-
-def evaluate_at(f, points):
-    """Point evaluation of a DiscreteFunction (diagnostics; not hot).
-
-    Cells are found half-open; a point on a grid line that no cell holds
-    that way (on the right or top boundary) falls back to the cell one
-    lattice unit to its left or below.
-    """
-    mesh = f.space.mesh
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    g = (pts - np.asarray(mesh.domain.origin)) / mesh.unit
-    # far or non-finite points are clipped to a lattice point outside the mesh
-    g = np.clip(np.nan_to_num(g, nan=-2.0), -2.0, 2.0**62)
-    base = np.floor(g)
-    on_line = g == base
-    lx, ly = base.astype(np.int64).T
-    ci = mesh.locate(lx, ly)
-    for dx, dy in ((1, 0), (0, 1), (1, 1)):
-        miss = (ci < 0) & (on_line[:, 0] | (dx == 0)) & (on_line[:, 1] | (dy == 0))
-        ci[miss] = mesh.locate(lx[miss] - dx, ly[miss] - dy)
-    if np.any(ci < 0):
-        i = int(np.nonzero(ci < 0)[0][0])
-        raise DwroptError(f"point {tuple(pts[i])} lies in no active cell")
-    ref = (pts - mesh.cell_origin()[ci]) / mesh.cell_h()[ci, None]
-    phi, _ = tabulate(f.space.degree, ref)
-    out = np.einsum("ij,ij->i", phi, f.coefs[f.space.cell_dofs[ci]])
-    return out if out.size > 1 else float(out[0])
-

@@ -5,7 +5,7 @@ and every refinement halves a cell, so a cell at level ``l`` spans
 ``2**(LBITS - l)`` lattice units.  All coordinates are exact integers,
 kept in one sorted key table.  One vectorized lookup, :meth:`Mesh.locate`,
 answers "which active cell holds this lattice point" for neighbor queries,
-refinement closure, nested-mesh transfer and point evaluation.
+refinement closure and nested-mesh transfer.
 
 Face numbering: 0 = bottom (y-), 1 = right (x+), 2 = top (y+), 3 = left (x-).
 Corner order within a cell: (0,0), (1,0), (0,1), (1,1) in local coordinates.
@@ -34,13 +34,6 @@ class Domain:
     origin: tuple[float, float]
     extent: tuple[float, float]
     holes: tuple[tuple[float, float, float, float], ...] = ()
-
-    @property
-    def area(self):
-        a = self.extent[0] * self.extent[1]
-        for x0, y0, x1, y1 in self.holes:
-            a -= (x1 - x0) * (y1 - y0)
-        return a
 
 
 UNIT_SQUARE = Domain("unit_square", (0.0, 0.0), (1.0, 1.0))
@@ -157,10 +150,6 @@ class Mesh:
         out[:, 1] = oy + self.iy * self.unit
         return out
 
-    def total_area(self):
-        h = self.cell_h()
-        return float(np.sum(h * h))
-
     def node_lattice(self, degree):
         """Equispaced Q^degree nodes of every cell on the lattice scaled by degree.
 
@@ -221,11 +210,6 @@ def check_cell_size(domain, cell_size):
 
 def build_initial(domain, cell_size):
     """Structured root mesh of square cells; hole cells are absent."""
-    if isinstance(domain, str):
-        try:
-            domain = DOMAINS[domain]
-        except KeyError:
-            raise SizingError(f"unknown domain {domain!r}")
     check_cell_size(domain, cell_size)
 
     nx = round(domain.extent[0] / cell_size)

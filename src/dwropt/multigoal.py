@@ -16,23 +16,6 @@ import numpy as np
 from .errors import WeightDegeneracyError
 
 
-def weighting_default(x, m):
-    """Sum of componentwise relative deviations: sum x_l / |m_l|.
-
-    Strictly monotone in each component of x and zero at x = 0.  A zero
-    weight is rejected; callers fall back to absolute weighting.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
-    if np.any(x < 0):
-        raise WeightDegeneracyError("deviations must be nonnegative")
-    if np.any(m == 0.0):
-        raise WeightDegeneracyError(
-            "zero weighting value; use absolute weighting (|m_l| := 1) instead"
-        )
-    return float(np.sum(x / np.abs(m)))
-
-
 @dataclass(frozen=True)
 class CombinedGoal:
     """Sign-frozen differentiable realization of the combined functional.
@@ -51,7 +34,6 @@ class CombinedGoal:
     freeze_values: tuple
     weights: tuple
     signs: tuple
-    fallback_used: bool
     name: str = "combined"
     reference: None = None
 
@@ -130,23 +112,13 @@ class CombinedGoal:
 
 def _freeze(goals, refs, u_freeze, q_freeze):
     freeze_values = tuple(g.value(u_freeze, q_freeze) for g in goals)
-    weights = []
-    signs = []
-    fallback = False
-    for r, f in zip(refs, freeze_values):
-        w = abs(f)
-        if w == 0.0:
-            w = 1.0
-            fallback = True
-        weights.append(w)
-        signs.append(1.0 if r - f >= 0.0 else -1.0)
     return CombinedGoal(
         goals=tuple(goals),
         refs=tuple(refs),
         freeze_values=freeze_values,
-        weights=tuple(weights),
-        signs=tuple(signs),
-        fallback_used=fallback,
+        weights=tuple(abs(f) or 1.0 for f in freeze_values),  # 1 for a zero value
+        signs=tuple(1.0 if r - f >= 0.0 else -1.0
+                    for r, f in zip(refs, freeze_values)),
     )
 
 

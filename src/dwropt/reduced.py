@@ -38,7 +38,6 @@ from .errors import (
     LineSearchError,
     NegativeCurvatureError,
     NonConvergenceError,
-    StaleTripleError,
 )
 from .fem import (
     DiscreteFunction,
@@ -119,14 +118,9 @@ class KKTTriple:
     q: DiscreteFunction
     z: DiscreteFunction
     lin: Factorization | None = None
-    consistent: bool = False
     state_iterations: int = 0
     l_uu: object = None  # lagrangian_uu, built on first use
     problem: object = None  # the problem u solves, to refactorize at u
-
-    def require_consistent(self):
-        if not self.consistent:
-            raise StaleTripleError("operation requires a consistent KKT triple")
 
     def factor(self):
         """The factorized state Jacobian at u, refactorized there after a release.
@@ -214,7 +208,6 @@ def lagrangian_uu(problem, triple):
     Built on first use at a consistent triple and kept on it.  For a
     linear operator it is the pair's state mass.
     """
-    triple.require_consistent()
     if triple.l_uu is None:
         if problem.a_uu_fields is None:
             triple.l_uu = triple.pair.state_mass
@@ -308,8 +301,8 @@ def _damped_step(problem, q, u, res, norm, fac):
 def _with_adjoint(problem, pair, q, u, fac, its):
     """Consistent KKT triple at the solved state u = S(q): adds the adjoint."""
     z = function_from_free(u.space, fac.solve_transposed(_ju_vector(problem, u, q)))
-    return KKTTriple(pair=pair, u=u, q=q, z=z, lin=fac, consistent=True,
-                     state_iterations=its, problem=problem)
+    return KKTTriple(pair=pair, u=u, q=q, z=z, lin=fac, state_iterations=its,
+                     problem=problem)
 
 
 def make_consistent(problem, q, pair, warm_u=None, tol_abs=1e-10, tol_rel=1e-12):
@@ -328,7 +321,6 @@ def reduced_gradient(problem, triple):
     Its J_q term is alpha (M q - b), with the pair's control mass and the
     load of q_des cached on the control space.
     """
-    triple.require_consistent()
     pair, ctrl = triple.pair, triple.q.space
     qf = triple.q.coefs[ctrl.free_dofs]
     g = problem.alpha * (pair.control_mass @ qf
@@ -338,7 +330,6 @@ def reduced_gradient(problem, triple):
 
 def goal_gradient(problem, goal, triple):
     """Assembled derivative of the reduced goal i(q) = I(S(q), q) (dual vector)."""
-    triple.require_consistent()
     coeffs = {"u": triple.u, "q": triple.q}
     iu, iq = goal.iu_fields, goal.iq_fields
     ctrl = triple.q.space
@@ -356,7 +347,6 @@ def hessvec(problem, triple, dq):
     factorization, joined by the coupling, the Lagrangian's state
     Hessian and the control mass; returns a dual vector.
     """
-    triple.require_consistent()
     pair = triple.pair
     x = dq.coefs[pair.control.free_dofs]
     fac = triple.factor()
@@ -376,7 +366,6 @@ def solve_reduced_system(problem, triple, rhs, krylov_tol=1e-10, max_iter=500,
     preconditioned right-hand side, is returned.  Returns (solution,
     iterations), one iteration per Hessian application.
     """
-    triple.require_consistent()
     ctrl = triple.q.space
     b = np.asarray(rhs, dtype=np.float64)
     if not np.any(b):

@@ -464,6 +464,26 @@ class TestCli:
         assert cli_main(["run", str(cfgfile)]) == 0
         assert (tmp_path / "out" / "levels.csv").exists()
 
+    @pytest.mark.parametrize("command", ["preset", "run"])
+    def test_self_reference_writes_references(self, tmp_path, command):
+        out = tmp_path / "out"
+        if command == "preset":
+            argv = ["preset", "example1_cost", "--max-levels", "1", "--out", str(out)]
+        else:
+            cfgfile = tmp_path / "a.cfg"
+            cfgfile.write_text(
+                f"preset = example1_cost\nmax_levels = 1\noutput_dir = {out}\n"
+            )
+            argv = ["run", str(cfgfile)]
+        assert cli_main([*argv, "--self-reference"]) == 0
+        lines = (out / "references.txt").read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "goal, self_reference, stored_reference"
+        assert len(lines) == 2
+        name, self_ref, stored = lines[1].split(", ")
+        assert name == "cost"
+        assert stored == repr((25 * np.pi**4 + 1 / 0.01) / 8)
+        assert np.isfinite(float(self_ref))
+
     def test_missing_config_exit_2(self):
         assert cli_main(["run", "/nonexistent/path.cfg"]) == 2
 

@@ -17,13 +17,13 @@ from dwropt.fem import (
     assemble_matrix,
     assemble_vector,
     build_space,
-    evaluate_at,
     gauss_rule,
     integrate,
     interpolate,
     lagrange_1d,
     reference_matrix,
     stiffness_fields,
+    tabulate,
     transfer,
     zero_function,
 )
@@ -33,6 +33,34 @@ from dwropt.problem import _box_integral_goal, make_goals, make_plaplace_control
 
 def mark(mesh, ids):
     return CellSet(frozenset(ids), mesh.generation)
+
+
+def evaluate_at(f, points):
+    """Point evaluation of a DiscreteFunction on the closed mesh.
+
+    Cells are found half-open; a point on a grid line that no cell holds
+    that way (on the right or top boundary) falls back to the cell one
+    lattice unit to its left or below.
+    """
+    mesh = f.space.mesh
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    g = (pts - np.asarray(mesh.domain.origin)) / mesh.unit
+    # far or non-finite points are clipped to a lattice point outside the mesh
+    g = np.clip(np.nan_to_num(g, nan=-2.0), -2.0, 2.0**62)
+    base = np.floor(g)
+    on_line = g == base
+    lx, ly = base.astype(np.int64).T
+    ci = mesh.locate(lx, ly)
+    for dx, dy in ((1, 0), (0, 1), (1, 1)):
+        miss = (ci < 0) & (on_line[:, 0] | (dx == 0)) & (on_line[:, 1] | (dy == 0))
+        ci[miss] = mesh.locate(lx[miss] - dx, ly[miss] - dy)
+    if np.any(ci < 0):
+        i = int(np.nonzero(ci < 0)[0][0])
+        raise DwroptError(f"point {tuple(pts[i])} lies in no active cell")
+    ref = (pts - mesh.cell_origin()[ci]) / mesh.cell_h()[ci, None]
+    phi, _ = tabulate(f.space.degree, ref)
+    out = np.einsum("ij,ij->i", phi, f.coefs[f.space.cell_dofs[ci]])
+    return out if out.size > 1 else float(out[0])
 
 
 def mass_fields(ctx):
@@ -225,6 +253,35 @@ class TestAssembly:
         assert not b.any()
         u = interpolate(test, lambda x, y: 1.0 + x * y)
         assert goal.value(u, None) == 0.0
+
+    def test_load_vector_reads_the_data_a_sweep_cached(self):
+        # a goal derivative swept over the space caches u_des at its quadrature
+        # points; the load of u_des with the same rule reads them, bitwise
+        from dataclasses import replace
+
+        from dwropt.fem import gauss_points, load_vector
+        from dwropt.problem import make_poisson_control
+
+        base = make_poisson_control(alpha=0.01)
+        calls = []
+
+        def u_des(x, y):
+            calls.append(x.shape)
+            return base.u_des(x, y)
+
+        problem = replace(base, u_des=u_des)
+        s = build_space(build_initial(UNIT_SQUARE, 0.25), "cg", 2)
+        n = gauss_points(s)
+        u = interpolate(s, lambda x, y: x * y)
+        assemble_vector(problem.j_u_fields, s, {"u": u}, nquad=n)
+        assert calls
+        calls.clear()
+        b = load_vector(s, u_des, n)
+        assert calls == []
+        expected = assemble_vector(
+            lambda ctx: (base.u_des(ctx.x[..., 0], ctx.x[..., 1]), None), s, nquad=n
+        )
+        np.testing.assert_array_equal(b, expected)
 
 
 class TestSolve:

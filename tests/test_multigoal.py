@@ -1,38 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from dwropt.errors import WeightDegeneracyError
 from dwropt.fem import DiscreteFunction, assemble_vector, build_space, interpolate
 from dwropt.mesh import UNIT_SQUARE, build_initial
-from dwropt.multigoal import build_combined, weighting_default
+from dwropt.multigoal import build_combined
 from dwropt.problem import GoalFunctional
-
-
-class TestWeighting:
-    def test_zero_deviation(self):
-        assert weighting_default([0.0, 0.0], [1.0, -2.0]) == 0.0
-
-    def test_printed_arithmetic(self):
-        assert weighting_default([1.0, 2.0], [2.0, -4.0]) == pytest.approx(1.0)
-
-    def test_zero_weight_rejected(self):
-        with pytest.raises(WeightDegeneracyError):
-            weighting_default([1.0], [0.0])
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=6),
-        st.integers(min_value=0, max_value=5),
-        st.floats(min_value=1e-8, max_value=10.0),
-    )
-    def test_strict_monotonicity(self, x, idx, bump):
-        m = [1.0 + i for i in range(len(x))]
-        base = weighting_default(x, m)
-        x2 = list(x)
-        x2[idx % len(x)] += bump
-        assert weighting_default(x2, m) > base
 
 
 def _poly_goal(name, cu, cq, offset=0.0):
@@ -139,7 +111,6 @@ class TestBuildCombined:
         dead = _poly_goal("dead", 0.0, 0.0, offset=0.0)
         live = _poly_goal("live", 1.0, 0.0)
         comb = build_combined([dead, live], (u2, q2), (uf, qf))
-        assert comb.fallback_used
         assert comb.weights[0] == 1.0
 
     def test_refreeze_moves_weights(self):

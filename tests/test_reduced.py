@@ -11,7 +11,6 @@ from dwropt.errors import (
     DwroptError,
     NegativeCurvatureError,
     NonConvergenceError,
-    StaleTripleError,
 )
 from dwropt.fem import (
     DiscreteFunction,
@@ -205,17 +204,6 @@ class TestAdjoint:
 
 
 class TestReducedGradient:
-    def test_stale_triple_rejected(self):
-        prob, mesh, pair = poisson_setup()
-        t = KKTTriple(
-            pair=pair,
-            u=zero_function(pair.state),
-            q=zero_function(pair.control),
-            z=zero_function(pair.state),
-        )
-        with pytest.raises(StaleTripleError):
-            reduced_gradient(prob, t)
-
     def test_zero_data_zero_gradient(self):
         # q = q_des = 0, f = 0, u_des = 0: the optimum is at zero
         prob = make_plaplace_control(alpha=5.0, p=4.0, eps=1.0)
@@ -629,8 +617,7 @@ class TestProductsMatchQuadrature:
             assert _close(red._ju_vector(prob, u, q), _ref_ju_vector(prob, u, q))
             assert _close(state_residual(prob, u, q), _ref_state_residual(prob, u, q))
             # with a zero adjoint the reduced gradient is its J_q term
-            t = KKTTriple(pair=pair, u=u, q=q, z=zero_function(pair.state),
-                          consistent=True)
+            t = KKTTriple(pair=pair, u=u, q=q, z=zero_function(pair.state))
             assert _close(reduced_gradient(prob, t), _ref_jq_vector(prob, q))
 
 
