@@ -18,6 +18,7 @@ import sys
 
 from .driver import (
     PRESETS,
+    _make_output_dir,
     compare_stopping,
     emit_outputs,
     instantiate,
@@ -84,14 +85,6 @@ def _emit_self_reference(cfg):
         fh.write("\n".join(lines) + "\n")
 
 
-def _make_output_dir(path):
-    """Create the output directory, so a bad path fails before any level runs."""
-    try:
-        os.makedirs(path, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path!r}: {exc}") from None
-
-
 def _run_config(args):
     """The configuration of a run: a file, or a preset with its overrides."""
     if args.command == "run":
@@ -121,8 +114,6 @@ def main(argv=None):
             print(f"wrote {os.path.join(cfg.output_dir, 'levels.csv')}")
         elif args.command == "compare-stopping":
             cfg = load_config(args.config)
-            for mode in ("standard", "adaptive"):  # the per-run subdirectories
-                _make_output_dir(os.path.join(cfg.output_dir, mode))
             standard, adaptive = compare_stopping(cfg)
             path = os.path.join(cfg.output_dir, "comparison.csv")
             with open(path, "w", encoding="utf-8") as fh:
@@ -140,16 +131,6 @@ def main(argv=None):
             bad = [a for a in alphas if not (math.isfinite(a) and a > 0)]
             if bad:
                 raise ConfigError(f"alpha must be positive and finite, got {bad[0]}")
-            # each run writes to alpha_<value:g>, and sweep.csv names its columns so
-            names = [f"{a:g}" for a in alphas]
-            twice = sorted({n for n in names if names.count(n) > 1})
-            if twice:
-                raise ConfigError(
-                    f"--alphas names alpha {', '.join(twice)} more than once "
-                    "(values are told apart by their :g form)"
-                )
-            for name in names:
-                _make_output_dir(os.path.join(cfg.output_dir, f"alpha_{name}"))
             runs = sweep_alpha(cfg, alphas)
             path = os.path.join(cfg.output_dir, "sweep.csv")
             with open(path, "w", encoding="utf-8") as fh:

@@ -124,9 +124,9 @@ def preset_config(name, **overrides):
     return _check_given(cfg.validate(), overrides)
 
 
-_CONFIG_KEYS = {f.name for f in fields(Config)}
-_STR_KEYS = ("preset", "output_dir", "stopping", "reference_source", "refinement")
-_INT_KEYS = ("max_levels", "degree")
+_PARSERS = {"str": str, "int": int, "float": float, "float | None": float}
+#: config key -> the parser of its value text, from the field's annotation
+_KINDS = {f.name: _PARSERS[f.type] for f in fields(Config)}
 _INF_KEYS = ("tol_dis", "target_dofs_state", "target_dofs_total")
 
 
@@ -141,13 +141,10 @@ def parse_config(text):
         if "=" not in line:
             raise ConfigError(f"line {ln}: expected 'key = value', got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        kind = _KINDS.get(key)
+        if kind is None:
             raise ConfigError(f"line {ln}: unknown configuration key {key!r}")
         given.add(key)
-        if key in _STR_KEYS:
-            setattr(cfg, key, val)
-            continue
-        kind = int if key in _INT_KEYS else float
         try:
             setattr(cfg, key, kind(val))
         except ValueError:
@@ -293,16 +290,15 @@ def _solve_level(problem, goals, mesh, config, warm):
     # combined goal frozen at the converged low solution; goal-adjoint
     # chains at the low and at the enriched linearization point
     combined = build_combined(goals, (triple2.u, triple2.q), (triple.u, triple.q))
-    adj_low = adjoint_chain(problem, combined, triple, p=p_low,
-                            krylov_tol=config.krylov_tol)
-    adj2 = adjoint_chain(problem, combined, triple2, krylov_tol=config.krylov_tol)
-    eta_k = compute_eta_k(problem, triple, adj_low.p)
+    adj_low = adjoint_chain(combined, triple, p=p_low, krylov_tol=config.krylov_tol)
+    adj2 = adjoint_chain(combined, triple2, krylov_tol=config.krylov_tol)
+    eta_k = compute_eta_k(triple, adj_low.p)
 
     # the estimate needs the solutions only: free the factors, operators
     # and space caches before its sweep allocates its quadrature fields
     triple.release()
     triple2.release()
-    breakdown = localize_pu(problem, combined, (triple, adj_low), (triple2, adj2))
+    breakdown = localize_pu(combined, (triple, adj_low), (triple2, adj2))
     breakdown.eta_k = eta_k
     return {
         "pair": pair,
@@ -565,19 +561,41 @@ def emit_outputs(reports, config):
 # higher-level experiment drivers
 
 
+def _make_output_dir(path):
+    """Create the output directory, so a bad path fails before any level runs."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path!r}: {exc}") from None
+
+
+def _run_each(config, runs):
+    """Reports of one run per (subdirectory, overrides) pair.
+
+    Each run writes its outputs to its subdirectory of the configured
+    output directory; all of them are created before the first run.
+    """
+    configs = [replace(config, output_dir=os.path.join(config.output_dir, sub), **kw)
+               for sub, kw in runs]
+    for cfg in configs:
+        _make_output_dir(cfg.output_dir)
+    reports = []
+    for cfg in configs:
+        reports.append(run_adaptive(cfg))
+        emit_outputs(reports[-1], cfg)
+    return reports
+
+
 def compare_stopping(config):
     """Run both Newton stopping rules on otherwise identical configs.
 
     Returns (standard_reports, adaptive_reports); each mode's artifacts
     go to a subdirectory of the configured output directory.
     """
-    results = {}
-    for mode in ("standard", "adaptive"):
-        cfg = replace(config, stopping=mode,
-                      output_dir=os.path.join(config.output_dir, mode))
-        results[mode] = run_adaptive(cfg)
-        emit_outputs(results[mode], cfg)
-    return results["standard"], results["adaptive"]
+    standard, adaptive = _run_each(
+        config, [(mode, {"stopping": mode}) for mode in ("standard", "adaptive")]
+    )
+    return standard, adaptive
 
 
 def render_comparison_csv(standard, adaptive):
@@ -602,14 +620,22 @@ def render_comparison_csv(standard, adaptive):
 
 
 def sweep_alpha(config, alphas):
-    """One run per regularization weight; per-alpha outputs plus a summary."""
-    runs = {}
-    for a in alphas:
-        cfg = replace(config, alpha=a,
-                      output_dir=os.path.join(config.output_dir, f"alpha_{a:g}"))
-        runs[a] = run_adaptive(cfg)
-        emit_outputs(runs[a], cfg)
-    return runs
+    """One run per regularization weight, each into alpha_<value:g>.
+
+    Returns {alpha: reports}.  Weights with the same :g form would share
+    a subdirectory and a sweep.csv column, so they are rejected.
+    """
+    names = [f"{a:g}" for a in alphas]
+    twice = sorted({n for n in names if names.count(n) > 1})
+    if twice:
+        raise ConfigError(
+            f"--alphas names alpha {', '.join(twice)} more than once "
+            "(values are told apart by their :g form)"
+        )
+    reports = _run_each(
+        config, [(f"alpha_{n}", {"alpha": a}) for a, n in zip(alphas, names)]
+    )
+    return dict(zip(alphas, reports))
 
 
 def render_sweep_csv(runs):

@@ -33,14 +33,6 @@ class LineSearchError(DwroptError):
     """Backtracking line search failed to produce an acceptable step."""
 
 
-class NegativeCurvatureError(DwroptError):
-    """CG detected a direction of nonpositive curvature."""
-
-    def __init__(self, message, direction=None):
-        super().__init__(message)
-        self.direction = direction
-
-
 class WeightDegeneracyError(DwroptError):
     """A goal combination's enriched reference evaluation is not finite."""
 

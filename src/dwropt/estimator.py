@@ -79,14 +79,9 @@ class EffectivityIndices:
 # goal adjoint chain
 
 
-def solve_reduced_adjoint(problem, goal, triple, krylov_tol=1e-10,
-                          truncate_on_negative=False):
+def solve_reduced_adjoint(goal, triple, krylov_tol=1e-10):
     """Goal adjoint p: reduced Hessian applied to p equals -i'(q)."""
-    rhs = -goal_gradient(problem, goal, triple)
-    p, _ = solve_reduced_system(
-        problem, triple, rhs, krylov_tol=krylov_tol,
-        truncate_on_negative=truncate_on_negative,
-    )
+    p, _ = solve_reduced_system(triple, -goal_gradient(goal, triple), krylov_tol)
     return p
 
 
@@ -97,27 +92,24 @@ def recover_v(triple, p):
     return function_from_free(triple.u.space, triple.factor().solve(-(B @ x)))
 
 
-def recover_y(problem, goal, triple, v):
+def recover_y(goal, triple, v):
     """Second adjoint from the first row of the adjoint optimality system."""
     state = triple.u.space
-    rhs = lagrangian_uu(problem, triple) @ v.coefs[state.free_dofs]
+    rhs = lagrangian_uu(triple) @ v.coefs[state.free_dofs]
     if goal.iu_fields is not None:
         rhs += assemble_vector(goal.iu_fields, state, {"u": triple.u, "q": triple.q})
     return function_from_free(state, triple.factor().solve_transposed(rhs))
 
 
-def adjoint_chain(problem, goal, triple, p=None, krylov_tol=1e-10):
+def adjoint_chain(goal, triple, p=None, krylov_tol=1e-10):
     """p, v, y for one goal at one consistent triple.
 
-    A given p (the adaptive Newton's goal adjoint) is reused.  Otherwise
-    CG truncates on nonpositive curvature, as in Newton globalization.
+    A given p (the adaptive Newton's goal adjoint) is reused.
     """
     if p is None:
-        p = solve_reduced_adjoint(
-            problem, goal, triple, krylov_tol=krylov_tol, truncate_on_negative=True
-        )
+        p = solve_reduced_adjoint(goal, triple, krylov_tol=krylov_tol)
     v = recover_v(triple, p)
-    y = recover_y(problem, goal, triple, v)
+    y = recover_y(goal, triple, v)
     return AdjointTriple(v=v, p=p, y=y)
 
 
@@ -178,9 +170,10 @@ def _part_fields(problem, goal, ctx):
 _PART_ATTR = ("rho_u", "rho_q", "rho_z", "rho_v", "rho_y", "rho_p")
 
 
-def _estimator_sweep(problem, goal, low, enriched, pu_space):
+def _estimator_sweep(goal, low, enriched, pu_space):
     """One pass over the mesh: global residual parts and PU vertex vector."""
     low_kkt, low_adj = low
+    problem = low_kkt.problem
     enr_kkt, enr_adj = enriched
     funcs = {
         "u": low_kkt.u, "q": low_kkt.q, "z": low_kkt.z,
@@ -216,7 +209,7 @@ def _estimator_sweep(problem, goal, low, enriched, pu_space):
     return part_sums, pu_space.C.T @ pu_raw
 
 
-def localize_pu(problem, goal, low, enriched):
+def localize_pu(goal, low, enriched):
     """Six-part estimate with its partition-of-unity localization.
 
     Returns an :class:`ErrorBreakdown` carrying the global parts, the
@@ -226,7 +219,7 @@ def localize_pu(problem, goal, low, enriched):
     """
     mesh = low[0].u.space.mesh
     pu_space = build_space(mesh, "cg", 1, constrain_dirichlet=False)
-    part_sums, vertex = _estimator_sweep(problem, goal, low, enriched, pu_space)
+    part_sums, vertex = _estimator_sweep(goal, low, enriched, pu_space)
 
     # cell indicators: |vertex value| split by the number of adjacent cells
     col_of = np.full(pu_space.ndofs, -1, dtype=np.int64)
@@ -245,9 +238,9 @@ def localize_pu(problem, goal, low, enriched):
     return bd
 
 
-def compute_eta_k(problem, triple, p):
+def compute_eta_k(triple, p):
     """Iteration-error estimate: minus the reduced gradient paired with p."""
-    g = reduced_gradient(problem, triple)
+    g = reduced_gradient(triple)
     return -float(g @ p.coefs[triple.q.space.free_dofs])
 
 

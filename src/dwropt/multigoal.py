@@ -34,8 +34,6 @@ class CombinedGoal:
     freeze_values: tuple
     weights: tuple
     signs: tuple
-    name: str = "combined"
-    reference: None = None
 
     @property
     def iu_fields(self):

@@ -266,7 +266,7 @@ def _l1_goal(reference=None, smoothing=1e-8):
     return GoalFunctional("l1_norm", value, iu_fields, reference=reference)
 
 
-def _uq_product_goal(name="uq_product", reference=None):
+def _uq_product_goal(reference):
     """I(u, q) = half the integral of u^2 q^2 over the domain.
 
     The half matches the tabulated reference values of both experiments
@@ -286,7 +286,7 @@ def _uq_product_goal(name="uq_product", reference=None):
     def iq_fields(ctx):
         return ctx.val("u") ** 2 * ctx.val("q"), None
 
-    return GoalFunctional(name, value, iu_fields, iq_fields, reference)
+    return GoalFunctional("uq_product", value, iu_fields, iq_fields, reference)
 
 
 def _state_tracking_goal(problem, reference):
@@ -356,6 +356,6 @@ def make_goals(preset, problem, smoothing=1e-8):
             _control_tracking_goal(problem, r[1]),
             _box_integral_goal("state_strip", "u", (4.0, -np.inf, 5.0, np.inf), r[2]),
             _box_integral_goal("control_band", "q", (1.0, 2.0, 6.25, 2.5), r[3]),
-            _uq_product_goal(name="uq_product", reference=r[4]),
+            _uq_product_goal(r[4]),
         ]
     raise ConfigError(f"unknown goal preset {preset!r}; choose from {GOAL_PRESETS}")

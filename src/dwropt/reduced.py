@@ -34,11 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    LineSearchError,
-    NegativeCurvatureError,
-    NonConvergenceError,
-)
+from .errors import LineSearchError, NonConvergenceError
 from .fem import (
     DiscreteFunction,
     Factorization,
@@ -56,6 +52,7 @@ ARMIJO_C = 1e-4
 CHORD_RATE = 0.1  # keep a state Jacobian while it contracts the residual this much
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 20
+MAX_CG_ITERATIONS = 500
 
 
 @dataclass(frozen=True)
@@ -109,18 +106,20 @@ class SpacePair:
 class KKTTriple:
     """State, control and adjoint with the factorized state Jacobian at u.
 
-    Solves with the Jacobian go through :meth:`factor`, so a triple stays
-    usable after :meth:`release` has freed its solver state.
+    The triple carries the problem it solves, so the reduced-space
+    functions take the triple alone.  Solves with the Jacobian go through
+    :meth:`factor`, so a triple stays usable after :meth:`release` has
+    freed its solver state.
     """
 
     pair: SpacePair
     u: DiscreteFunction
     q: DiscreteFunction
     z: DiscreteFunction
+    problem: object  # the problem u solves
     lin: Factorization | None = None
     state_iterations: int = 0
     l_uu: object = None  # lagrangian_uu, built on first use
-    problem: object = None  # the problem u solves, to refactorize at u
 
     def factor(self):
         """The factorized state Jacobian at u, refactorized there after a release.
@@ -202,19 +201,20 @@ def _jacobian(problem, pair, u, q):
     )
 
 
-def lagrangian_uu(problem, triple):
+def lagrangian_uu(triple):
     """State Hessian of the Lagrangian, J_uu - a_uu(u)(., .; z), as a matrix.
 
     Built on first use at a consistent triple and kept on it.  For a
     linear operator it is the pair's state mass.
     """
     if triple.l_uu is None:
-        if problem.a_uu_fields is None:
+        a_uu_fields = triple.problem.a_uu_fields
+        if a_uu_fields is None:
             triple.l_uu = triple.pair.state_mass
         else:
 
             def fields(ctx):
-                K, _ = problem.a_uu_fields(ctx)
+                K, _ = a_uu_fields(ctx)
                 return -K, np.ones(ctx.wdet.shape)
 
             triple.l_uu = assemble_matrix(
@@ -315,20 +315,20 @@ def make_consistent(problem, q, pair, warm_u=None, tol_abs=1e-10, tol_rel=1e-12)
 # reduced derivatives
 
 
-def reduced_gradient(problem, triple):
+def reduced_gradient(triple):
     """Assembled first derivative of the reduced cost (dual vector).
 
     Its J_q term is alpha (M q - b), with the pair's control mass and the
     load of q_des cached on the control space.
     """
-    pair, ctrl = triple.pair, triple.q.space
+    problem, pair, ctrl = triple.problem, triple.pair, triple.q.space
     qf = triple.q.coefs[ctrl.free_dofs]
     g = problem.alpha * (pair.control_mass @ qf
                          - load_vector(ctrl, problem.q_des, gauss_points(ctrl)))
     return g - pair.coupling.T @ triple.z.coefs[triple.u.space.free_dofs]
 
 
-def goal_gradient(problem, goal, triple):
+def goal_gradient(goal, triple):
     """Assembled derivative of the reduced goal i(q) = I(S(q), q) (dual vector)."""
     coeffs = {"u": triple.u, "q": triple.q}
     iu, iq = goal.iu_fields, goal.iq_fields
@@ -340,7 +340,7 @@ def goal_gradient(problem, goal, triple):
     return out
 
 
-def hessvec(problem, triple, dq):
+def hessvec(triple, dq):
     """Application of the reduced Hessian to a control direction.
 
     A tangent solve and a second-order adjoint solve with the cached
@@ -351,27 +351,26 @@ def hessvec(problem, triple, dq):
     x = dq.coefs[pair.control.free_dofs]
     fac = triple.factor()
     du = fac.solve(-(pair.coupling @ x))
-    dz = fac.solve_transposed(lagrangian_uu(problem, triple) @ du)
-    return problem.alpha * (pair.control_mass @ x) - pair.coupling.T @ dz
+    dz = fac.solve_transposed(lagrangian_uu(triple) @ du)
+    return triple.problem.alpha * (pair.control_mass @ x) - pair.coupling.T @ dz
 
 
-def solve_reduced_system(problem, triple, rhs, krylov_tol=1e-10, max_iter=500,
-                         truncate_on_negative=False):
-    """Preconditioned CG on the reduced Hessian.
+def solve_reduced_system(triple, rhs, krylov_tol=1e-10):
+    """Preconditioned CG on the reduced Hessian, truncated on nonpositive curvature.
 
     The preconditioner is the inverse of the alpha-scaled control mass
-    matrix, applied as a block-diagonal mat-vec.  Nonpositive curvature
-    aborts with the offending direction, unless truncation is requested
-    (Newton globalization): then the CG progress so far, or the
-    preconditioned right-hand side, is returned.  Returns (solution,
-    iterations), one iteration per Hessian application.
+    matrix, applied as a block-diagonal mat-vec.  A direction of
+    nonpositive curvature (far from a minimum the reduced Hessian may be
+    indefinite) ends the iteration with the CG progress so far, or with
+    the preconditioned right-hand side on the first iteration.  Returns
+    (solution, iterations), one iteration per Hessian application.
     """
     ctrl = triple.q.space
     b = np.asarray(rhs, dtype=np.float64)
     if not np.any(b):
         return zero_function(ctrl), 0
     m_inv = triple.pair.control_mass_inverse
-    inv_alpha = 1.0 / problem.alpha
+    inv_alpha = 1.0 / triple.problem.alpha
 
     x = np.zeros(ctrl.nfree)
     r = b.copy()
@@ -379,16 +378,11 @@ def solve_reduced_system(problem, triple, rhs, krylov_tol=1e-10, max_iter=500,
     rho = float(r @ z)
     rho0 = rho
     p = z.copy()
-    for it in range(max_iter):
-        Hp = hessvec(problem, triple, function_from_free(ctrl, p))
+    for it in range(MAX_CG_ITERATIONS):
+        Hp = hessvec(triple, function_from_free(ctrl, p))
         pHp = float(p @ Hp)
         if pHp <= 0.0:
-            if truncate_on_negative:
-                return function_from_free(ctrl, x if it > 0 else z), it + 1
-            raise NegativeCurvatureError(
-                f"nonpositive curvature {pHp:.3e} in reduced CG",
-                direction=function_from_free(ctrl, p),
-            )
+            return function_from_free(ctrl, x if it > 0 else z), it + 1
         a = rho / pHp
         x += a * p
         r -= a * Hp
@@ -398,14 +392,16 @@ def solve_reduced_system(problem, triple, rhs, krylov_tol=1e-10, max_iter=500,
             return function_from_free(ctrl, x), it + 1
         p = z + (rho_new / rho) * p
         rho = rho_new
-    raise NonConvergenceError(f"reduced CG stalled after {max_iter} iterations")
+    raise NonConvergenceError(
+        f"reduced CG stalled after {MAX_CG_ITERATIONS} iterations"
+    )
 
 
 # ---------------------------------------------------------------------------
 # reduced Newton: one loop, two stopping rules
 
 
-def _newton_update(problem, triple, g, krylov_tol):
+def _newton_update(triple, g, krylov_tol):
     """One Newton step with Armijo backtracking on the reduced cost.
 
     Near convergence the predicted decrease falls below the accuracy of
@@ -413,10 +409,8 @@ def _newton_update(problem, triple, g, krylov_tol):
     that evaluation noise so the final tiny steps are not rejected.
     Returns (triple, step size, CG iterations of the step solve).
     """
-    pair = triple.pair
-    dq, cg_its = solve_reduced_system(
-        problem, triple, -g, krylov_tol=krylov_tol, truncate_on_negative=True
-    )
+    problem, pair = triple.problem, triple.pair
+    dq, cg_its = solve_reduced_system(triple, -g, krylov_tol=krylov_tol)
     slope = float(g @ dq.coefs[pair.control.free_dofs])
     triple.l_uu = None  # the trial solves below peak in memory; free it first
     j0 = problem.j_value(triple.u, triple.q)
@@ -445,7 +439,7 @@ def _newton(problem, pair, q0, guard, tol_abs, tol_rel, krylov_tol, max_iter,
     log = NewtonLog()
     p = ng0 = None
     while True:
-        g = reduced_gradient(problem, triple)
+        g = reduced_gradient(triple)
         ng = dual_norm(pair, g)
         ng0 = ng if ng0 is None else ng0
         measure = ng
@@ -454,8 +448,7 @@ def _newton(problem, pair, q0, guard, tol_abs, tol_rel, krylov_tol, max_iter,
             # truncation: far-from-converged iterates may see an indefinite
             # reduced Hessian; an inexact p only loosens the stopping guard
             p, _ = solve_reduced_system(
-                problem, triple, -goal_gradient(problem, goal_k, triple),
-                krylov_tol=krylov_tol, truncate_on_negative=True,
+                triple, -goal_gradient(goal_k, triple), krylov_tol=krylov_tol
             )
             measure = abs(float(g @ p.coefs[pair.control.free_dofs]))
         log.record(measure, triple)
@@ -472,7 +465,7 @@ def _newton(problem, pair, q0, guard, tol_abs, tol_rel, krylov_tol, max_iter,
             )
         if log.stop_reason:
             return triple, p, log
-        triple, s, cg_its = _newton_update(problem, triple, g, krylov_tol)
+        triple, s, cg_its = _newton_update(triple, g, krylov_tol)
         log.step_sizes.append(s)
         log.cg_iterations.append(cg_its)
 

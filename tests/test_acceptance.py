@@ -283,7 +283,7 @@ class TestCriterion5:
         (goal,) = make_goals("example1_cost", prob)
         triple, _ = newton_standard(prob, pair, zero_function(pair.control),
                                     tol_abs=1e-12)
-        adj = adjoint_chain(prob, goal, triple)
+        adj = adjoint_chain(goal, triple)
         nz = l2_norm(triple.z)
         nq = max(1.0, l2_norm(triple.q))
         ok_p = l2_norm(adj.p) <= 1e-9 * nq
@@ -323,7 +323,7 @@ class TestCriterion6:
                 dq = DiscreteFunction(pair.control,
                                       rng.standard_normal(pair.control.ndofs))
                 triple = make_consistent(prob, q, pair, tol_abs=1e-13)
-                g = reduced_gradient(prob, triple)
+                g = reduced_gradient(triple)
                 directional = float(g @ dq.coefs[pair.control.free_dofs])
                 h = 1e-5
                 qp = DiscreteFunction(pair.control, q.coefs + h * dq.coefs)
@@ -348,7 +348,7 @@ class TestCriterion6:
             dq = DiscreteFunction(pair.control,
                                   rng.standard_normal(pair.control.ndofs))
             triple = make_consistent(prob, q, pair, tol_abs=1e-13)
-            hv = hessvec(prob, triple, dq)
+            hv = hessvec(triple, dq)
             h = 1e-4
             tp = make_consistent(
                 prob, DiscreteFunction(pair.control, q.coefs + h * dq.coefs),
@@ -358,7 +358,7 @@ class TestCriterion6:
                 prob, DiscreteFunction(pair.control, q.coefs - h * dq.coefs),
                 pair, tol_abs=1e-13,
             )
-            fd = (reduced_gradient(prob, tp) - reduced_gradient(prob, tm)) / (2 * h)
+            fd = (reduced_gradient(tp) - reduced_gradient(tm)) / (2 * h)
             err = np.max(np.abs(fd - hv)) / max(1.0, np.max(np.abs(hv)))
             worst = max(worst, err)
         _report(f"6 (hessvec FD <= 1e-4, {kind})", worst <= 1e-4,
@@ -429,7 +429,7 @@ class TestCriterion7:
         from dwropt.estimator import localize_pu
 
         sol = ex1_l1_level
-        prob, goal = sol["problem"], sol["combined"]
+        goal = sol["combined"]
         triple, triple2 = sol["triple"], sol["triple2"]
         c = 2.5
 
@@ -442,12 +442,12 @@ class TestCriterion7:
             "scaled", lambda u, q: c * goal.value(u, q),
             scaled(goal.iu_fields), scaled(goal.iq_fields),
         )
-        low1 = (triple, adjoint_chain(prob, goal, triple, krylov_tol=1e-13))
-        enr1 = (triple2, adjoint_chain(prob, goal, triple2, krylov_tol=1e-13))
-        low2 = (triple, adjoint_chain(prob, scaled_goal, triple, krylov_tol=1e-13))
-        enr2 = (triple2, adjoint_chain(prob, scaled_goal, triple2, krylov_tol=1e-13))
-        e1 = localize_pu(prob, goal, low1, enr1).eta_h2
-        e2 = localize_pu(prob, scaled_goal, low2, enr2).eta_h2
+        low1 = (triple, adjoint_chain(goal, triple, krylov_tol=1e-13))
+        enr1 = (triple2, adjoint_chain(goal, triple2, krylov_tol=1e-13))
+        low2 = (triple, adjoint_chain(scaled_goal, triple, krylov_tol=1e-13))
+        enr2 = (triple2, adjoint_chain(scaled_goal, triple2, krylov_tol=1e-13))
+        e1 = localize_pu(goal, low1, enr1).eta_h2
+        e2 = localize_pu(scaled_goal, low2, enr2).eta_h2
         err = abs(e2 - c * e1) / max(1e-300, abs(c * e1))
         _report("7 (goal-scaling linearity <= 1e-12 relative)", err <= 1e-12,
                 f"{err:.2e}")
@@ -463,7 +463,7 @@ class TestCriterion7:
 
     def test_7_eta_k_converged(self, ex1_level):
         sol = ex1_level
-        val = compute_eta_k(sol["problem"], sol["triple"], sol["adj_low"].p)
+        val = compute_eta_k(sol["triple"], sol["adj_low"].p)
         _report("7 (eta_k = 0 at converged iterates)", abs(val) <= 1e-8,
                 f"{val:.2e}")
 

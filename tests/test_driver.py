@@ -58,6 +58,18 @@ class TestConfig:
         assert cfg.max_levels == 3
         assert cfg.stopping == "standard"
 
+    @pytest.mark.parametrize("key", [f.name for f in fields(Config)
+                                     if f.default is not None])
+    def test_default_round_trip(self, key):
+        # each default, written as "key = value", parses back to itself
+        preset = {"p": "example2_uq", "epsilon": "example2_uq",
+                  "smoothing_delta": "example1_l1"}.get(key, Config.preset)
+        default = getattr(Config(), key)
+        text = f"preset = {preset}\n{key} = {default}\n"
+        cfg = parse_config(text)
+        assert cfg == Config(preset=preset)
+        assert type(getattr(cfg, key)) is type(default)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown configuration key"):
             parse_config("warp_factor = 9")
@@ -385,9 +397,9 @@ class TestLevelRelease:
         sol = _solve_level(problem, goals, mesh, cfg, (None, None, cfg.eta0))
         triple, triple2, combined = sol["triple"], sol["triple2"], sol["combined"]
         assert triple.lin is None and triple2.lin is None
-        low = adjoint_chain(problem, combined, triple, p=sol["adj_low"].p,
+        low = adjoint_chain(combined, triple, p=sol["adj_low"].p,
                             krylov_tol=cfg.krylov_tol)
-        enr = adjoint_chain(problem, combined, triple2, krylov_tol=cfg.krylov_tol)
+        enr = adjoint_chain(combined, triple2, krylov_tol=cfg.krylov_tol)
         assert triple.lin is not None and triple2.lin is not None
         for got, want in ((low, sol["adj_low"]), (enr, sol["adj2"])):
             for attr in ("v", "p", "y"):

@@ -68,8 +68,8 @@ class TestGoalGradient:
         (goal,) = make_goals("example1_cost", prob)
         triple, _ = newton_standard(prob, pair, zero_function(pair.control),
                                     tol_abs=1e-11)
-        ig = goal_gradient(prob, goal, triple)
-        g = reduced_gradient(prob, triple)
+        ig = goal_gradient(goal, triple)
+        g = reduced_gradient(triple)
         np.testing.assert_allclose(ig, g, atol=1e-12)
         assert np.max(np.abs(ig)) <= 1e-10
 
@@ -78,7 +78,7 @@ class TestGoalGradient:
         mesh, pair = make_pair(0.5)
         goal = GoalFunctional("const", lambda u, q: 1.0)
         triple = make_consistent(prob, zero_function(pair.control), pair)
-        ig = goal_gradient(prob, goal, triple)
+        ig = goal_gradient(goal, triple)
         assert np.max(np.abs(ig)) == 0.0
 
     def test_fd_consistency_l1_goal(self):
@@ -89,7 +89,7 @@ class TestGoalGradient:
         q = DiscreteFunction(pair.control, rng.standard_normal(pair.control.ndofs))
         dq = DiscreteFunction(pair.control, rng.standard_normal(pair.control.ndofs))
         triple = make_consistent(prob, q, pair)
-        ig = goal_gradient(prob, goal, triple)
+        ig = goal_gradient(goal, triple)
         directional = float(ig @ dq.coefs[pair.control.free_dofs])
         h = 1e-5
 
@@ -119,7 +119,7 @@ class TestPropositionSuite:
 
     def test_p_vanishes(self, converged):
         prob, mesh, pair, goal, triple = converged
-        p = solve_reduced_adjoint(prob, goal, triple)
+        p = solve_reduced_adjoint(goal, triple)
         assert l2_norm(p) <= 1e-9 * max(1.0, l2_norm(triple.q))
 
     def test_scaled_goal_p_vanishes(self, converged):
@@ -130,12 +130,12 @@ class TestPropositionSuite:
             scaled_form(goal.iu_fields, 2),
             scaled_form(goal.iq_fields, 2),
         )
-        p = solve_reduced_adjoint(prob, scaled, triple)
+        p = solve_reduced_adjoint(scaled, triple)
         assert l2_norm(p) <= 1e-9 * max(1.0, l2_norm(triple.q))
 
     def test_v_vanishes_and_y_equals_z(self, converged):
         prob, mesh, pair, goal, triple = converged
-        adj = adjoint_chain(prob, goal, triple)
+        adj = adjoint_chain(goal, triple)
         nz = l2_norm(triple.z)
         assert l2_norm(adj.v) <= 1e-9 * nz
         diff = DiscreteFunction(pair.state, adj.y.coefs - triple.z.coefs)
@@ -177,7 +177,7 @@ class TestRecovery:
         mesh, pair = make_pair(0.5)
         triple = make_consistent(prob, zero_function(pair.control), pair)
         goal = GoalFunctional("null", lambda u, q: 0.0)
-        y = recover_y(prob, goal, triple, zero_function(pair.state))
+        y = recover_y(goal, triple, zero_function(pair.state))
         assert np.max(np.abs(y.coefs)) == 0.0
 
     def test_y_matches_dense_oracle(self):
@@ -189,7 +189,7 @@ class TestRecovery:
         triple = make_consistent(prob, q, pair)
         p = DiscreteFunction(pair.control, rng.standard_normal(pair.control.ndofs))
         v = recover_v(triple, p)
-        y = recover_y(prob, goal, triple, v)
+        y = recover_y(goal, triple, v)
         # dense oracle on the tiny free system: A^T y = I_u + M v
         from dwropt.fem import assemble_matrix, assemble_vector
 
@@ -218,10 +218,10 @@ class TestReducedAdjointOracle:
         for j in range(n):
             e = np.zeros(n)
             e[j] = 1.0
-            H[:, j] = hessvec(prob, triple, function_from_free(pair.control, e))
-        rhs = -goal_gradient(prob, goal, triple)
+            H[:, j] = hessvec(triple, function_from_free(pair.control, e))
+        rhs = -goal_gradient(goal, triple)
         p_dense = np.linalg.solve(H, rhs)
-        p = solve_reduced_adjoint(prob, goal, triple, krylov_tol=1e-13)
+        p = solve_reduced_adjoint(goal, triple, krylov_tol=1e-13)
         got = p.coefs[pair.control.free_dofs]
         assert np.max(np.abs(got - p_dense)) <= 1e-9 * max(1.0, np.max(np.abs(p_dense)))
 
@@ -236,6 +236,7 @@ def _transferred_enriched(sol, keep_adjoint=False):
         u=transfer(t.u, pair2.state),
         q=transfer(t.q, pair2.control),
         z=transfer(t.z, pair2.state),
+        problem=t.problem,
     )
     adj2 = AdjointTriple(
         v=transfer(a.v, pair2.state),
@@ -249,10 +250,7 @@ class TestEstimator:
     def test_zero_weights_zero_parts(self, ex1_level):
         sol = ex1_level
         enriched = _transferred_enriched(sol)
-        bd = localize_pu(
-            sol["problem"], sol["combined"],
-            (sol["triple"], sol["adj_low"]), enriched,
-        )
+        bd = localize_pu(sol["combined"], (sol["triple"], sol["adj_low"]), enriched)
         for part in bd.parts():
             assert abs(part) <= 1e-13
         assert abs(bd.eta_h2) <= 1e-13
@@ -269,10 +267,7 @@ class TestEstimator:
     def test_pu_zero_weights_zero_indicators(self, ex1_level):
         sol = ex1_level
         enriched = _transferred_enriched(sol)
-        bd = localize_pu(
-            sol["problem"], sol["combined"],
-            (sol["triple"], sol["adj_low"]), enriched,
-        )
+        bd = localize_pu(sol["combined"], (sol["triple"], sol["adj_low"]), enriched)
         assert np.max(np.abs(bd.indicators)) <= 1e-13
 
     def test_indicators_nonnegative(self, ex1_level):
@@ -307,7 +302,6 @@ class TestEstimator:
     def test_goal_scaling_linearity(self, ex1_l1_level):
         # replacing the goal by c I scales p, v, y, all parts and eta by c
         sol = ex1_l1_level
-        prob = sol["problem"]
         triple, triple2 = sol["triple"], sol["triple2"]
         goal = sol["combined"]
         c = 3.7
@@ -316,16 +310,16 @@ class TestEstimator:
             "scaled", lambda u, q: c * goal.value(u, q),
             scaled_form(goal.iu_fields, c), scaled_form(goal.iq_fields, c),
         )
-        low1 = (triple, adjoint_chain(prob, goal, triple, krylov_tol=1e-13))
-        enr1 = (triple2, adjoint_chain(prob, goal, triple2, krylov_tol=1e-13))
-        low2 = (triple, adjoint_chain(prob, scaled, triple, krylov_tol=1e-13))
-        enr2 = (triple2, adjoint_chain(prob, scaled, triple2, krylov_tol=1e-13))
+        low1 = (triple, adjoint_chain(goal, triple, krylov_tol=1e-13))
+        enr1 = (triple2, adjoint_chain(goal, triple2, krylov_tol=1e-13))
+        low2 = (triple, adjoint_chain(scaled, triple, krylov_tol=1e-13))
+        enr2 = (triple2, adjoint_chain(scaled, triple2, krylov_tol=1e-13))
         scale_p = np.max(np.abs(low1[1].p.coefs))
         np.testing.assert_allclose(
             low2[1].p.coefs, c * low1[1].p.coefs, rtol=0, atol=1e-12 * scale_p
         )
-        bd1 = localize_pu(prob, goal, low1, enr1)
-        bd2 = localize_pu(prob, scaled, low2, enr2)
+        bd1 = localize_pu(goal, low1, enr1)
+        bd2 = localize_pu(scaled, low2, enr2)
         for a, b in zip(bd1.parts(), bd2.parts()):
             assert b == pytest.approx(c * a, rel=1e-11, abs=1e-14)
         assert bd2.eta_h2 == pytest.approx(c * bd1.eta_h2, rel=1e-11)
@@ -334,16 +328,12 @@ class TestEstimator:
 class TestEtaK:
     def test_zero_p(self, ex1_level):
         sol = ex1_level
-        got = compute_eta_k(
-            sol["problem"], sol["triple"], zero_function(sol["pair"].control),
-        )
+        got = compute_eta_k(sol["triple"], zero_function(sol["pair"].control))
         assert got == 0.0
 
     def test_converged_iterate_vanishes(self, ex1_level):
         sol = ex1_level
-        got = compute_eta_k(
-            sol["problem"], sol["triple"], sol["adj_low"].p
-        )
+        got = compute_eta_k(sol["triple"], sol["adj_low"].p)
         assert abs(got) <= 1e-8
 
 

@@ -7,11 +7,7 @@ import scipy.sparse as sp
 import dwropt.fem as fem
 import dwropt.reduced as red
 
-from dwropt.errors import (
-    DwroptError,
-    NegativeCurvatureError,
-    NonConvergenceError,
-)
+from dwropt.errors import DwroptError, NonConvergenceError
 from dwropt.fem import (
     DiscreteFunction,
     Factorization,
@@ -212,7 +208,7 @@ class TestReducedGradient:
         mesh = build_initial(UNIT_SQUARE, 0.5)
         pair = SpacePair(build_space(mesh, "cg", 1), build_space(mesh, "dg", 1))
         triple = make_consistent(prob, zero_function(pair.control), pair)
-        g = reduced_gradient(prob, triple)
+        g = reduced_gradient(triple)
         assert np.max(np.abs(g)) <= 1e-14
 
     @pytest.mark.parametrize("cell", [0.5, 0.25])
@@ -222,7 +218,7 @@ class TestReducedGradient:
         q = random_control(pair.control, rng, scale=3.0)
         dq = random_control(pair.control, rng)
         triple = make_consistent(prob, q, pair)
-        g = reduced_gradient(prob, triple)
+        g = reduced_gradient(triple)
         directional = float(g @ dq.coefs[pair.control.free_dofs])
         h = 1e-5
         jp = cost_at(prob, DiscreteFunction(pair.control, q.coefs + h * dq.coefs), pair)
@@ -236,7 +232,7 @@ class TestReducedGradient:
         q = random_control(pair.control, rng)
         dq = random_control(pair.control, rng)
         triple = make_consistent(prob, q, pair, tol_abs=1e-13)
-        g = reduced_gradient(prob, triple)
+        g = reduced_gradient(triple)
         directional = float(g @ dq.coefs[pair.control.free_dofs])
 
         def fd(h):
@@ -264,7 +260,7 @@ class TestReducedGradient:
                 lambda x, y: np.sin(np.pi * x) * np.sin(2 * np.pi * y) / ALPHA,
             )
             triple = make_consistent(prob, q, pair)
-            g = reduced_gradient(prob, triple)
+            g = reduced_gradient(triple)
             errs.append(dual_norm(pair, g))
         assert errs[1] < 0.5 * errs[0]
 
@@ -288,7 +284,7 @@ class TestGoalGradient:
             return real(form, test, *args, **kwargs)
 
         monkeypatch.setattr(red, "assemble_vector", counting)
-        goal_gradient(prob, comb, t)
+        goal_gradient(comb, t)
         assert spaces == [pair.control, pair.state]
 
 
@@ -299,8 +295,8 @@ class TestHessvec:
         dq = random_control(pair.control, rng)
         t0 = make_consistent(prob, zero_function(pair.control), pair)
         t1 = make_consistent(prob, random_control(pair.control, rng, 5.0), pair)
-        h0 = hessvec(prob, t0, dq)
-        h1 = hessvec(prob, t1, dq)
+        h0 = hessvec(t0, dq)
+        h1 = hessvec(t1, dq)
         quad = float(h0 @ dq.coefs[pair.control.free_dofs])
         assert quad > 0
         np.testing.assert_allclose(h0, h1, rtol=1e-12, atol=1e-14)
@@ -311,7 +307,7 @@ class TestHessvec:
         rng = np.random.default_rng(4)
         dq = random_control(pair.control, rng)
         triple = make_consistent(prob, zero_function(pair.control), pair)
-        h = hessvec(prob, triple, dq)
+        h = hessvec(triple, dq)
         quad = float(h @ dq.coefs[pair.control.free_dofs])
 
         def tangent_rhs(ctx):
@@ -331,7 +327,7 @@ class TestHessvec:
         q = random_control(pair.control, rng)
         dq = random_control(pair.control, rng)
         triple = make_consistent(prob, q, pair, tol_abs=1e-13)
-        hv = hessvec(prob, triple, dq)
+        hv = hessvec(triple, dq)
         h = 1e-4
         tp = make_consistent(
             prob, DiscreteFunction(pair.control, q.coefs + h * dq.coefs), pair,
@@ -341,7 +337,7 @@ class TestHessvec:
             prob, DiscreteFunction(pair.control, q.coefs - h * dq.coefs), pair,
             tol_abs=1e-13,
         )
-        fd = (reduced_gradient(prob, tp) - reduced_gradient(prob, tm)) / (2 * h)
+        fd = (reduced_gradient(tp) - reduced_gradient(tm)) / (2 * h)
         scale = max(1.0, np.max(np.abs(hv)))
         assert np.max(np.abs(fd - hv)) / scale <= 1e-4
 
@@ -350,18 +346,18 @@ class TestSolveReducedSystem:
     def test_zero_rhs(self):
         prob, mesh, pair = poisson_setup()
         triple = make_consistent(prob, zero_function(pair.control), pair)
-        x, its = solve_reduced_system(prob, triple, np.zeros(pair.control.nfree))
+        x, its = solve_reduced_system(triple, np.zeros(pair.control.nfree))
         assert np.max(np.abs(x.coefs)) == 0.0
         assert its == 0
 
     def test_newton_step_reaches_optimum(self):
         prob, mesh, pair = poisson_setup()
         triple = make_consistent(prob, zero_function(pair.control), pair)
-        g = reduced_gradient(prob, triple)
-        dq, _ = solve_reduced_system(prob, triple, -g, krylov_tol=1e-12)
+        g = reduced_gradient(triple)
+        dq, _ = solve_reduced_system(triple, -g, krylov_tol=1e-12)
         q1 = DiscreteFunction(pair.control, triple.q.coefs + dq.coefs)
         t1 = make_consistent(prob, q1, pair)
-        g1 = reduced_gradient(prob, t1)
+        g1 = reduced_gradient(t1)
         assert dual_norm(pair, g1) <= 1e-8 * max(1.0, dual_norm(pair, g))
 
     def test_spd_pairing(self):
@@ -369,8 +365,40 @@ class TestSolveReducedSystem:
         rng = np.random.default_rng(21)
         triple = make_consistent(prob, zero_function(pair.control), pair)
         rhs = rng.standard_normal(pair.control.nfree)
-        x, _ = solve_reduced_system(prob, triple, rhs)
+        x, _ = solve_reduced_system(triple, rhs)
         assert float(rhs @ x.coefs[pair.control.free_dofs]) >= 0.0
+
+    def _negated_hessvec_from_call(self, monkeypatch, first):
+        # the true product up to call first - 1, its negative from then on
+        calls, real = [0], red.hessvec
+
+        def hessvec_(triple, dq):
+            calls[0] += 1
+            h = real(triple, dq)
+            return -h if calls[0] >= first else h
+
+        monkeypatch.setattr(red, "hessvec", hessvec_)
+
+    def test_negative_curvature_at_once_returns_preconditioned_rhs(self, monkeypatch):
+        prob, mesh, pair = poisson_setup()
+        triple = make_consistent(prob, zero_function(pair.control), pair)
+        b = np.random.default_rng(23).standard_normal(pair.control.nfree)
+        self._negated_hessvec_from_call(monkeypatch, first=1)
+        x, its = solve_reduced_system(triple, b)
+        assert its == 1
+        want = (pair.control_mass_inverse @ b) * (1.0 / prob.alpha)
+        np.testing.assert_array_equal(x.coefs[pair.control.free_dofs], want)
+
+    def test_negative_curvature_later_returns_cg_progress(self, monkeypatch):
+        prob, mesh, pair = poisson_setup()
+        triple = make_consistent(prob, zero_function(pair.control), pair)
+        b = np.random.default_rng(23).standard_normal(pair.control.nfree)
+        p0 = (pair.control_mass_inverse @ b) * (1.0 / prob.alpha)
+        a = float(b @ p0) / float(p0 @ hessvec(triple, function_from_free(pair.control, p0)))
+        self._negated_hessvec_from_call(monkeypatch, first=2)
+        x, its = solve_reduced_system(triple, b)
+        assert its == 2
+        np.testing.assert_array_equal(x.coefs[pair.control.free_dofs], a * p0)
 
 
 class TestNewtonStandard:
@@ -378,7 +406,7 @@ class TestNewtonStandard:
         prob, mesh, pair = poisson_setup()
         triple, log = newton_standard(prob, pair, zero_function(pair.control))
         assert log.stop_reason in ("absolute", "relative")
-        g = reduced_gradient(prob, triple)
+        g = reduced_gradient(triple)
         assert dual_norm(pair, g) <= 1e-7 or log.stop_reason == "relative"
         assert log.iterations == 1  # quadratic problem: one exact step
 
@@ -421,7 +449,7 @@ class TestNewtonAdaptive:
         )
         assert log.iterations == 1
         assert log.stop_reason == "adaptive"
-        g = reduced_gradient(prob, triple)
+        g = reduced_gradient(triple)
         assert abs(float(g @ p.coefs[pair.control.free_dofs])) <= 1e-7
 
     def _plaplace_start(self):
@@ -555,12 +583,12 @@ class TestAssembledOperatorsMatchClosures:
         t = make_consistent(prob, random_control(pair.control, rng), pair)
         dq = random_control(pair.control, rng)
 
-        _assert_close(reduced_gradient(prob, t), _ref_reduced_gradient(prob, t))
-        _assert_close(goal_gradient(prob, goal, t), _ref_goal_gradient(prob, goal, t))
-        _assert_close(hessvec(prob, t, dq), _ref_hessvec(prob, t, dq))
+        _assert_close(reduced_gradient(t), _ref_reduced_gradient(prob, t))
+        _assert_close(goal_gradient(goal, t), _ref_goal_gradient(prob, goal, t))
+        _assert_close(hessvec(t, dq), _ref_hessvec(prob, t, dq))
         v = recover_v(t, dq)
         _assert_close(v.coefs, _ref_recover_v(prob, t, dq).coefs)
-        y = recover_y(prob, goal, t, v)
+        y = recover_y(goal, t, v)
         _assert_close(y.coefs, _ref_recover_y(prob, goal, t, v).coefs)
 
 
@@ -617,8 +645,9 @@ class TestProductsMatchQuadrature:
             assert _close(red._ju_vector(prob, u, q), _ref_ju_vector(prob, u, q))
             assert _close(state_residual(prob, u, q), _ref_state_residual(prob, u, q))
             # with a zero adjoint the reduced gradient is its J_q term
-            t = KKTTriple(pair=pair, u=u, q=q, z=zero_function(pair.state))
-            assert _close(reduced_gradient(prob, t), _ref_jq_vector(prob, q))
+            t = KKTTriple(pair=pair, u=u, q=q, z=zero_function(pair.state),
+                          problem=prob)
+            assert _close(reduced_gradient(t), _ref_jq_vector(prob, q))
 
 
 def test_cached_level_makes_no_quadrature_sweep(monkeypatch):
@@ -632,7 +661,7 @@ def test_cached_level_makes_no_quadrature_sweep(monkeypatch):
 
     def level():
         t = make_consistent(problem, q, pair)
-        return reduced_gradient(problem, t), problem.j_value(t.u, t.q)
+        return reduced_gradient(t), problem.j_value(t.u, t.q)
 
     g0, j0 = level()
     sweeps = []
