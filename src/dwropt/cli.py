@@ -72,12 +72,12 @@ def _build_parser():
     return parser
 
 
-def _emit_self_reference(cfg):
+def _emit_self_reference(cfg, capture):
     """Write references.txt: each goal's self reference beside its stored one."""
     _, goals, _ = instantiate(cfg)
     stored = {g.name: g.reference for g in goals}
     lines = ["goal, self_reference, stored_reference"]
-    for name, val in self_reference_values(cfg).items():
+    for name, val in self_reference_values(cfg, capture).items():
         stored_txt = "" if stored[name] is None else f"{stored[name]!r}"
         lines.append(f"{name}, {float(val)!r}, {stored_txt}")
     path = os.path.join(cfg.output_dir, "references.txt")
@@ -108,9 +108,10 @@ def main(argv=None):
         if args.command in ("run", "preset"):
             cfg = _run_config(args)
             _make_output_dir(cfg.output_dir)
-            emit_outputs(run_adaptive(cfg), cfg)
+            capture = {}
+            emit_outputs(run_adaptive(cfg, capture=capture), cfg)
             if args.self_reference:
-                _emit_self_reference(cfg)
+                _emit_self_reference(cfg, capture)
             print(f"wrote {os.path.join(cfg.output_dir, 'levels.csv')}")
         elif args.command == "compare-stopping":
             cfg = load_config(args.config)
@@ -136,7 +137,7 @@ def main(argv=None):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(render_sweep_csv(runs))
             print(f"wrote {path}")
-    except (ConfigError, FileNotFoundError, IsADirectoryError) as exc:
+    except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except DwroptError as exc:

@@ -156,11 +156,13 @@ def parse_config(text):
 
 
 def load_config(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc}") from None
     return parse_config(text)
 
 
@@ -270,9 +272,11 @@ def _solve_level(problem, goals, mesh, config, warm):
         krylov_tol=config.krylov_tol,
     )
 
+    # the combined goal's references, frozen at the enriched solution
+    seed = build_combined(goals, (triple2.u, triple2.q))
+
     # low-order optimization
     if config.stopping == "adaptive":
-        seed = build_combined(goals, (triple2.u, triple2.q), (triple2.u, triple2.q))
         triple, p_low, log = newton_reduced_adaptive(
             problem, seed, pair, q0, warm_u=u0,
             gamma=config.gamma, eta_prev=eta_prev,
@@ -287,9 +291,9 @@ def _solve_level(problem, goals, mesh, config, warm):
         )
         p_low = None
 
-    # combined goal frozen at the converged low solution; goal-adjoint
+    # combined goal refrozen at the converged low solution; goal-adjoint
     # chains at the low and at the enriched linearization point
-    combined = build_combined(goals, (triple2.u, triple2.q), (triple.u, triple.q))
+    combined = seed.refreeze(triple.u, triple.q)
     adj_low = adjoint_chain(combined, triple, p=p_low, krylov_tol=config.krylov_tol)
     adj2 = adjoint_chain(combined, triple2, krylov_tol=config.krylov_tol)
     eta_k = compute_eta_k(triple, adj_low.p)
@@ -565,7 +569,7 @@ def _make_output_dir(path):
     """Create the output directory, so a bad path fails before any level runs."""
     try:
         os.makedirs(path, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise ConfigError(f"cannot create output directory {path!r}: {exc}") from None
 
 
@@ -658,17 +662,16 @@ def render_sweep_csv(runs):
     return "\n".join(lines) + "\n"
 
 
-def self_reference_values(config, extra_refinements=2):
+def self_reference_values(config, capture, extra_refinements=2):
     """Independent goal references: extra uniform refinements + degree bump.
 
-    Runs the configured pipeline, then solves the optimization problem
-    once more on the uniformly refined final mesh with raised degree and
-    evaluates every goal there.  Expensive; intended for verification.
+    capture is the one run_adaptive(config, capture=capture) filled.  The
+    optimization problem is solved once more on its final mesh, refined
+    uniformly, with raised degree, and every goal is evaluated there.
+    Expensive; intended for verification.
     """
     from .mesh import refine_all
 
-    capture = {}
-    run_adaptive(config, capture=capture)
     problem, goals, _ = instantiate(config)
     mesh = capture["mesh"]
     for _ in range(extra_refinements):

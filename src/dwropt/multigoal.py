@@ -105,11 +105,10 @@ class CombinedGoal:
 
     def refreeze(self, u, q):
         """Same references, signs and weights refrozen at (u, q)."""
-        return _freeze(self.goals, self.refs, u, q)
+        return _freeze(self.goals, self.refs, tuple(g.value(u, q) for g in self.goals))
 
 
-def _freeze(goals, refs, u_freeze, q_freeze):
-    freeze_values = tuple(g.value(u_freeze, q_freeze) for g in goals)
+def _freeze(goals, refs, freeze_values):
     return CombinedGoal(
         goals=tuple(goals),
         refs=tuple(refs),
@@ -120,11 +119,13 @@ def _freeze(goals, refs, u_freeze, q_freeze):
     )
 
 
-def build_combined(goals, enriched_eval, freeze_eval):
-    """Combined goal from enriched reference and freeze-point evaluations."""
+def build_combined(goals, enriched_eval):
+    """Combined goal with its references at the enriched solution, frozen there.
+
+    Each goal is evaluated once; refreeze moves the freeze point.
+    """
     u2, q2 = enriched_eval
-    uf, qf = freeze_eval
     refs = tuple(g.value(u2, q2) for g in goals)
     if not all(np.isfinite(refs)):
         raise WeightDegeneracyError("non-finite enriched goal evaluation")
-    return _freeze(goals, refs, uf, qf)
+    return _freeze(goals, refs, refs)

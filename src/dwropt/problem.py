@@ -100,8 +100,10 @@ def _half_misfit(f, data, nquad):
     x = f.coefs[space.free_dofs]
 
     def half_square():
-        return 0.5 * integrate(lambda ctx: data(ctx.x[..., 0], ctx.x[..., 1]) ** 2,
-                               space.mesh, nquad=nquad)
+        # the coefficient makes f's space own the sweep, so ctx.data shares
+        # the data at the points with load_vector over the same rule
+        return 0.5 * integrate(lambda ctx: ctx.data(data) ** 2, space.mesh,
+                               coeffs={"f": f}, nquad=nquad)
 
     c = space.cached(("half_square", data, nquad), half_square)
     return 0.5 * (x @ reference_apply(x, space, space)) - x @ load_vector(space, data, nquad) + c
@@ -234,22 +236,16 @@ class GoalFunctional:
     """
 
     name: str
-    value_fn: Callable
+    value: Callable  # value(u, q)
     iu_fields: Callable | None = None
     iq_fields: Callable | None = None
     reference: float | None = None
     region: tuple | None = None
 
-    def value(self, u, q):
-        return self.value_fn(u, q)
-
 
 def _cost_goal(problem, reference=None):
-    def value(u, q):
-        return problem.j_value(u, q)
-
-    return GoalFunctional("cost", value, problem.j_u_fields, problem.j_q_fields,
-                          reference)
+    return GoalFunctional("cost", problem.j_value, problem.j_u_fields,
+                          problem.j_q_fields, reference)
 
 
 def _l1_goal(reference=None, smoothing=1e-8):
@@ -291,11 +287,7 @@ def _uq_product_goal(reference):
 
 def _state_tracking_goal(problem, reference):
     def value(u, q):
-        def fields(ctx):
-            d = ctx.val("u") - ctx.data(problem.u_des)
-            return 0.5 * d * d
-
-        return integrate(fields, u.space.mesh, coeffs={"u": u})
+        return _half_misfit(u, problem.u_des, gauss_points(u.space))
 
     return GoalFunctional("state_misfit", value, problem.j_u_fields,
                           reference=reference)
@@ -303,11 +295,7 @@ def _state_tracking_goal(problem, reference):
 
 def _control_tracking_goal(problem, reference):
     def value(u, q):
-        def fields(ctx):
-            d = ctx.val("q") - ctx.data(problem.q_des)
-            return 0.5 * d * d
-
-        return integrate(fields, u.space.mesh, coeffs={"q": q})
+        return _half_misfit(q, problem.q_des, gauss_points(q.space))
 
     def iq_fields(ctx):
         return ctx.val("q") - ctx.data(problem.q_des), None

@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -406,6 +406,75 @@ class TestLevelRelease:
                 assert np.array_equal(getattr(got, attr).coefs, getattr(want, attr).coefs)
 
 
+@pytest.mark.parametrize("name", ["example2_uq", "example3"])
+def test_goals_evaluated_once_at_enriched_solution(name):
+    # the combined goal's references double as its first freeze values, and
+    # the low solution's combined goal is a refreeze of the same goal
+    from dwropt.driver import _solve_level
+
+    cfg = preset_config(name, max_levels=1)
+    problem, goals, mesh = instantiate(cfg)
+    spaces = {g.name: [] for g in goals}
+
+    def counting(goal):
+        def value(u, q):
+            spaces[goal.name].append(u.space)
+            return goal.value(u, q)
+
+        return replace(goal, value=value)
+
+    assert cfg.stopping == "adaptive"
+    sol = _solve_level(problem, [counting(g) for g in goals], mesh, cfg,
+                       (None, None, cfg.eta0))
+    for seen in spaces.values():
+        assert sum(s is sol["pair2"].state for s in seen) == 1
+        # the guard's refreeze at each low iterate, then the final one
+        assert sum(s is sol["pair"].state for s in seen) >= 2
+
+
+@pytest.mark.parametrize("name", ["example1_cost", "example2_uq"])
+def test_degree_2_run(monkeypatch, name):
+    # Q2/DG1 enriched to Q3/DG2; the estimator identities hold at every level
+    import dwropt.driver as drv
+
+    seen = []
+    localize = drv.localize_pu
+
+    def recording_localize(combined, low, enriched):
+        bd = localize(combined, low, enriched)
+        seen.append((low[0].pair, enriched[0].pair, bd))
+        return bd
+
+    monkeypatch.setattr(drv, "localize_pu", recording_localize)
+    reports = run_adaptive(preset_config(name, degree=2, max_levels=3))
+    assert len(seen) == len(reports) == 3
+    for pair, pair2, bd in seen:
+        assert [(s.family, s.degree) for s in (pair.state, pair.control,
+                                               pair2.state, pair2.control)] == [
+            ("cg", 2), ("dg", 1), ("cg", 3), ("dg", 2)]
+        assert bd.eta_h2 == pytest.approx(0.5 * sum(bd.parts()), abs=1e-13)
+        assert float(np.sum(bd.vertex_values)) == pytest.approx(bd.eta_h2, rel=1e-10)
+    assert all(r.i_eff is not None and np.isfinite(r.i_eff) for r in reports)
+
+
+@pytest.mark.parametrize("name, levels", [("example1_cost", 3), ("example3", 2)])
+def test_reference_source_none_run(tmp_path, name, levels):
+    # without references the run completes and reports no reference error
+    cfg = preset_config(name, reference_source="none", max_levels=levels,
+                        output_dir=str(tmp_path))
+    paths = emit_outputs(run_adaptive(cfg), cfg)
+    with open(paths["levels.csv"], newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == levels
+    for row in rows:
+        for col in ("ref_error", "i_eff", "i_eff_p", "i_eff_a", "i_eff_c"):
+            assert row[col] == "nan"
+        assert np.isfinite(float(row["eta_h2"]))
+    summary = (tmp_path / "summary.txt").read_text(encoding="utf-8")
+    assert "final i_eff" not in summary
+    assert "final ref error" not in summary
+
+
 def test_newton_csv_rows_match_logs(tmp_path, monkeypatch):
     import dwropt.reduced as red
 
@@ -477,7 +546,16 @@ class TestCli:
         assert (tmp_path / "out" / "levels.csv").exists()
 
     @pytest.mark.parametrize("command", ["preset", "run"])
-    def test_self_reference_writes_references(self, tmp_path, command):
+    def test_self_reference_writes_references(self, tmp_path, monkeypatch, command):
+        # the references reuse the reported run's final level: one run
+        runs = [0]
+
+        def counting_run(*args, **kwargs):
+            runs[0] += 1
+            return run_adaptive(*args, **kwargs)
+
+        monkeypatch.setattr("dwropt.cli.run_adaptive", counting_run)
+        monkeypatch.setattr("dwropt.driver.run_adaptive", counting_run)
         out = tmp_path / "out"
         if command == "preset":
             argv = ["preset", "example1_cost", "--max-levels", "1", "--out", str(out)]
@@ -495,6 +573,7 @@ class TestCli:
         assert name == "cost"
         assert stored == repr((25 * np.pi**4 + 1 / 0.01) / 8)
         assert np.isfinite(float(self_ref))
+        assert runs == [1]
 
     def test_missing_config_exit_2(self):
         assert cli_main(["run", "/nonexistent/path.cfg"]) == 2
@@ -508,6 +587,32 @@ class TestCli:
         code = cli_main(["preset", "example1_cost", "--max-levels", "1",
                          "--out", str(blocker / below)])
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_output_dir_with_nul_byte_exit_2(self, tmp_path, capsys, monkeypatch):
+        cfgfile = tmp_path / "a.cfg"
+        cfgfile.write_text(f"preset = example1_cost\noutput_dir = {tmp_path}/a\0b\n")
+        monkeypatch.setattr("dwropt.cli.run_adaptive",
+                            lambda *a, **k: pytest.fail("ran"))
+        assert cli_main(["run", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_unreadable_config_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a file that exists but cannot be read (root reads any mode bits)
+        cfgfile = tmp_path / "a.cfg"
+        cfgfile.write_text("preset = example1_cost\n")
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr("dwropt.driver.open", denied, raising=False)
+        monkeypatch.setattr("dwropt.cli.run_adaptive",
+                            lambda *a, **k: pytest.fail("ran"))
+        assert cli_main(["run", str(cfgfile)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ")
         assert len(err.strip().splitlines()) == 1
@@ -649,7 +754,9 @@ class TestSelfReference:
         from dwropt.driver import self_reference_values
 
         cfg = preset_config("example1_cost", max_levels=3)
-        vals = self_reference_values(cfg, extra_refinements=1)
+        capture = {}
+        run_adaptive(cfg, capture=capture)
+        vals = self_reference_values(cfg, capture, extra_refinements=1)
         exact = (25 * np.pi**4 + 100) / 8
         assert abs(vals["cost"] - exact) / exact <= 1e-4
 

@@ -23,7 +23,6 @@ from dwropt.fem import (
     zero_function,
 )
 from dwropt.mesh import UNIT_SQUARE, CellSet, build_initial, refine
-from dwropt.multigoal import build_combined
 from dwropt.problem import GoalFunctional, make_goals, make_poisson_control
 from dwropt.reduced import (
     KKTTriple,

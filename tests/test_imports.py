@@ -1,5 +1,6 @@
 """Every module-level import of a package module is used in that module,
-and every parameter of its functions and methods in that function."""
+every parameter of its functions and methods in that function, and every
+module-level definition somewhere in the package."""
 
 import ast
 import pathlib
@@ -79,3 +80,54 @@ def test_detector_finds_an_unused_parameter():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_parameters(module):
     assert unused_parameters((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def dead_definitions(sources):
+    """Module-level functions, classes and methods the package never names.
+
+    sources maps module name to source text.  A definition counts as used
+    when its name occurs as a ``Name`` or an ``Attribute`` anywhere in the
+    sources outside its own definition.  Dunder methods are exempt: the
+    language calls them.
+    """
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    defs, refs = [], []
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((mod, node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(mod, f"{node.name}.{f.name}", f) for f in node.body
+                         if isinstance(f, ast.FunctionDef)
+                         and not (f.name.startswith("__") and f.name.endswith("__"))]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                refs.append((mod, n.id, n.lineno))
+            elif isinstance(n, ast.Attribute):
+                refs.append((mod, n.attr, n.lineno))
+    dead = []
+    for mod, qualname, node in defs:
+        name = qualname.rsplit(".", 1)[-1]
+        if not any(r == name and not (m == mod and node.lineno <= line <= node.end_lineno)
+                   for m, r, line in refs):
+            dead.append(f"{mod}.{qualname}")
+    return dead
+
+
+def test_detector_finds_a_dead_definition():
+    sources = {
+        "a": ("def used():\n    return 1\n"
+              "def dead():\n    return dead()\n"
+              "class K:\n    def __init__(self):\n        pass\n"
+              "    def m(self):\n        return self.m()\n"
+              "    def n(self):\n        return 0\n"),
+        "b": "from .a import used, K\nprint(used(), K().n)\n",
+    }
+    assert dead_definitions(sources) == ["a.dead", "a.K.m"]
+
+
+def test_no_dead_definitions():
+    # a re-export in __init__.py is not a use
+    sources = {p.stem: p.read_text(encoding="utf-8")
+               for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    assert dead_definitions(sources) == []

@@ -40,7 +40,7 @@ class TestBuildCombined:
     def test_single_goal_relative_deviation(self):
         mesh, su, sq, u2, q2, uf, qf = _fields()
         goal = _poly_goal("lin", 1.0, 0.5)
-        comb = build_combined([goal], (u2, q2), (uf, qf))
+        comb = build_combined([goal], (u2, q2)).refreeze(uf, qf)
         r = goal.value(u2, q2)
         f = goal.value(uf, qf)
         assert comb.value_at_freeze() == pytest.approx(abs(r - f) / abs(f), rel=1e-13)
@@ -49,8 +49,8 @@ class TestBuildCombined:
         mesh, su, sq, u2, q2, uf, qf = _fields()
         plus = _poly_goal("lin", 1.0, 0.5)
         minus = _poly_goal("neg", -1.0, -0.5)
-        c1 = build_combined([plus], (u2, q2), (uf, qf))
-        c2 = build_combined([minus], (u2, q2), (uf, qf))
+        c1 = build_combined([plus], (u2, q2)).refreeze(uf, qf)
+        c2 = build_combined([minus], (u2, q2)).refreeze(uf, qf)
         assert c1.value_at_freeze() == pytest.approx(c2.value_at_freeze(), rel=1e-13)
 
     def test_dominance_at_freeze(self):
@@ -60,7 +60,7 @@ class TestBuildCombined:
             _poly_goal("b", 0.0, 1.0),
             _poly_goal("c", 2.0, -1.0),
         ]
-        comb = build_combined(goals, (u2, q2), (uf, qf))
+        comb = build_combined(goals, (u2, q2)).refreeze(uf, qf)
         total = comb.value_at_freeze()
         for dev in comb.relative_deviations():
             assert total >= dev - 1e-15
@@ -68,13 +68,13 @@ class TestBuildCombined:
     def test_value_matches_sign_frozen_form_at_freeze(self):
         mesh, su, sq, u2, q2, uf, qf = _fields()
         goals = [_poly_goal("a", 1.0, 0.0), _poly_goal("b", 0.0, 1.0)]
-        comb = build_combined(goals, (u2, q2), (uf, qf))
+        comb = build_combined(goals, (u2, q2)).refreeze(uf, qf)
         assert comb.value(uf, qf) == pytest.approx(comb.value_at_freeze(), rel=1e-13)
 
     def test_derivative_fd_consistency(self):
         mesh, su, sq, u2, q2, uf, qf = _fields()
         goals = [_poly_goal("a", 1.0, 0.3), _poly_goal("b", -0.5, 1.0)]
-        comb = build_combined(goals, (u2, q2), (uf, qf))
+        comb = build_combined(goals, (u2, q2)).refreeze(uf, qf)
         rng = np.random.default_rng(3)
         du = DiscreteFunction(su, su.distribute(rng.standard_normal(su.ndofs)))
         dq = DiscreteFunction(sq, rng.standard_normal(sq.ndofs))
@@ -98,9 +98,9 @@ class TestBuildCombined:
         # scaling one member goal by c > 0 leaves its summand invariant
         mesh, su, sq, u2, q2, uf, qf = _fields()
         goals = [_poly_goal("a", 1.0, 0.0), _poly_goal("b", 0.0, 1.0)]
-        base = build_combined(goals, (u2, q2), (uf, qf))
+        base = build_combined(goals, (u2, q2)).refreeze(uf, qf)
         scaled = [_poly_goal("a", 7.0, 0.0), _poly_goal("b", 0.0, 1.0)]
-        comb = build_combined(scaled, (u2, q2), (uf, qf))
+        comb = build_combined(scaled, (u2, q2)).refreeze(uf, qf)
         assert comb.value_at_freeze() == pytest.approx(
             base.value_at_freeze(), rel=1e-12
         )
@@ -110,14 +110,14 @@ class TestBuildCombined:
         # a goal that evaluates to zero at the freeze point
         dead = _poly_goal("dead", 0.0, 0.0, offset=0.0)
         live = _poly_goal("live", 1.0, 0.0)
-        comb = build_combined([dead, live], (u2, q2), (uf, qf))
+        comb = build_combined([dead, live], (u2, q2)).refreeze(uf, qf)
         assert comb.weights[0] == 1.0
 
     def test_refreeze_moves_weights(self):
         mesh, su, sq, u2, q2, uf, qf = _fields()
         uf2 = interpolate(su, lambda x, y: 1.0 + x * y + 0.3 * x * x)
         goal = _poly_goal("lin", 1.0, 0.5)
-        comb = build_combined([goal], (u2, q2), (uf2, qf))
+        comb = build_combined([goal], (u2, q2)).refreeze(uf2, qf)
         re = comb.refreeze(u2, q2)
         assert re.refs == comb.refs
         assert re.freeze_values != comb.freeze_values
@@ -127,6 +127,6 @@ class TestBuildCombined:
 class TestCombinedForms:
     def test_no_member_form_gives_none(self):
         mesh, su, sq, u2, q2, uf, qf = _fields()
-        comb = build_combined([_poly_goal("a", 1.0, 0.0)], (u2, q2), (uf, qf))
+        comb = build_combined([_poly_goal("a", 1.0, 0.0)], (u2, q2)).refreeze(uf, qf)
         assert comb.iq_fields is None
         assert comb.iu_fields is not None

@@ -219,6 +219,33 @@ class TestGoals:
         ones = assemble_vector(lambda ctx: (np.ones(ctx.x.shape[:2]), None), s)
         np.testing.assert_allclose(got, ones, rtol=1e-7)
 
+    @pytest.mark.parametrize("family, degree", [("cg", 2), ("dg", 0)])
+    def test_half_misfit_reuses_loaded_data(self, family, degree):
+        # after a load over the same space and rule, the integral of the
+        # data's square reads the data at the points from the space's cache
+        from dwropt.fem import gauss_points, load_vector
+        from dwropt.problem import _half_misfit
+
+        m = build_initial(UNIT_SQUARE, 0.25)
+        s = build_space(m, family, degree, constrain_dirichlet=False)
+        f = interpolate(s, lambda x, y: x * y - 0.5)
+        calls = [0]
+
+        def data(x, y):
+            calls[0] += 1
+            return np.cos(3 * x) + y
+
+        nquad = gauss_points(s)
+        load_vector(s, data, nquad)
+        loaded = calls[0]
+        got = _half_misfit(f, data, nquad)
+        assert loaded > 0 and calls[0] == loaded
+        want = integrate(
+            lambda ctx: 0.5 * (ctx.val("f") - data(ctx.x[..., 0], ctx.x[..., 1])) ** 2,
+            m, coeffs={"f": f}, nquad=nquad,
+        )
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_uq_goal_fd_consistency(self):
         prob = make_plaplace_control(0.01, 4.0, 1.0)
         goals = make_goals("example3", prob)
@@ -253,7 +280,7 @@ class TestGoals:
         u, q = random_pair()
         du, dq = random_pair()
         if name == "combined":
-            goal = build_combined(goals, random_pair(), (u, q))
+            goal = build_combined(goals, random_pair()).refreeze(u, q)
         else:
             goal = next(g for g in goals if g.name == name)
         _assert_fd_consistent(goal, u, q, du, dq)

@@ -275,7 +275,7 @@ class TestGoalGradient:
         t = make_consistent(prob, random_control(pair.control, rng), pair)
         q2 = random_control(pair.control, rng)
         u2, _, _ = solve_state(prob, q2, pair)
-        comb = build_combined(make_goals("example3", prob), (u2, q2), (t.u, t.q))
+        comb = build_combined(make_goals("example3", prob), (u2, q2)).refreeze(t.u, t.q)
         spaces = []
         real = red.assemble_vector
 
@@ -427,7 +427,7 @@ class TestNewtonStandard:
 class TestNewtonAdaptive:
     def _combined(self, prob, pair, triple):
         goals = make_goals("example1_cost", prob)
-        return build_combined(goals, (triple.u, triple.q), (triple.u, triple.q))
+        return build_combined(goals, (triple.u, triple.q)).refreeze(triple.u, triple.q)
 
     def test_huge_threshold_zero_iterations(self):
         prob, mesh, pair = poisson_setup()
