@@ -21,7 +21,6 @@ from .driver import (
     _make_output_dir,
     compare_stopping,
     emit_outputs,
-    instantiate,
     load_config,
     preset_config,
     render_comparison_csv,
@@ -74,8 +73,7 @@ def _build_parser():
 
 def _emit_self_reference(cfg, capture):
     """Write references.txt: each goal's self reference beside its stored one."""
-    _, goals, _ = instantiate(cfg)
-    stored = {g.name: g.reference for g in goals}
+    stored = {g.name: g.reference for g in capture["goals"]}
     lines = ["goal, self_reference, stored_reference"]
     for name, val in self_reference_values(cfg, capture).items():
         stored_txt = "" if stored[name] is None else f"{stored[name]!r}"
@@ -114,14 +112,14 @@ def main(argv=None):
                 _emit_self_reference(cfg, capture)
             print(f"wrote {os.path.join(cfg.output_dir, 'levels.csv')}")
         elif args.command == "compare-stopping":
-            cfg = load_config(args.config)
+            cfg = load_config(args.config, overridden=("stopping",))
             standard, adaptive = compare_stopping(cfg)
             path = os.path.join(cfg.output_dir, "comparison.csv")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(render_comparison_csv(standard, adaptive))
             print(f"wrote {path}")
         elif args.command == "sweep-alpha":
-            cfg = load_config(args.config)
+            cfg = load_config(args.config, overridden=("alpha",))
             try:
                 alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
             except ValueError as exc:

@@ -130,8 +130,9 @@ _KINDS = {f.name: _PARSERS[f.type] for f in fields(Config)}
 _INF_KEYS = ("tol_dis", "target_dofs_state", "target_dofs_total")
 
 
-def parse_config(text):
-    """Flat key = value configuration; unknown or unused keys are rejected."""
+def parse_config(text, overridden=()):
+    """Flat key = value configuration; unknown or unused keys are rejected,
+    and so are the overridden keys, which the calling command sets per run."""
     cfg = Config()
     given = set()
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -144,6 +145,8 @@ def parse_config(text):
         kind = _KINDS.get(key)
         if kind is None:
             raise ConfigError(f"line {ln}: unknown configuration key {key!r}")
+        if key in overridden:
+            raise ConfigError(f"line {ln}: this command sets {key} per run; remove it")
         given.add(key)
         try:
             setattr(cfg, key, kind(val))
@@ -155,7 +158,7 @@ def parse_config(text):
     return _check_given(cfg.validate(), given)
 
 
-def load_config(path):
+def load_config(path, overridden=()):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -163,7 +166,7 @@ def load_config(path):
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
     except OSError as exc:
         raise ConfigError(f"cannot read {path!r}: {exc}") from None
-    return parse_config(text)
+    return parse_config(text, overridden)
 
 
 def instantiate(config):
@@ -298,7 +301,7 @@ def _solve_level(problem, goals, mesh, config, warm):
     adj2 = adjoint_chain(combined, triple2, krylov_tol=config.krylov_tol)
     eta_k = compute_eta_k(triple, adj_low.p)
 
-    # the estimate needs the solutions only: free the factors, operators
+    # the estimate needs the solutions only: free the factors, Hessians
     # and space caches before its sweep allocates its quadrature fields
     triple.release()
     triple2.release()
@@ -369,8 +372,8 @@ def run_adaptive(config, capture=None):
     """Solve, estimate, mark and refine until a stop rule fires.
 
     ``config.refinement`` selects Dörfler marking (adaptive) or marking
-    every cell (uniform).  A ``capture`` dict, if given, receives each
-    level's mesh and enriched solution (u, q).
+    every cell (uniform).  A ``capture`` dict, if given, receives the
+    problem, the goal list and each level's mesh and enriched solution (u, q).
     """
     config.validate()
     problem, goals, mesh = instantiate(config)
@@ -411,7 +414,8 @@ def run_adaptive(config, capture=None):
                 stop = True
         reports.append(report)
         if capture is not None:
-            capture.update(mesh=mesh, high=(sol["triple2"].u, sol["triple2"].q))
+            capture.update(problem=problem, goals=goals, mesh=mesh,
+                           high=(sol["triple2"].u, sol["triple2"].q))
         if stop:
             break
         mesh = refine(mesh, marked)
@@ -672,8 +676,7 @@ def self_reference_values(config, capture, extra_refinements=2):
     """
     from .mesh import refine_all
 
-    problem, goals, _ = instantiate(config)
-    mesh = capture["mesh"]
+    problem, goals, mesh = capture["problem"], capture["goals"], capture["mesh"]
     for _ in range(extra_refinements):
         mesh = refine_all(mesh)
     state = build_space(mesh, "cg", config.degree + 1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .fem import assemble_vector, build_space, function_from_free, sweep
+from .fem import assemble_vector, build_space, function_from_free, reference_apply, sweep
 from .reduced import (
     goal_gradient,
     lagrangian_uu,
@@ -87,15 +87,15 @@ def solve_reduced_adjoint(goal, triple, krylov_tol=1e-10):
 
 def recover_v(triple, p):
     """Tangent state of the goal adjoint direction p."""
-    B = triple.pair.coupling
-    x = p.coefs[triple.q.space.free_dofs]
-    return function_from_free(triple.u.space, triple.factor().solve(-(B @ x)))
+    state, ctrl = triple.u.space, triple.q.space
+    x = reference_apply(p.coefs[ctrl.free_dofs], state, ctrl)  # -a_q(p)
+    return function_from_free(state, triple.factor().solve(x))
 
 
 def recover_y(goal, triple, v):
     """Second adjoint from the first row of the adjoint optimality system."""
     state = triple.u.space
-    rhs = lagrangian_uu(triple) @ v.coefs[state.free_dofs]
+    rhs = lagrangian_uu(triple, v.coefs[state.free_dofs])
     if goal.iu_fields is not None:
         rhs += assemble_vector(goal.iu_fields, state, {"u": triple.u, "q": triple.q})
     return function_from_free(state, triple.factor().solve_transposed(rhs))

@@ -11,10 +11,10 @@ per chunk of cells, carrying the quadrature points, the weights ``wdet``
 and the reference basis of each space.  Every sweep covers the whole
 mesh; a form restricted to a box multiplies its fields by
 :func:`region_cell_mask` of the context's cells.  The constant operators
-(masses and the Laplacian stiffness) need no sweep:
-:func:`reference_matrix` scales one reference element matrix per cell,
-and :func:`reference_apply` applies the same operator cell by cell
-without building it.  Integrals of analytic data against the test
+need no sweep: :func:`reference_apply` applies a mass, an inverse DG mass
+or the Laplacian stiffness cell by cell from one reference element
+matrix, and only the stiffness, which is factorized, is built as a matrix
+(:func:`reference_matrix`).  Integrals of analytic data against the test
 functions of a space are cached on the space (:func:`load_vector`), and
 so is the data at the quadrature points of a sweep (``FormContext.data``).
 Weak forms are supplied as small "field" callables that receive a
@@ -235,7 +235,8 @@ class Space:
 
     def drop_cached(self):
         """Forget what is cached on the space: the matrix scatter map, the
-        load integrals of analytic data (:func:`load_vector`) and that
+        reference element data and cell map of :func:`reference_apply`,
+        the load integrals of analytic data (:func:`load_vector`) and that
         data at the quadrature points (:meth:`FormContext.data`)."""
         self._cache.clear()
 
@@ -544,77 +545,88 @@ def assemble_matrix(form, space, coeffs=None, nquad=None):
     return sp.csr_matrix((data, indices, indptr), shape=(space.nfree, space.nfree))
 
 
-def _reference_element(test, trial):
+def _reference_element(test, trial, inverse=False):
     """(ref, scale, trial) of a constant-coefficient operator on square cells.
 
     ref is the element matrix on the unit cell, and the element matrix of a
     cell is scale times ref: h^2 for a mass (trial given), None (one) for
-    the Laplacian stiffness (trial None, returned as test).
+    the Laplacian stiffness (trial None, returned as test).  inverse=True
+    gives inv(ref) and h^-2, the blocks of an inverse DG mass.  Both are
+    cached on test per trial kind; trial must live on test's mesh.
     """
     stiffness = trial is None
     trial = test if stiffness else trial
     if trial.mesh is not test.mesh:
         raise AssemblyError("test and trial spaces live on different meshes")
-    n1d = max(test.degree, trial.degree) + 1  # exact for both products
-    _, w, phi_t, gphi_t = _tabulated(test.degree, n1d)
-    _, _, phi_r, gphi_r = _tabulated(trial.degree, n1d)
-    if stiffness:
-        return np.einsum("q,qid,qjd->ij", w, gphi_t, gphi_r), None, trial
-    ref = np.einsum("q,qi,qj->ij", w, phi_t, phi_r)
-    return ref, test.mesh.cell_h() ** 2, trial
+
+    def build():
+        n1d = max(test.degree, trial.degree) + 1  # exact for both products
+        _, w, phi_t, gphi_t = _tabulated(test.degree, n1d)
+        _, _, phi_r, gphi_r = _tabulated(trial.degree, n1d)
+        if stiffness:
+            return np.einsum("q,qid,qjd->ij", w, gphi_t, gphi_r), None
+        ref, h2 = np.einsum("q,qi,qj->ij", w, phi_t, phi_r), test.mesh.cell_h() ** 2
+        return (np.linalg.inv(ref), 1.0 / h2) if inverse else (ref, h2)
+
+    key = ("reference", None if stiffness else (trial.family, trial.degree), inverse)
+    return (*test.cached(key, build), trial)
 
 
-def _block_diagonal(scale, ref):
-    """kron(diag(scale), ref) as csr, built directly from its arrays.
+def reference_matrix(space):
+    """The Laplacian stiffness of a space as a condensed csr matrix, without quadrature.
 
-    The nonzeros of ref, times scale cell by cell, in row order: the
-    arrays sp.kron builds, at a fraction of its cost.
+    The element matrix of every square cell is K_ref, the matrix on the unit
+    cell.  Its nonzeros, repeated cell by cell, give the block diagonal
+    kron(I, K_ref) (the arrays sp.kron builds, at a fraction of its cost),
+    and the rows of C gathered by cell_dofs condense it.
     """
-    nc, (nt, nr) = len(scale), ref.shape
+    ref, _, _ = _reference_element(space, None)
+    nc, n = space.mesh.ncells, space.nloc
     i, j = np.nonzero(ref)
-    data = (scale[:, None] * ref[i, j]).ravel()
-    indices = (np.arange(nc)[:, None] * nr + j).ravel()
-    indptr = np.concatenate([[0], np.cumsum(np.tile(np.bincount(i, minlength=nt), nc))])
-    return sp.csr_matrix((data, indices, indptr), shape=(nc * nt, nc * nr))
+    indices = (np.arange(nc)[:, None] * n + j).ravel()
+    indptr = np.concatenate([[0], np.cumsum(np.tile(np.bincount(i, minlength=n), nc))])
+    blocks = sp.csr_matrix((np.tile(ref[i, j], nc), indices, indptr), shape=(nc * n, nc * n))
+    gather = space.C[space.cell_dofs.ravel()]
+    return (gather.T @ blocks @ gather).tocsr()
 
 
-def reference_matrix(test, trial=None, inverse=False):
-    """A constant-coefficient operator as a condensed csr matrix, without quadrature.
+def _cell_map(space):
+    """(S, S.T) of a CG space, cached on it: the csr S, C^T restricted to the
+    rows cell_dofs gathers (column i * ncells + c for local DOF i of cell c),
+    sums cell values into the free DOFs; S.T, a csc view, gathers them."""
 
-    With a trial space, the mass matrix (trial, test); without one, the
-    Laplacian stiffness (grad test, grad test) of test with itself.  On a
-    square cell of side h the element matrix is h^2 M_ref or K_ref, the
-    matrix on the unit cell, so the element matrices form one block
-    diagonal; the rows of C gathered by cell_dofs condense it.
-    inverse=True gives the inverse of a DG mass instead: its DOFs run cell
-    by cell and its C is the identity, so that is kron(diag(h^-2), inv(M_ref)).
+    def build():
+        S = space.C[space.cell_dofs.T.ravel()].T.tocsr()
+        return S, S.T
+
+    return space.cached("cell_map", build)
+
+
+def reference_apply(x, test, trial=None, inverse=False):
+    """A constant-coefficient operator applied to x cell by cell, without a matrix.
+
+    The mass (trial, test), the Laplacian stiffness of test (no trial), or
+    with inverse=True the inverse of a DG mass (trial is test), which is
+    block diagonal.  x holds the free values of trial (of test if none).
+    Cell values are held as (nloc, ncells), so elementwise steps run along
+    the cells: a DG side is a reshape of x, a CG side goes through its cell
+    map.  They meet ref in one matmul (a broadcast for one trial DOF per
+    cell), and then the per-cell scale.
     """
-    ref, scale, trial = _reference_element(test, trial)
-    if inverse:
-        if scale is None or trial is not test or test.family != "dg":
-            raise DwroptError("only a DG mass has a block-diagonal inverse")
-        return _block_diagonal(1.0 / scale, np.linalg.inv(ref))
-    if scale is None:
-        scale = np.ones(test.mesh.ncells)
-    blocks = _block_diagonal(scale, ref)
-    gather_t, gather_r = test.C[test.cell_dofs.ravel()], trial.C[trial.cell_dofs.ravel()]
-    return (gather_t.T @ blocks @ gather_r).tocsr()
-
-
-def reference_apply(x, test, trial=None):
-    """reference_matrix(test, trial) @ x, cell by cell, without the matrix.
-
-    x holds the unconstrained values of trial (of test for the stiffness).
-    The cells' trial values, gathered through C and cell_dofs, meet the
-    reference element matrix in one matmul; the element vectors are summed
-    per DOF with np.bincount and condensed with C^T.
-    """
-    ref, scale, trial = _reference_element(test, trial)
-    loc = (trial.C @ x)[trial.cell_dofs] @ ref.T
+    if inverse and (trial is not test or test.family != "dg"):
+        raise DwroptError("only a DG mass has a block-diagonal inverse")
+    ref, scale, trial = _reference_element(test, trial, inverse)
+    nc = test.mesh.ncells
+    if trial.family == "dg":
+        vals = x.reshape(nc, trial.nloc).T
+    else:
+        vals = (_cell_map(trial)[1] @ x).reshape(trial.nloc, nc)
+    loc = ref * vals if trial.nloc == 1 else ref @ vals
     if scale is not None:
-        loc *= scale[:, None]
-    out = np.bincount(test.cell_dofs.ravel(), weights=loc.ravel(), minlength=test.ndofs)
-    return test.C.T @ out
+        loc *= scale
+    if test.family == "dg":
+        return loc.T.ravel()
+    return _cell_map(test)[0] @ loc.ravel()
 
 
 def assemble_vector(form, test, coeffs=None, nquad=None):

@@ -8,15 +8,17 @@ trial starts from the factor of the accepted iterate.  Its iteration
 counts (``its``, ``KKTTriple.state_iterations``) count chord steps.  It
 returns the state with the Jacobian factorized at it, which the KKT
 triple keeps and reuses for every adjoint, tangent and Hessian-vector
-solve at that point (and refactorizes there after a release); a linear operator's Jacobian is the Laplacian,
-factorized once per :class:`SpacePair`, and its residual, like the cost
-derivatives, is a product with constant operators plus data integrals
-cached on the spaces, without a quadrature sweep.  The reduced Hessian
-and the goal-adjoint chain are composed from that factorization and
-sparse operators: the control-to-state coupling and the control mass, which the
-pair owns for the whole level, and the Lagrangian's state Hessian (one
-per KKT point).  One Hessian application costs two triangular solve pairs
-and four sparse mat-vecs; its CG preconditioner is a mat-vec with the
+solve at that point (and refactorizes there after a release).  A linear
+operator's Jacobian is the Laplacian, factorized once per
+:class:`SpacePair`, and its residual, like the cost derivatives, is a
+product with constant operators plus data integrals cached on the
+spaces, without a quadrature sweep.  The reduced Hessian and the
+goal-adjoint chain are composed from that factorization and operators
+applied cell by cell (:func:`fem.reference_apply`): the control-to-state
+coupling, the control mass and the Lagrangian's state Hessian, which is
+the state mass for a linear operator and otherwise a matrix assembled
+once per KKT point.  One Hessian application costs two triangular solve
+pairs and four operator applications; its CG preconditioner applies the
 block-diagonal inverse of the control mass.
 
 One reduced-Newton loop serves both stopping rules: :func:`newton_standard`
@@ -59,31 +61,14 @@ MAX_CG_ITERATIONS = 500
 class SpacePair:
     """State and control spaces of one discretization level.
 
-    The pair owns the operators that stay fixed on the level, each built
-    on first use from reference element matrices.  Control enters both
-    shipped operators as a_q(q, v) = -(q, v) and the tracking cost makes
-    J_uu the state mass.
+    Control enters both shipped operators as a_q(q, v) = -(q, v) and the
+    tracking cost makes J_uu the state mass.  These masses are applied
+    cell by cell from reference element data cached on the spaces; the
+    one operator the pair stores is the factorized Laplacian.
     """
 
     state: object
     control: object
-
-    @cached_property
-    def coupling(self):
-        """a_q as a condensed matrix: state-test rows, control-trial columns."""
-        return -reference_matrix(self.state, self.control)
-
-    @cached_property
-    def control_mass(self):
-        return reference_matrix(self.control, self.control)
-
-    @cached_property
-    def control_mass_inverse(self):
-        return reference_matrix(self.control, self.control, inverse=True)
-
-    @cached_property
-    def state_mass(self):
-        return reference_matrix(self.state, self.state)
 
     @cached_property
     def stiffness_factor(self):
@@ -91,13 +76,11 @@ class SpacePair:
         return Factorization(reference_matrix(self.state))
 
     def release(self):
-        """Forget the cached operators and what the spaces cache.
+        """Forget the factor and what the spaces cache.
 
-        Each operator is rebuilt on its next use, bitwise the same.
+        Each is rebuilt on its next use, bitwise the same.
         """
-        for name, attr in vars(SpacePair).items():
-            if isinstance(attr, cached_property):
-                vars(self).pop(name, None)
+        vars(self).pop("stiffness_factor", None)
         self.state.drop_cached()
         self.control.drop_cached()
 
@@ -133,7 +116,7 @@ class KKTTriple:
 
     def release(self):
         """Free the factor, the Lagrangian's state Hessian and the pair's
-        operators and space caches; each is rebuilt on next use."""
+        factor and space caches; each is rebuilt on next use."""
         self.lin = self.l_uu = None
         self.pair.release()
 
@@ -201,31 +184,33 @@ def _jacobian(problem, pair, u, q):
     )
 
 
-def lagrangian_uu(triple):
-    """State Hessian of the Lagrangian, J_uu - a_uu(u)(., .; z), as a matrix.
+def lagrangian_uu(triple, x):
+    """State Hessian of the Lagrangian, J_uu - a_uu(u)(., .; z), applied to x.
 
-    Built on first use at a consistent triple and kept on it.  For a
-    linear operator it is the pair's state mass.
+    For a linear operator it is the state mass, applied cell by cell.
+    Otherwise it is a matrix, assembled on first use at a consistent
+    triple and kept on it.
     """
+    state = triple.u.space
+    a_uu_fields = triple.problem.a_uu_fields
+    if a_uu_fields is None:
+        return reference_apply(x, state, state)
     if triple.l_uu is None:
-        a_uu_fields = triple.problem.a_uu_fields
-        if a_uu_fields is None:
-            triple.l_uu = triple.pair.state_mass
-        else:
 
-            def fields(ctx):
-                K, _ = a_uu_fields(ctx)
-                return -K, np.ones(ctx.wdet.shape)
+        def fields(ctx):
+            K, _ = a_uu_fields(ctx)
+            return -K, np.ones(ctx.wdet.shape)
 
-            triple.l_uu = assemble_matrix(
-                fields, triple.u.space, coeffs={"u": triple.u, "z": triple.z}
-            )
-    return triple.l_uu
+        triple.l_uu = assemble_matrix(
+            fields, state, coeffs={"u": triple.u, "z": triple.z}
+        )
+    return triple.l_uu @ x
 
 
 def dual_norm(pair, g):
     """Mass-weighted dual norm sqrt(g' M^-1 g); mesh-size independent."""
-    return float(np.sqrt(max(g @ (pair.control_mass_inverse @ g), 0.0)))
+    ctrl = pair.control
+    return float(np.sqrt(max(g @ reference_apply(g, ctrl, ctrl, inverse=True), 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -318,25 +303,26 @@ def make_consistent(problem, q, pair, warm_u=None, tol_abs=1e-10, tol_rel=1e-12)
 def reduced_gradient(triple):
     """Assembled first derivative of the reduced cost (dual vector).
 
-    Its J_q term is alpha (M q - b), with the pair's control mass and the
-    load of q_des cached on the control space.
+    Its J_q term is alpha (M q - b), a control mass product and the load
+    of q_des cached on the control space; its a_q term the mass product
+    (z, .) on the control space.
     """
-    problem, pair, ctrl = triple.problem, triple.pair, triple.q.space
+    problem, state, ctrl = triple.problem, triple.u.space, triple.q.space
     qf = triple.q.coefs[ctrl.free_dofs]
-    g = problem.alpha * (pair.control_mass @ qf
+    g = problem.alpha * (reference_apply(qf, ctrl, ctrl)
                          - load_vector(ctrl, problem.q_des, gauss_points(ctrl)))
-    return g - pair.coupling.T @ triple.z.coefs[triple.u.space.free_dofs]
+    return g + reference_apply(triple.z.coefs[state.free_dofs], ctrl, state)
 
 
 def goal_gradient(goal, triple):
     """Assembled derivative of the reduced goal i(q) = I(S(q), q) (dual vector)."""
     coeffs = {"u": triple.u, "q": triple.q}
     iu, iq = goal.iu_fields, goal.iq_fields
-    ctrl = triple.q.space
+    state, ctrl = triple.u.space, triple.q.space
     out = np.zeros(ctrl.nfree) if iq is None else assemble_vector(iq, ctrl, coeffs)
     if iu is not None:
-        rhs = assemble_vector(iu, triple.u.space, coeffs)
-        out -= triple.pair.coupling.T @ triple.factor().solve_transposed(rhs)
+        rhs = assemble_vector(iu, state, coeffs)
+        out += reference_apply(triple.factor().solve_transposed(rhs), ctrl, state)
     return out
 
 
@@ -344,37 +330,37 @@ def hessvec(triple, dq):
     """Application of the reduced Hessian to a control direction.
 
     A tangent solve and a second-order adjoint solve with the cached
-    factorization, joined by the coupling, the Lagrangian's state
-    Hessian and the control mass; returns a dual vector.
+    factorization, joined by the coupling -a_q = (dq, .), the Lagrangian's
+    state Hessian and the control mass; returns a dual vector.
     """
-    pair = triple.pair
-    x = dq.coefs[pair.control.free_dofs]
+    state, ctrl = triple.u.space, triple.q.space
+    x = dq.coefs[ctrl.free_dofs]
     fac = triple.factor()
-    du = fac.solve(-(pair.coupling @ x))
-    dz = fac.solve_transposed(lagrangian_uu(triple) @ du)
-    return triple.problem.alpha * (pair.control_mass @ x) - pair.coupling.T @ dz
+    du = fac.solve(reference_apply(x, state, ctrl))
+    dz = fac.solve_transposed(lagrangian_uu(triple, du))
+    return (triple.problem.alpha * reference_apply(x, ctrl, ctrl)
+            + reference_apply(dz, ctrl, state))
 
 
 def solve_reduced_system(triple, rhs, krylov_tol=1e-10):
     """Preconditioned CG on the reduced Hessian, truncated on nonpositive curvature.
 
-    The preconditioner is the inverse of the alpha-scaled control mass
-    matrix, applied as a block-diagonal mat-vec.  A direction of
-    nonpositive curvature (far from a minimum the reduced Hessian may be
-    indefinite) ends the iteration with the CG progress so far, or with
-    the preconditioned right-hand side on the first iteration.  Returns
+    The preconditioner is the inverse of the alpha-scaled control mass,
+    applied block by block.  A direction of nonpositive curvature (far
+    from a minimum the reduced Hessian may be indefinite) ends the
+    iteration with the CG progress so far, or with the preconditioned
+    right-hand side on the first iteration.  Returns
     (solution, iterations), one iteration per Hessian application.
     """
     ctrl = triple.q.space
     b = np.asarray(rhs, dtype=np.float64)
     if not np.any(b):
         return zero_function(ctrl), 0
-    m_inv = triple.pair.control_mass_inverse
     inv_alpha = 1.0 / triple.problem.alpha
 
     x = np.zeros(ctrl.nfree)
     r = b.copy()
-    z = (m_inv @ r) * inv_alpha
+    z = reference_apply(r, ctrl, ctrl, inverse=True) * inv_alpha
     rho = float(r @ z)
     rho0 = rho
     p = z.copy()
@@ -386,7 +372,7 @@ def solve_reduced_system(triple, rhs, krylov_tol=1e-10):
         a = rho / pHp
         x += a * p
         r -= a * Hp
-        z = (m_inv @ r) * inv_alpha
+        z = reference_apply(r, ctrl, ctrl, inverse=True) * inv_alpha
         rho_new = float(r @ z)
         if np.sqrt(max(rho_new, 0.0) / rho0) <= krylov_tol:
             return function_from_free(ctrl, x), it + 1

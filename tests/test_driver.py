@@ -351,6 +351,26 @@ def test_linear_state_factorizations(factorizations):
     assert factorizations[0] == 8
 
 
+@pytest.mark.parametrize("name, built", [("example1_cost", 6), ("example2_uq", 0)])
+def test_only_stiffness_matrices_built(monkeypatch, name, built):
+    # masses and the coupling are applied cell by cell: the one constant
+    # matrix a level builds is the Laplacian of each linear state space
+    import dwropt.fem as fem
+
+    spaces, build = [], fem.reference_matrix
+
+    def counting(space):
+        spaces.append(space)
+        return build(space)
+
+    for mod in [m for n, m in sys.modules.items() if n.startswith("dwropt")]:
+        if vars(mod).get("reference_matrix") is build:
+            monkeypatch.setattr(mod, "reference_matrix", counting)
+    run_adaptive(preset_config(name, max_levels=3))
+    assert len(spaces) == len(set(map(id, spaces))) == built
+    assert all(s.family == "cg" for s in spaces)
+
+
 class TestLevelRelease:
     """A level frees its solver state before the estimate and stays usable."""
 
@@ -547,15 +567,27 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["preset", "run"])
     def test_self_reference_writes_references(self, tmp_path, monkeypatch, command):
-        # the references reuse the reported run's final level: one run
-        runs = [0]
+        # the references reuse the reported run's final level, problem and
+        # goals: one run and one instantiate
+        import dwropt.cli
+        import dwropt.driver
+
+        runs, made = [0], [0]
+        instantiate = dwropt.driver.instantiate
 
         def counting_run(*args, **kwargs):
             runs[0] += 1
             return run_adaptive(*args, **kwargs)
 
+        def counting_instantiate(*args, **kwargs):
+            made[0] += 1
+            return instantiate(*args, **kwargs)
+
         monkeypatch.setattr("dwropt.cli.run_adaptive", counting_run)
         monkeypatch.setattr("dwropt.driver.run_adaptive", counting_run)
+        for mod in (dwropt.cli, dwropt.driver):
+            if vars(mod).get("instantiate") is instantiate:
+                monkeypatch.setattr(mod, "instantiate", counting_instantiate)
         out = tmp_path / "out"
         if command == "preset":
             argv = ["preset", "example1_cost", "--max-levels", "1", "--out", str(out)]
@@ -573,7 +605,24 @@ class TestCli:
         assert name == "cost"
         assert stored == repr((25 * np.pi**4 + 1 / 0.01) / 8)
         assert np.isfinite(float(self_ref))
-        assert runs == [1]
+        assert runs == [1] and made == [1]
+
+    @pytest.mark.parametrize("command, line", [("compare-stopping", "stopping = standard"),
+                                               ("sweep-alpha", "alpha = 0.5")])
+    def test_key_the_command_sets_exit_2(self, tmp_path, capsys, monkeypatch, command,
+                                          line):
+        # the command overrides the key in every run, so giving it is an error
+        out = tmp_path / "out"
+        cfgfile = tmp_path / "a.cfg"
+        cfgfile.write_text(f"preset = example1_cost\nmax_levels = 1\n{line}\n"
+                           f"output_dir = {out}\n")
+        monkeypatch.setattr("dwropt.driver.run_adaptive",
+                            lambda *a, **k: pytest.fail("ran"))
+        assert cli_main([command, str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: line 3: ")
+        assert line.split(" = ")[0] in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
     def test_missing_config_exit_2(self):
         assert cli_main(["run", "/nonexistent/path.cfg"]) == 2

@@ -1,17 +1,16 @@
-"""The assembly scatter and the reference-matrix operators against a direct scatter.
+"""The assembly scatter and the reference-element operators against a direct scatter.
 
 `assemble_matrix` sends element entries to the condensed matrix through a
-sparse map cached on the space, `reference_matrix` builds the masses and
-the Laplacian stiffness from reference element matrices, `reference_apply`
-applies them cell by cell without the matrix, and `assemble_vector` sums
-element vectors per DOF with np.bincount.  The oracles below are the
-paths they replaced (for `reference_apply`, the matrix of
-`reference_matrix`): quadrature element matrices
-built as a COO matrix, converted to CSR and condensed to C_t^T A C_r on
-every call, and the element vectors added up with np.add.at and condensed
-with C^T.  A vector form restricted to a box multiplies its fields by the
-box's cell mask; its oracle adds up the element vectors of the cells
-inside the box only.
+sparse map cached on the space, `reference_matrix` builds the Laplacian
+stiffness from a reference element matrix, `reference_apply` applies the
+stiffness, the masses and the inverse DG mass cell by cell without a
+matrix, and `assemble_vector` sums element vectors per DOF with
+np.bincount.  The oracles below are the paths they replaced: quadrature
+element matrices built as a COO matrix, converted to CSR and condensed to
+C_t^T A C_r on every call (times x, for `reference_apply`), and the element
+vectors added up with np.add.at and condensed with C^T.  A vector form
+restricted to a box multiplies its fields by the box's cell mask; its
+oracle adds up the element vectors of the cells inside the box only.
 """
 
 import numpy as np
@@ -147,11 +146,6 @@ def test_cached_scatter_matches_direct_scatter(root, seq, dirichlet):
             before = len(space._cache)
         new = reference_matrix(space)
         assert close(new, oracle_matrix(stiffness_fields, space, space)), space.degree
-        for trial in cg + dg:
-            new = reference_matrix(space, trial)
-            old = oracle_matrix(mass_fields, space, trial)
-            assert new.shape == old.shape == (space.nfree, trial.nfree)
-            assert close(new, old), (space.degree, trial.family, trial.degree)
     for region in (None, box):
         for test in cg + dg:
             for s in (1.0, 2.5):
@@ -164,15 +158,22 @@ def test_cached_scatter_matches_direct_scatter(root, seq, dirichlet):
 
 @settings(max_examples=15, deadline=None)
 @given(st.sampled_from(ROOTS), steps, st.booleans(), st.integers(0, 2**32 - 1))
-def test_reference_apply_matches_reference_matrix(root, seq, dirichlet, seed):
-    # the pairs checked above: CG stiffness, CG x CG and CG x DG masses, DG masses
+def test_reference_apply_matches_direct_scatter(root, seq, dirichlet, seed):
+    # CG stiffness; CG x CG, CG x DG, DG x CG and DG x DG masses
     cg, dg = refined_spaces(root, seq, dirichlet)
     rng = np.random.default_rng(seed)
     pairs = [(s, None) for s in cg] + [(s, t) for s in cg for t in cg + dg]
-    pairs += [(s, s) for s in dg]
+    pairs += [(s, t) for s in dg for t in cg + [s]]
     for test, trial in pairs:
-        x = rng.standard_normal((test if trial is None else trial).nfree)
+        form = stiffness_fields if trial is None else mass_fields
+        x = rng.standard_normal((trial or test).nfree)
         new = reference_apply(x, test, trial)
-        old = reference_matrix(test, trial) @ x
+        old = oracle_matrix(form, test, trial or test) @ x
         assert new.shape == (test.nfree,)
-        assert close(new, old), (test.family, test.degree, trial and trial.degree)
+        assert close(new, old), (test.family, test.degree, trial and trial.family,
+                                 trial and trial.degree)
+    # the inverse DG mass undoes the mass
+    for s in dg:
+        x = rng.standard_normal(s.nfree)
+        back = reference_apply(reference_apply(x, s, s), s, s, inverse=True)
+        assert close(back, x), s.degree
