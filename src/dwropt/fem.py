@@ -48,7 +48,16 @@ from .errors import (
 )
 from .mesh import TAG_NONE, KeyTable
 
-_CHUNK_POINTS = 1_000_000  # cells-per-chunk chosen so ncells*nq stays near this
+# Quadrature points per sweep chunk.  A chunk's fields, element matrices and
+# data at the points are alive at once, beside the state factors of the
+# level; 1e5 points bounds them to a few tens of MB on every mesh and
+# measured as fast as one chunk per sweep, while 1e4 was 10-30 % slower.
+_CHUNK_POINTS = 100_000
+# Cells per chunk are a multiple of this.  BLAS rounds the rows past the
+# last full register block of a product with other kernels, so with one
+# BLAS thread chunks of whole blocks give every cell the rounding it gets
+# in one chunk.
+_CHUNK_ALIGN = 64
 
 # Gauss points per direction beyond degree + 1
 QUAD_EXTRA = 1
@@ -289,8 +298,8 @@ def interpolate(space, fn):
 # regions
 
 
-def region_cell_mask(mesh, region):
-    """Boolean mask of active cells inside an axis-aligned box.
+def region_cell_mask(mesh, region, cells=slice(None)):
+    """Boolean mask of the active cells (or of cells only) inside an axis-aligned box.
 
     The box must align with cell boundaries: a cell straddling a box edge
     raises RegionError.  region = (x0, y0, x1, y1); infinities allowed.
@@ -298,8 +307,8 @@ def region_cell_mask(mesh, region):
     if region is None:
         return None
     x0, y0, x1, y1 = region
-    org = mesh.cell_origin()
-    h = mesh.cell_h()
+    org = mesh.cell_origin(cells)
+    h = mesh.cell_h(cells)
     eps = 1e-9 * mesh.cell_size
     cx0, cy0 = org[:, 0], org[:, 1]
     cx1, cy1 = cx0 + h, cy0 + h
@@ -307,7 +316,7 @@ def region_cell_mask(mesh, region):
     outside = (cx1 <= x0 + eps) | (cx0 >= x1 - eps) | (cy1 <= y0 + eps) | (cy0 >= y1 - eps)
     bad = ~(inside | outside)
     if np.any(bad):
-        ci = int(np.nonzero(bad)[0][0])
+        ci = int(np.arange(mesh.ncells)[cells][np.argmax(bad)])
         raise RegionError(
             f"cell {ci} straddles the region box {region}; align the box with mesh lines"
         )
@@ -337,7 +346,7 @@ class FormContext:
         self._n1d = n1d
         self._owner = owner
         _, w, _, _ = _tabulated(1, n1d)
-        h = mesh.cell_h()[cells]
+        h = mesh.cell_h(cells)
         self.inv_h = 1.0 / h
         self.wdet = w[None, :] * (h**2)[:, None]
         self._vals = {}
@@ -346,8 +355,8 @@ class FormContext:
     @cached_property
     def x(self):
         qpts = _tabulated(1, self._n1d)[0]
-        h = self.mesh.cell_h()[self.cells]
-        org = self.mesh.cell_origin()[self.cells]
+        h = self.mesh.cell_h(self.cells)
+        org = self.mesh.cell_origin(self.cells)
         x = np.empty(self.wdet.shape + (2,))
         x[:, :, 0] = org[:, 0:1] + qpts[None, :, 0] * h[:, None]
         x[:, :, 1] = org[:, 1:2] + qpts[None, :, 1] * h[:, None]
@@ -405,9 +414,12 @@ def sweep(mesh, coeffs=None, spaces=(), nquad=None):
     """Gauss quadrature over the mesh, one cell chunk at a time.
 
     Yields one FormContext per chunk of about _CHUNK_POINTS quadrature
-    points, cells in ascending order.  The rule has nquad points per
-    direction; by default gauss_points of the spaces and the coefficients'
-    spaces.  Every space and coefficient must live on mesh (AssemblyError
+    points, cells in ascending order.  The chunks are of nearly equal
+    size, in whole multiples of _CHUNK_ALIGN cells but the last, so with
+    one BLAS thread an assembled matrix or vector is bitwise the one a
+    single chunk gives.  The rule has nquad points per direction; by
+    default gauss_points of the spaces and the coefficients' spaces.
+    Every space and coefficient must live on mesh (AssemblyError
     otherwise); the first of them keeps the contexts' data (FormContext.data).
     """
     coeffs = coeffs or {}
@@ -416,8 +428,9 @@ def sweep(mesh, coeffs=None, spaces=(), nquad=None):
         raise AssemblyError("a space or coefficient lives on a different mesh")
     if nquad is None:
         nquad = gauss_points(*spaces)
+    nchunks = max(1, -(-mesh.ncells * nquad**2 // _CHUNK_POINTS))
+    step = _CHUNK_ALIGN * max(1, -(-mesh.ncells // (nchunks * _CHUNK_ALIGN)))
     cells = np.arange(mesh.ncells)
-    step = max(1, _CHUNK_POINTS // nquad**2)
     owner = spaces[0] if spaces else None
     for start in range(0, len(cells), step):
         yield FormContext(mesh, cells[start : start + step], nquad, coeffs, owner)
@@ -435,14 +448,15 @@ def _check_finite(arr, cells, what):
 
 
 def _matrix_scatter(space):
-    """Map from the element matrices of all cells to the condensed CSR matrix.
+    """Map from the element matrices of all cells to the condensed CSC matrix.
 
     Returns (S, indices, indptr): for the element entries flattened cell by
     cell, as the kernel returns them, the condensed matrix is
-    csr_matrix((S @ entries, indices, indptr)).  Entry (c, i, j) adds
+    csc_matrix((S @ entries, indices, indptr)).  Entry (c, i, j) adds
     w_i * w_j times itself to (I, J) for every entry (I, w_i) of its test
     DOF's C row and (J, w_j) of its trial DOF's.  One sort of int64 keys,
-    (I, J) above the index of the contribution, finds the pattern and S.
+    (J, I) above the index of the contribution, finds the pattern and S;
+    each entry sums its contributions in the order they come.
     """
     # the rows of C as (ndofs, width) tables of free columns and weights,
     # padded with column -1 and weight 0 to the longest row, and at least 2
@@ -460,8 +474,9 @@ def _matrix_scatter(space):
     n_e = nc * n * n
     jbits = int(space.nfree).bit_length()
     stop = space.nfree << jbits  # pairs with a padding slot key at or past this
-    kt = np.where(cs >= 0, cs << jbits, stop)
-    kr = np.where(cs >= 0, cs, stop)
+    # key of a test column I and a trial column J: (J << jbits) + I
+    kt = np.where(cs >= 0, cs, stop)
+    kr = np.where(cs >= 0, cs << jbits, stop)
 
     # contributions past the first C entry of a DOF (hanging DOFs only):
     # later test slots with every trial slot, the first with later trial slots
@@ -505,7 +520,7 @@ def _matrix_scatter(space):
     w = w[idx]
     extra = np.flatnonzero(idx >= n_e)
     idx[extra] = xe[idx[extra] - n_e]
-    # where a new (I, J) starts, and one past the end
+    # where a new (J, I) starts, and one past the end
     first = np.ones(len(key) + 1, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=first[1:-1])
     starts = np.flatnonzero(first)
@@ -514,7 +529,7 @@ def _matrix_scatter(space):
     S = sp.csr_matrix(
         (w, idx.astype(np.int32), starts.astype(np.int32)), shape=(len(pairs), n_e)
     )
-    indices = (pairs & ((1 << jbits) - 1)).astype(np.int32)
+    indices = (pairs & ((1 << jbits) - 1)).astype(np.int32)  # sorted in each column
     indptr = np.searchsorted(pairs, np.arange(space.nfree + 1) << jbits).astype(np.int32)
     # shared by every matrix assembled with this map
     indices.flags.writeable = False
@@ -525,8 +540,9 @@ def _matrix_scatter(space):
 def assemble_matrix(form, space, coeffs=None, nquad=None):
     """Assemble a bilinear form on one space over the whole mesh.
 
-    Returns a condensed csr matrix of shape (space.nfree, space.nfree);
-    constrained rows/columns are eliminated through the constraint map.
+    Returns a condensed csc matrix of shape (space.nfree, space.nfree),
+    the format SuperLU factorizes without a copy; constrained rows/columns
+    are eliminated through the constraint map.
     The kernel's element matrices reach the condensed matrix through one
     sparse mat-vec with a map cached on the space: the first assembly
     builds it, later ones reuse it.  The condensed pattern holds every
@@ -542,7 +558,7 @@ def assemble_matrix(form, space, coeffs=None, nquad=None):
         loc = kernels.local_matrix(ctx.wdet, *basis, *basis, ctx.inv_h, K, cf)
         entries.append(loc.ravel())
     data = S @ np.concatenate(entries)
-    return sp.csr_matrix((data, indices, indptr), shape=(space.nfree, space.nfree))
+    return sp.csc_matrix((data, indices, indptr), shape=(space.nfree, space.nfree))
 
 
 def _reference_element(test, trial, inverse=False):
@@ -573,21 +589,28 @@ def _reference_element(test, trial, inverse=False):
 
 
 def reference_matrix(space):
-    """The Laplacian stiffness of a space as a condensed csr matrix, without quadrature.
+    """The Laplacian stiffness of a space as a condensed csc matrix, without quadrature.
 
     The element matrix of every square cell is K_ref, the matrix on the unit
     cell.  Its nonzeros, repeated cell by cell, give the block diagonal
     kron(I, K_ref) (the arrays sp.kron builds, at a fraction of its cost),
-    and the rows of C gathered by cell_dofs condense it.
+    and the rows G of C gathered by cell_dofs condense it as (G^T B) G.
+    Each intermediate is freed before the next product.
     """
     ref, _, _ = _reference_element(space, None)
     nc, n = space.mesh.ncells, space.nloc
-    i, j = np.nonzero(ref)
-    indices = (np.arange(nc)[:, None] * n + j).ravel()
-    indptr = np.concatenate([[0], np.cumsum(np.tile(np.bincount(i, minlength=n), nc))])
-    blocks = sp.csr_matrix((np.tile(ref[i, j], nc), indices, indptr), shape=(nc * n, nc * n))
+    j, i = np.nonzero(ref.T)  # by column, rows ascending
+    indices = (np.arange(nc)[:, None] * n + i).ravel()
+    indptr = np.concatenate([[0], np.cumsum(np.tile(np.bincount(j, minlength=n), nc))])
+    blocks = sp.csc_matrix((np.tile(ref[i, j], nc), indices, indptr), shape=(nc * n, nc * n))
     gather = space.C[space.cell_dofs.ravel()]
-    return (gather.T @ blocks @ gather).tocsr()
+    gtb = gather.T @ blocks  # csc times csc
+    del blocks
+    gather = gather.tocsc()
+    out = gtb @ gather
+    del gtb, gather
+    out.sort_indices()
+    return out
 
 
 def _cell_map(space):
@@ -707,7 +730,9 @@ class Factorization:
     interchanges).  That keeps the fill of a Cholesky factor, about half of
     what the default column ordering with partial pivoting leaves.  An
     exactly zero pivot raises SingularSystemError.  The factors also serve
-    solves with the transpose.
+    solves with the transpose.  SuperLU reads a csc matrix, which is what
+    assemble_matrix and reference_matrix return, in place; another format
+    is converted first.
     """
 
     def __init__(self, matrix):

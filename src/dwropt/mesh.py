@@ -138,16 +138,18 @@ class Mesh:
     def lattice_size(self):
         return (1 << (LBITS - self.level)).astype(np.int64)
 
-    def cell_h(self):
-        """Physical edge length per active cell."""
-        return self.cell_size * (0.5 ** self.level.astype(np.float64))
+    def cell_h(self, cells=slice(None)):
+        """Physical edge length per active cell (of cells only, if given)."""
+        return self.cell_size * (0.5 ** self.level[cells].astype(np.float64))
 
-    def cell_origin(self):
-        """Physical lower-left corner per active cell, shape (ncells, 2)."""
+    def cell_origin(self, cells=slice(None)):
+        """Physical lower-left corner per active cell (of cells only, if
+        given), shape (ncells, 2)."""
         ox, oy = self.domain.origin
-        out = np.empty((self.ncells, 2))
-        out[:, 0] = ox + self.ix * self.unit
-        out[:, 1] = oy + self.iy * self.unit
+        ix, iy = self.ix[cells], self.iy[cells]
+        out = np.empty((len(ix), 2))
+        out[:, 0] = ox + ix * self.unit
+        out[:, 1] = oy + iy * self.unit
         return out
 
     def node_lattice(self, degree):

@@ -307,7 +307,7 @@ def _box_integral_goal(name, which, box, reference):
     """Integral of the state (which = "u") or the control ("q") over a box."""
 
     def indicator(ctx):
-        inside = region_cell_mask(ctx.mesh, box)[ctx.cells, None]
+        inside = region_cell_mask(ctx.mesh, box, ctx.cells)[:, None]
         return np.broadcast_to(inside, ctx.wdet.shape).astype(np.float64)
 
     def value(u, q):

@@ -4,15 +4,16 @@ The control-to-state map is realized by one damped chord iteration on
 the nonlinear state residual, :func:`solve_state`: a factorized Jacobian
 is kept while every step cuts the residual norm by the ratio CHORD_RATE
 and refactorized after a weaker step, and a reduced-Newton line-search
-trial starts from the factor of the accepted iterate.  Its iteration
-counts (``its``, ``KKTTriple.state_iterations``) count chord steps.  It
-returns the state with the Jacobian factorized at it, which the KKT
-triple keeps and reuses for every adjoint, tangent and Hessian-vector
-solve at that point (and refactorizes there after a release).  A linear
-operator's Jacobian is the Laplacian, factorized once per
-:class:`SpacePair`, and its residual, like the cost derivatives, is a
-product with constant operators plus data integrals cached on the
-spaces, without a quadrature sweep.  The reduced Hessian and the
+trial starts from the factor of the accepted iterate, taken over from its
+triple so that it is freed before the trial's refactorization.  Its
+iteration counts (``its``, ``KKTTriple.state_iterations``) count chord
+steps.  It returns the state with the Jacobian factorized at it, which
+the KKT triple keeps and reuses for every adjoint, tangent and
+Hessian-vector solve at that point (and refactorizes there after a
+release or a handover).  A linear operator's Jacobian is the Laplacian,
+factorized once per :class:`SpacePair`, and its residual, like the cost
+derivatives, is a product with constant operators plus data integrals
+cached on the spaces, without a quadrature sweep.  The reduced Hessian and the
 goal-adjoint chain are composed from that factorization and operators
 applied cell by cell (:func:`fem.reference_apply`): the control-to-state
 coupling, the control mass and the Lagrangian's state Hessian, which is
@@ -113,6 +114,14 @@ class KKTTriple:
         if self.lin is None:
             self.lin = _jacobian(self.problem, self.pair, self.u, self.q)
         return self.lin
+
+    def take_factor(self):
+        """The factor of :meth:`factor`, handed over: the triple lets go of
+        it, so the caller's last reference frees it, and refactorizes on its
+        next use."""
+        fac = self.factor()
+        self.lin = None
+        return fac
 
     def release(self):
         """Free the factor, the Lagrangian's state Hessian and the pair's
@@ -222,11 +231,12 @@ def solve_state(problem, q, pair, warm_start=None, tol_abs=1e-10,
     """Damped chord solve of the state equation at the control q.
 
     fac, if given, is a factorized Jacobian near warm_start (a line-search
-    trial passes the one of the accepted iterate).  A factor is kept while
-    each step reduces the residual norm by at least the ratio CHORD_RATE;
-    after a weaker step the Jacobian is factorized afresh at the new
-    iterate, and a line search that stalls on a stale factor is retried
-    once with a fresh one.  A linear operator's Jacobian is the pair's
+    trial passes the one of the accepted iterate, which it then owns, so
+    the refactorization at its converged state frees it).  A factor is
+    kept while each step reduces the residual norm by at least the ratio
+    CHORD_RATE; after a weaker step the Jacobian is factorized afresh at
+    the new iterate, and a line search that stalls on a stale factor is
+    retried once with a fresh one.  A linear operator's Jacobian is the pair's
     factorized Laplacian, so refactorizing it costs nothing.  Returns
     (u, fac, its): the state, the Jacobian factorized at it and the number
     of chord steps.
@@ -404,10 +414,14 @@ def _newton_update(triple, g, krylov_tol):
     s = 1.0
     for _ in range(MAX_BACKTRACKS):
         q_trial = DiscreteFunction(pair.control, triple.q.coefs + s * dq.coefs)
+        # the trial owns the accepted factor, so that one factor is alive
+        # when it refactorizes; a rejected trial's successor refactorizes
+        # the accepted point, bitwise the same
         u, fac, its = solve_state(problem, q_trial, pair,
-                                  warm_start=triple.u, fac=triple.factor())
+                                  warm_start=triple.u, fac=triple.take_factor())
         if problem.j_value(u, q_trial) <= j0 + ARMIJO_C * s * slope + j_noise:
             return _with_adjoint(problem, pair, q_trial, u, fac, its), s, cg_its
+        fac = None  # free the rejected trial's factor before refactorizing
         s *= BACKTRACK_FACTOR
     raise LineSearchError("reduced Newton line search failed")
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import sympy
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +22,7 @@ from dwropt.fem import (
     integrate,
     interpolate,
     lagrange_1d,
+    load_vector,
     reference_apply,
     reference_matrix,
     stiffness_fields,
@@ -291,6 +292,73 @@ class TestAssembly:
         np.testing.assert_array_equal(b, expected)
 
 
+class TestChunking:
+    """A sweep split into chunks gives the one-chunk results: assembled
+    matrices, vectors and loads bitwise (each entry sums the same terms in
+    the same order, and each cell's products are rounded alike), integrals
+    up to the order of the chunk totals.  The mesh is small enough that
+    BLAS does not split its products between threads."""
+
+    @staticmethod
+    def level():
+        m0 = build_initial(HOLED_RECT, 0.25)  # aligned with example3's boxes
+        mesh = refine(m0, mark(m0, range(0, m0.ncells, 5)))
+        prob = make_plaplace_control(alpha=1.0, p=4.0, eps=1.0)
+        state, ctrl = build_space(mesh, "cg", 2), build_space(mesh, "dg", 1)
+        coeffs = {"u": interpolate(state, lambda x, y: np.sin(x) * np.cos(y) + 0.3 * x * y),
+                  "q": interpolate(ctrl, lambda x, y: 1.0 + x - y)}
+        return prob, state, ctrl, coeffs
+
+    @staticmethod
+    def results(prob, state, ctrl, coeffs):
+        goals = make_goals("example3", prob)
+        return {
+            "matrix": assemble_matrix(prob.a_u_fields, state, coeffs).data,
+            "residual": assemble_vector(prob.residual_fields, state, coeffs),
+            "goal forms": [assemble_vector(g.iu_fields or g.iq_fields,
+                                           state if g.iu_fields else ctrl, coeffs)
+                           for g in goals],
+            "loads": [load_vector(state, prob.u_des, 4), load_vector(ctrl, prob.q_des, 3)],
+            "integrals": [integrate(lambda ctx: ctx.val("u") ** 2 * ctx.val("q"),
+                                    state.mesh, coeffs)]
+                         + [g.value(coeffs["u"], coeffs["q"]) for g in goals],
+        }
+
+    def test_chunked_sweeps_match_one_chunk(self, monkeypatch):
+        import dwropt.fem as fem
+
+        one = self.results(*self.level())
+        prob, state, ctrl, coeffs = self.level()
+        monkeypatch.setattr(fem, "_CHUNK_POINTS", 16 * 256)
+        sizes = [len(ctx.cells) for ctx in fem.sweep(state.mesh, coeffs)]
+        assert sizes[:-1] == [256] * 2 and 0 < sizes[-1] < 256, sizes
+        many = self.results(prob, state, ctrl, coeffs)
+        for key in ("matrix", "residual"):
+            np.testing.assert_array_equal(many[key], one[key])
+        for key in ("goal forms", "loads"):
+            for got, want in zip(many[key], one[key]):
+                np.testing.assert_array_equal(got, want)
+        for got, want in zip(many["integrals"], one["integrals"]):
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+    def test_chunked_estimator_sweep_matches_one_chunk(self, ex1_level, monkeypatch):
+        import dwropt.fem as fem
+        from dwropt.estimator import localize_pu
+
+        args = (ex1_level["combined"], (ex1_level["triple"], ex1_level["adj_low"]),
+                (ex1_level["triple2"], ex1_level["adj2"]))
+        one = localize_pu(*args)
+        monkeypatch.setattr(fem, "_CHUNK_POINTS", 16)
+        monkeypatch.setattr(fem, "_CHUNK_ALIGN", 1)
+        assert len(list(fem.sweep(ex1_level["mesh"], nquad=4))) >= 3
+        many = localize_pu(*args)
+        scale = max(abs(x) for x in one.parts())
+        for got, want in zip(many.parts(), one.parts()):
+            assert abs(got - want) <= 1e-13 * scale
+        scale = abs(one.vertex_values).max()
+        assert abs(many.vertex_values - one.vertex_values).max() <= 1e-13 * scale
+
+
 class TestSolve:
     def test_identity(self):
         import scipy.sparse as sp
@@ -358,6 +426,26 @@ class TestSolve:
         fac = Factorization(A)
         assert np.linalg.norm(fac.solve(b) - x) <= 1e-12 * np.linalg.norm(x)
         assert np.linalg.norm(fac.solve_transposed(b) - xt) <= 1e-12 * np.linalg.norm(xt)
+
+    def test_csc_matrices_reach_superlu_without_a_copy(self, monkeypatch):
+        import dwropt.fem as fem
+
+        given, splu = [], fem.spla.splu
+
+        def recording(A, **kwargs):
+            given.append(A)
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(fem.spla, "splu", recording)
+        mesh = build_initial(HOLED_RECT, 1.0)
+        mesh = refine(mesh, mark(mesh, [0, 3]))
+        prob = make_plaplace_control(alpha=1.0, p=4.0, eps=1.0)
+        s = build_space(mesh, "cg", 2)
+        u = interpolate(s, lambda x, y: np.sin(x) * np.cos(y))
+        for A in (reference_matrix(s), assemble_matrix(prob.a_u_fields, s, coeffs={"u": u})):
+            fac = Factorization(A)
+            assert given.pop() is A
+            assert not any(issparse(v) for v in vars(fac).values())
 
     def test_poisson_manufactured_convergence(self):
         # -lap(u) = f with u = sin(pi x) sin(pi y); L2 error halves ~ h^2

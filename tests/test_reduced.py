@@ -1,4 +1,5 @@
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from dwropt.reduced import (
     dual_norm,
     goal_gradient,
     hessvec,
+    lagrangian_uu,
     make_consistent,
     newton_reduced_adaptive,
     newton_standard,
@@ -427,6 +429,50 @@ class TestNewtonStandard:
         assert log.stop_reason in ("absolute", "relative")
 
 
+class TestLineSearchFactor:
+    def test_trial_takes_over_the_accepted_factor(self, monkeypatch):
+        # a line-search trial owns the accepted factor, so when it (or any
+        # state solve) factorizes, no other state factor is alive
+        prob, mesh, pair = plaplace_setup(cell=0.5, domain=HOLED_RECT, alpha=1.0)
+        alive, others = weakref.WeakSet(), []
+        init = Factorization.__init__
+
+        def tracking(self, matrix):
+            others.append(len(alive))
+            init(self, matrix)
+            alive.add(self)
+
+        monkeypatch.setattr(Factorization, "__init__", tracking)
+        triple, log = newton_standard(prob, pair, zero_function(pair.control), tol_abs=1e-8)
+        assert log.iterations >= 2
+        assert len(others) > log.iterations and set(others) == {0}
+        assert list(alive) == [triple.lin]
+
+    def test_rejected_trial_refactorizes_the_accepted_point(self, monkeypatch):
+        # a stricter Armijo constant rejects the first full step; the next
+        # trial starts from the accepted point refactorized, bitwise the same
+        prob, mesh, pair = plaplace_setup(cell=0.5, domain=HOLED_RECT, alpha=1.0)
+        b = np.cos(np.arange(pair.state.nfree))
+        trials = []
+        solve = red.solve_state
+
+        def recording(*args, fac=None, **kwargs):
+            if fac is not None:
+                # is the previous trial's factor freed by now?
+                freed = bool(trials) and trials[-1][0]() is None
+                trials.append((weakref.ref(fac), freed, fac.solve(b), fac.solve_transposed(b)))
+            return solve(*args, fac=fac, **kwargs)
+
+        monkeypatch.setattr(red, "solve_state", recording)
+        monkeypatch.setattr(red, "ARMIJO_C", 0.6)
+        _, log = newton_standard(prob, pair, zero_function(pair.control), tol_abs=1e-8)
+        assert log.step_sizes[0] == 0.5
+        (_, _, x1, t1), (_, freed, x2, t2) = trials[:2]
+        assert freed
+        np.testing.assert_array_equal(x1, x2)
+        np.testing.assert_array_equal(t1, t2)
+
+
 class TestNewtonAdaptive:
     def _combined(self, prob, pair, triple):
         goals = make_goals("example1_cost", prob)
@@ -593,6 +639,11 @@ class TestAssembledOperatorsMatchClosures:
         _assert_close(v.coefs, _ref_recover_v(prob, t, dq).coefs)
         y = recover_y(goal, t, v)
         _assert_close(y.coefs, _ref_recover_y(prob, goal, t, v).coefs)
+        if which == "plaplace":
+            # the stored CSC Hessian sums each row in the order CSR does
+            x = rng.standard_normal(pair.state.nfree)
+            assert t.l_uu.format == "csc"
+            np.testing.assert_array_equal(lagrangian_uu(t, x), t.l_uu.tocsr() @ x)
 
 
 # ---------------------------------------------------------------------------

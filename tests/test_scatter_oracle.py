@@ -1,7 +1,7 @@
 """The assembly scatter and the reference-element operators against a direct scatter.
 
-`assemble_matrix` sends element entries to the condensed matrix through a
-sparse map cached on the space, `reference_matrix` builds the Laplacian
+`assemble_matrix` sends element entries to the condensed CSC matrix through
+a sparse map cached on the space, `reference_matrix` builds the CSC Laplacian
 stiffness from a reference element matrix, `reference_apply` applies the
 stiffness, the masses and the inverse DG mass cell by cell without a
 matrix, and `assemble_vector` sums element vectors per DOF with
@@ -141,10 +141,14 @@ def test_cached_scatter_matches_direct_scatter(root, seq, dirichlet):
             new = assemble_matrix(matrix_form(s), space)
             old = oracle_matrix(matrix_form(s), space, space)
             assert new.shape == old.shape == (space.nfree, space.nfree)
+            # canonical CSC on the read-only pattern cached on the space
+            assert new.format == "csc" and new.has_canonical_format
+            assert not (new.indices.flags.writeable or new.indptr.flags.writeable)
             assert close(new, old), space.degree
             assert before is None or len(space._cache) == before
             before = len(space._cache)
         new = reference_matrix(space)
+        assert new.format == "csc" and new.has_canonical_format
         assert close(new, oracle_matrix(stiffness_fields, space, space)), space.degree
     for region in (None, box):
         for test in cg + dg:
