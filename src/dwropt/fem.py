@@ -29,6 +29,7 @@ Any entry may be None to drop that term.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,6 +59,25 @@ _CHUNK_POINTS = 100_000
 # BLAS thread chunks of whole blocks give every cell the rounding it gets
 # in one chunk.
 _CHUNK_ALIGN = 64
+
+
+def _find_malloc_trim():
+    """glibc's malloc_trim from the running process, or None where libc has none.
+
+    CDLL(None) opens the symbols already loaded; ctypes.util.find_library
+    would start ldconfig or a compiler to locate the library.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # musl or macOS; Windows
+        return None
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    return trim
+
+
+# Called before every factorization (see Factorization).
+_malloc_trim = _find_malloc_trim()
 
 # Gauss points per direction beyond degree + 1
 QUAD_EXTRA = 1
@@ -733,9 +753,17 @@ class Factorization:
     solves with the transpose.  SuperLU reads a csc matrix, which is what
     assemble_matrix and reference_matrix return, in place; another format
     is converted first.
+
+    A factorization sets the memory peak of a level, so the freed heap
+    pages are first given back to the OS (glibc only).  Once an array is
+    freed, glibc raises its mmap threshold to that size (up to 32 MB), so
+    later arrays come from its heap and stay resident after they are
+    freed; without the trim the factor would be laid out beside them.
     """
 
     def __init__(self, matrix):
+        if _malloc_trim is not None:
+            _malloc_trim(0)
         try:
             self._lu = spla.splu(
                 matrix.tocsc(),

@@ -1,3 +1,5 @@
+import platform
+
 import numpy as np
 import pytest
 import sympy
@@ -446,6 +448,49 @@ class TestSolve:
             fac = Factorization(A)
             assert given.pop() is A
             assert not any(issparse(v) for v in vars(fac).values())
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
+    def test_malloc_trim_is_found_on_glibc(self):
+        import dwropt.fem as fem
+
+        assert fem._malloc_trim is not None
+        assert fem._malloc_trim(0) in (0, 1)
+
+    def test_factorization_trims_the_heap_once_before_splu(self, monkeypatch):
+        import dwropt.fem as fem
+
+        calls, splu = [], fem.spla.splu
+
+        def recording_splu(A, **kwargs):
+            calls.append("splu")
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(fem, "_malloc_trim", lambda pad: calls.append(("trim", pad)))
+        monkeypatch.setattr(fem.spla, "splu", recording_splu)
+        A = reference_matrix(build_space(build_initial(UNIT_SQUARE, 0.25), "cg", 2))
+        for _ in range(2):
+            Factorization(A)
+        assert calls == [("trim", 0), "splu"] * 2
+
+    def test_factorization_without_trim_is_bitwise_the_same(self, monkeypatch):
+        import dwropt.fem as fem
+
+        mesh = build_initial(HOLED_RECT, 1.0)
+        mesh = refine(mesh, mark(mesh, [0, 3]))
+        prob = make_plaplace_control(alpha=1.0, p=4.0, eps=1.0)
+        s = build_space(mesh, "cg", 2)
+        u = interpolate(s, lambda x, y: np.sin(x) * np.cos(y))
+        b = np.cos(np.arange(s.nfree))
+        mats = (reference_matrix(s), assemble_matrix(prob.a_u_fields, s, coeffs={"u": u}))
+
+        def solves():
+            facs = [Factorization(A) for A in mats]
+            return [x for f in facs for x in (f.solve(b), f.solve_transposed(b))]
+
+        trimmed = solves()
+        monkeypatch.setattr(fem, "_malloc_trim", None)
+        for got, want in zip(solves(), trimmed):
+            assert np.array_equal(got, want)
 
     def test_poisson_manufactured_convergence(self):
         # -lap(u) = f with u = sin(pi x) sin(pi y); L2 error halves ~ h^2

@@ -3,7 +3,10 @@ every parameter of its functions and methods in that function, and every
 module-level definition somewhere in the package."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -131,3 +134,17 @@ def test_no_dead_definitions():
     sources = {p.stem: p.read_text(encoding="utf-8")
                for p in SRC.glob("*.py") if p.name != "__init__.py"}
     assert dead_definitions(sources) == []
+
+
+def test_importing_the_driver_starts_no_subprocess():
+    # a library lookup such as ctypes.util.find_library runs ldconfig or a
+    # compiler at import, which every fresh start would pay for
+    code = ("import subprocess\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise AssertionError(f'subprocess started: {args[:1]}')\n"
+            "subprocess.Popen = refuse\n"
+            "import dwropt.driver\n")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

@@ -159,3 +159,59 @@ class TestPathEquivalence:
             cell_integrals_loops(d["wdet"], d["gf"]),
             rtol=1e-13,
         )
+
+
+class TestChunkIndependence:
+    """A cell's row is bitwise the same whatever chunk of cells it falls in.
+
+    Split at an odd cell and at a whole number of 64-cell blocks, on the
+    shapes of Q1 and Q2 spaces swept with 3 or 4 Gauss points per direction.
+    """
+
+    @staticmethod
+    def assert_split_independent(rows):
+        """rows(cells) of the cells split in two equal those of all cells at once."""
+        one = rows(slice(None))
+        for k in (467, 1024):
+            chunks = np.concatenate([rows(slice(None, k)), rows(slice(k, None))])
+            assert np.array_equal(chunks, one), k
+
+    @staticmethod
+    def random_cells(nloc, nq):
+        rng = np.random.default_rng(2)
+        nc = 1865
+        return {
+            "wdet": rng.random((nc, nq)),
+            "phi": rng.random((nq, nloc)),
+            "gphi": rng.standard_normal((nq, nloc, 2)),
+            "inv_h": 1.0 + rng.random(nc),
+            "gf": rng.standard_normal((nc, nq)),
+            "hf": rng.standard_normal((nc, nq, 2)),
+            "dofs": rng.integers(0, 4000, size=(nc, nloc)),
+            "coefs": rng.standard_normal(4000),
+        }
+
+    @pytest.mark.parametrize("nloc", [4, 9])
+    @pytest.mark.parametrize("nq", [9, 16])
+    def test_eval_gradients(self, nloc, nq):
+        d = self.random_cells(nloc, nq)
+
+        def rows(cells):
+            return kernels.eval_gradients(d["dofs"][cells], d["coefs"], d["gphi"],
+                                          d["inv_h"][cells])
+
+        self.assert_split_independent(rows)
+
+    @pytest.mark.parametrize("nloc", [4, 9])
+    @pytest.mark.parametrize("nq", [9, 16])
+    @pytest.mark.parametrize("terms", ["gf", "hf", "both"])
+    def test_local_vector(self, nloc, nq, terms):
+        d = self.random_cells(nloc, nq)
+
+        def rows(cells):
+            gf = d["gf"][cells] if terms != "hf" else None
+            hf = d["hf"][cells] if terms != "gf" else None
+            return kernels.local_vector(d["wdet"][cells], d["phi"], d["gphi"],
+                                        d["inv_h"][cells], gf, hf)
+
+        self.assert_split_independent(rows)
