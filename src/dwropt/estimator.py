@@ -118,7 +118,7 @@ def adjoint_chain(goal, triple, p=None, krylov_tol=1e-10):
 
 
 def _apply_K(K, grad):
-    return np.einsum("cgde,cge->cgd", K, grad, optimize=True)
+    return K[..., 0] * grad[..., 0, None] + K[..., 1] * grad[..., 1, None]
 
 
 def _part_fields(problem, goal, ctx):
@@ -182,7 +182,7 @@ def _estimator_sweep(goal, low, enriched, pu_space):
         "v2": enr_adj.v, "p2": enr_adj.p, "y2": enr_adj.y,
     }
     part_sums = np.zeros(6)
-    pu_raw = np.zeros(pu_space.ndofs)
+    cells, entries = [], []
 
     for ctx in sweep(pu_space.mesh, funcs, (pu_space,)):
         G_acc = None
@@ -194,18 +194,22 @@ def _estimator_sweep(goal, low, enriched, pu_space):
                 F += g * wv
             if h is not None:
                 wg = ctx.grad(wname + "2") - ctx.grad(wname)
-                F += np.einsum("cgd,cgd->cg", h, wg, optimize=True)
+                F += h[..., 0] * wg[..., 0] + h[..., 1] * wg[..., 1]
             part_sums[k] += float(kernels.cell_integrals(ctx.wdet, F).sum())
             G_acc = F if G_acc is None else G_acc + F
             if h is not None:
                 Hw = h * wv[..., None]
                 H_acc = Hw if H_acc is None else H_acc + Hw
-        loc = kernels.local_vector(
+        cells.append(ctx.cells)
+        entries.append(kernels.local_vector(
             ctx.wdet, *ctx.basis(pu_space), ctx.inv_h,
             0.5 * G_acc, None if H_acc is None else 0.5 * H_acc,
-        )
-        np.add.at(pu_raw, pu_space.cell_dofs[ctx.cells].ravel(), loc.ravel())
+        ))
 
+    dofs = pu_space.cell_dofs[np.concatenate(cells)]
+    pu_raw = np.bincount(
+        dofs.ravel(), weights=np.concatenate(entries).ravel(), minlength=pu_space.ndofs
+    )
     return part_sums, pu_space.C.T @ pu_raw
 
 

@@ -449,6 +449,22 @@ class TestSolve:
             assert given.pop() is A
             assert not any(issparse(v) for v in vars(fac).values())
 
+    def test_factorization_passes_the_superlu_options(self, monkeypatch):
+        import dwropt.fem as fem
+
+        given, splu = [], fem.spla.splu
+
+        def recording(A, **kwargs):
+            given.append(kwargs)
+            return splu(A, **kwargs)
+
+        monkeypatch.setattr(fem.spla, "splu", recording)
+        Factorization(reference_matrix(build_space(build_initial(UNIT_SQUARE, 0.25), "cg", 2)))
+        assert given == [dict(
+            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, relax=1, panel_size=1,
+            options=dict(SymmetricMode=True),
+        )]
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc only")
     def test_malloc_trim_is_found_on_glibc(self):
         import dwropt.fem as fem
@@ -488,6 +504,8 @@ class TestSolve:
             return [x for f in facs for x in (f.solve(b), f.solve_transposed(b))]
 
         trimmed = solves()
+        for got, want in zip(solves(), trimmed):  # a refactorization solves alike
+            assert np.array_equal(got, want)
         monkeypatch.setattr(fem, "_malloc_trim", None)
         for got, want in zip(solves(), trimmed):
             assert np.array_equal(got, want)

@@ -136,6 +136,54 @@ def test_no_dead_definitions():
     assert dead_definitions(sources) == []
 
 
+SPARSE_SOLVERS = {"splu", "spilu", "spsolve", "factorized"}
+
+
+def sparse_solver_calls(source):
+    """(enclosing definition, callee) of every call of a SciPy sparse solver.
+
+    A call counts when its callee is a name or attribute in SPARSE_SOLVERS;
+    the enclosing definition is the dotted path of the classes and
+    functions around it, "" at module level.
+    """
+    calls = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{path}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in SPARSE_SOLVERS:
+                    calls.append((path, name))
+            visit(child, path)
+
+    visit(ast.parse(source), "")
+    return calls
+
+
+def test_detector_finds_sparse_solver_calls():
+    source = ("import scipy.sparse.linalg as spla\n"
+              "from scipy.sparse.linalg import spsolve\n"
+              "x = spsolve(A, b)\n"
+              "class F:\n    def __init__(self, A):\n"
+              "        self.lu = spla.splu(A, relax=1)\n"
+              "def g(A):\n    return spla.factorized(A), spla.eigsh(A)\n")
+    assert sparse_solver_calls(source) == [
+        ("", "spsolve"), ("F.__init__", "splu"), ("g", "factorized")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_factorization_calls_a_sparse_solver(module):
+    # every factorization then gets the ordering and SuperLU options of
+    # fem.Factorization
+    calls = sparse_solver_calls((SRC / module).read_text(encoding="utf-8"))
+    want = [("Factorization.__init__", "splu")] if module == "fem.py" else []
+    assert calls == want
+
+
 def test_importing_the_driver_starts_no_subprocess():
     # a library lookup such as ctypes.util.find_library runs ldconfig or a
     # compiler at import, which every fresh start would pay for
