@@ -106,14 +106,22 @@ PRESETS = {
 
 #: keys that only some presets read; giving one to another preset is an error
 _PRESET_KEYS = ("p", "epsilon", "smoothing_delta")
+#: keys read under one mode only: key -> (mode key, the value that reads it)
+_MODE_KEYS = {"gamma": ("stopping", "adaptive"), "eta0": ("stopping", "adaptive"),
+              "theta": ("refinement", "adaptive")}
 
 
 def _check_given(cfg, given):
-    """Reject keys given to a validated config whose preset never reads them."""
+    """Reject keys given to a validated config that its run never reads:
+    keys of other presets, and keys of a stopping rule or refinement it
+    does not use."""
     unread = [k for k in _PRESET_KEYS
               if k in given and k not in PRESETS[cfg.preset].reads]
     if unread:
         raise ConfigError(f"preset {cfg.preset} does not use {', '.join(unread)}")
+    for key, (mode, reads) in _MODE_KEYS.items():
+        if key in given and getattr(cfg, mode) != reads:
+            raise ConfigError(f"{mode} = {getattr(cfg, mode)} does not use {key}")
     return cfg
 
 
@@ -257,12 +265,8 @@ def _solve_level(problem, goals, mesh, config, warm):
     KKTTriple.release): a later solve with one refactorizes its Jacobian.
     """
     r = config.degree
-    state = build_space(mesh, "cg", r)
-    ctrl = build_space(mesh, "dg", r - 1)
-    state2 = build_space(mesh, "cg", r + 1)
-    ctrl2 = build_space(mesh, "dg", r)
-    pair = SpacePair(state, ctrl)
-    pair2 = SpacePair(state2, ctrl2)
+    pair = SpacePair(build_space(mesh, "cg", r), build_space(mesh, "dg", r - 1))
+    pair2 = SpacePair(build_space(mesh, "cg", r + 1), build_space(mesh, "dg", r))
 
     low_prev, high_prev, eta_prev = warm
     q0, u0 = _initial_guess(problem, low_prev, pair)
@@ -278,9 +282,10 @@ def _solve_level(problem, goals, mesh, config, warm):
     # the combined goal's references, frozen at the enriched solution
     seed = build_combined(goals, (triple2.u, triple2.q))
 
-    # low-order optimization
+    # low-order optimization, and the combined goal refrozen at its
+    # solution (the adaptive Newton's guard refreezes it at every iterate)
     if config.stopping == "adaptive":
-        triple, p_low, log = newton_reduced_adaptive(
+        triple, combined, p_low, log = newton_reduced_adaptive(
             problem, seed, pair, q0, warm_u=u0,
             gamma=config.gamma, eta_prev=eta_prev,
             krylov_tol=config.krylov_tol,
@@ -292,11 +297,9 @@ def _solve_level(problem, goals, mesh, config, warm):
             tol_abs=config.newton_tol_abs, tol_rel=config.newton_tol_rel,
             krylov_tol=config.krylov_tol,
         )
-        p_low = None
+        combined, p_low = seed.refreeze(triple.u, triple.q), None
 
-    # combined goal refrozen at the converged low solution; goal-adjoint
-    # chains at the low and at the enriched linearization point
-    combined = seed.refreeze(triple.u, triple.q)
+    # goal-adjoint chains at the low and at the enriched linearization point
     adj_low = adjoint_chain(combined, triple, p=p_low, krylov_tol=config.krylov_tol)
     adj2 = adjoint_chain(combined, triple2, krylov_tol=config.krylov_tol)
     eta_k = compute_eta_k(triple, adj_low.p)
@@ -325,18 +328,14 @@ def _make_report(level, mesh, sol):
     combined = sol["combined"]
     bd = sol["breakdown"]
     pair, pair2 = sol["pair"], sol["pair2"]
-    goal_values = dict(zip((g.name for g in combined.goals), combined.freeze_values))
-    goal_reldev = dict(
-        zip((g.name for g in combined.goals), combined.relative_deviations())
-    )
+    names = [g.name for g in combined.goals]
+    goal_values = dict(zip(names, combined.freeze_values))
+    goal_reldev = dict(zip(names, combined.relative_deviations()))
     ref_error = combined.reference_error()
-    i_eff = i_eff_p = i_eff_a = i_eff_c = None
-    if ref_error is not None:
-        eff = effectivities(bd, ref_error)
-        if eff.defined:
-            i_eff, i_eff_p, i_eff_a, i_eff_c = (
-                eff.i_eff, eff.i_eff_p, eff.i_eff_a, eff.i_eff_c,
-            )
+    eff = None if ref_error is None else effectivities(bd, ref_error)
+    i_eff, i_eff_p, i_eff_a, i_eff_c = (
+        (None,) * 4 if eff is None else (eff.i_eff, eff.i_eff_p, eff.i_eff_a, eff.i_eff_c)
+    )
     return LevelReport(
         level=level,
         cells=mesh.ncells,
@@ -679,9 +678,8 @@ def self_reference_values(config, capture, extra_refinements=2):
     problem, goals, mesh = capture["problem"], capture["goals"], capture["mesh"]
     for _ in range(extra_refinements):
         mesh = refine_all(mesh)
-    state = build_space(mesh, "cg", config.degree + 1)
-    ctrl = build_space(mesh, "dg", config.degree + 1)
-    pair = SpacePair(state, ctrl)
+    r = config.degree + 1
+    pair = SpacePair(build_space(mesh, "cg", r), build_space(mesh, "dg", r))
     q0, u0 = _initial_guess(problem, capture["high"], pair)
     triple, _ = newton_standard(
         problem, pair, q0, warm_u=u0,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .fem import assemble_vector, build_space, function_from_free, reference_apply, sweep
+from .fem import assemble_vector, build_space, function_from_free, reference_apply
 from .reduced import (
     goal_gradient,
     lagrangian_uu,
@@ -72,7 +72,6 @@ class EffectivityIndices:
     i_eff_p: float
     i_eff_a: float
     i_eff_c: float
-    defined: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +170,9 @@ _PART_ATTR = ("rho_u", "rho_q", "rho_z", "rho_v", "rho_y", "rho_p")
 
 
 def _estimator_sweep(goal, low, enriched, pu_space):
-    """One pass over the mesh: global residual parts and PU vertex vector."""
+    """Global residual parts and PU vertex vector in one pass over the mesh:
+    one vector form of half the six pairings' sum, which adds each part's
+    integral to part_sums on the way."""
     low_kkt, low_adj = low
     problem = low_kkt.problem
     enr_kkt, enr_adj = enriched
@@ -182,9 +183,8 @@ def _estimator_sweep(goal, low, enriched, pu_space):
         "v2": enr_adj.v, "p2": enr_adj.p, "y2": enr_adj.y,
     }
     part_sums = np.zeros(6)
-    cells, entries = [], []
 
-    for ctx in sweep(pu_space.mesh, funcs, (pu_space,)):
+    def fields(ctx):
         G_acc = None
         H_acc = None
         for k, (g, h, wname) in enumerate(_part_fields(problem, goal, ctx)):
@@ -200,17 +200,9 @@ def _estimator_sweep(goal, low, enriched, pu_space):
             if h is not None:
                 Hw = h * wv[..., None]
                 H_acc = Hw if H_acc is None else H_acc + Hw
-        cells.append(ctx.cells)
-        entries.append(kernels.local_vector(
-            ctx.wdet, *ctx.basis(pu_space), ctx.inv_h,
-            0.5 * G_acc, None if H_acc is None else 0.5 * H_acc,
-        ))
+        return 0.5 * G_acc, None if H_acc is None else 0.5 * H_acc
 
-    dofs = pu_space.cell_dofs[np.concatenate(cells)]
-    pu_raw = np.bincount(
-        dofs.ravel(), weights=np.concatenate(entries).ravel(), minlength=pu_space.ndofs
-    )
-    return part_sums, pu_space.C.T @ pu_raw
+    return part_sums, assemble_vector(fields, pu_space, funcs)
 
 
 def localize_pu(goal, low, enriched):
@@ -252,10 +244,11 @@ def effectivities(breakdown, true_error):
     """Estimator-to-error ratios: total, primal, adjoint and corrected.
 
     The primal/adjoint indices divide the raw three-part sums (no half),
-    so the total index is exactly their mean.
+    so the total index is exactly their mean.  None for a zero or
+    non-finite error, as the reference error is None without references.
     """
     if true_error == 0.0 or not np.isfinite(true_error):
-        return EffectivityIndices(np.nan, np.nan, np.nan, np.nan, defined=False)
+        return None
     return EffectivityIndices(
         i_eff=breakdown.eta_h2 / true_error,
         i_eff_p=breakdown.primal_sum / true_error,

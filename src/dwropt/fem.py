@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,9 +55,9 @@ from .mesh import TAG_NONE, KeyTable
 # measured as fast as one chunk per sweep, while 1e4 was 10-30 % slower.
 _CHUNK_POINTS = 100_000
 # Cells per chunk are a multiple of this.  BLAS rounds the rows past the
-# last full register block of a product with other kernels, so with one
-# BLAS thread chunks of whole blocks give every cell the rounding it gets
-# in one chunk.
+# last full register block of a product with other kernels, so chunks of
+# whole blocks give the cells of whole blocks the rounding they get in one
+# chunk (the measured scope is in kernels).
 _CHUNK_ALIGN = 64
 
 
@@ -138,16 +138,10 @@ def tabulate(degree, pts):
     return phi, gphi
 
 
-_TAB_CACHE = {}
-
-
+@cache
 def _tabulated(degree, n1d):
-    key = (degree, n1d)
-    if key not in _TAB_CACHE:
-        pts, w = gauss_rule(n1d)
-        phi, gphi = tabulate(degree, pts)
-        _TAB_CACHE[key] = (pts, w, phi, gphi)
-    return _TAB_CACHE[key]
+    pts, w = gauss_rule(n1d)
+    return (pts, w, *tabulate(degree, pts))
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +259,9 @@ class Space:
     def drop_cached(self):
         """Forget what is cached on the space: the matrix scatter map, the
         reference element data and cell map of :func:`reference_apply`,
-        the load integrals of analytic data (:func:`load_vector`) and that
-        data at the quadrature points (:meth:`FormContext.data`)."""
+        the load integrals of analytic data (:func:`load_vector`), that
+        data at the quadrature points (:meth:`FormContext.data`) and the
+        factorized Laplacian of a linear state operator (reduced)."""
         self._cache.clear()
 
     # -- constraint application ------------------------------------------
@@ -290,9 +285,6 @@ class DiscreteFunction:
 
     space: Space
     coefs: np.ndarray
-
-    def copy(self):
-        return DiscreteFunction(self.space, self.coefs.copy())
 
     def norm_max(self):
         return float(np.max(np.abs(self.coefs))) if self.coefs.size else 0.0
@@ -435,9 +427,9 @@ def sweep(mesh, coeffs=None, spaces=(), nquad=None):
 
     Yields one FormContext per chunk of about _CHUNK_POINTS quadrature
     points, cells in ascending order.  The chunks are of nearly equal
-    size, in whole multiples of _CHUNK_ALIGN cells but the last, so with
-    one BLAS thread an assembled matrix or vector is bitwise the one a
-    single chunk gives.  The rule has nquad points per direction; by
+    size, in whole multiples of _CHUNK_ALIGN cells but the last, so the
+    kernels round the cells of whole blocks as in one chunk (see kernels
+    for the measured scope).  The rule has nquad points per direction; by
     default gauss_points of the spaces and the coefficients' spaces.
     Every space and coefficient must live on mesh (AssemblyError
     otherwise); the first of them keeps the contexts' data (FormContext.data).

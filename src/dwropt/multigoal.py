@@ -72,12 +72,7 @@ class CombinedGoal:
 
     def value_at_freeze(self):
         """Combined relative deviation at the freeze point (nonnegative)."""
-        return float(
-            sum(
-                abs(r - f) / w
-                for r, f, w in zip(self.refs, self.freeze_values, self.weights)
-            )
-        )
+        return float(sum(self.relative_deviations()))
 
     def relative_deviations(self):
         """Per-goal |r_l - I_l(freeze)| / w_l."""

@@ -54,15 +54,12 @@ class ProblemDefinition:
     reads the state and the dual weight from coefficients ``u`` and
     ``z``; it is None when the operator is linear in the state.  A linear
     operator is the Laplacian: its Jacobian is the factorized stiffness
-    of the SpacePair, not assembled from a_u_fields, and the state solve
-    forms its residual from reference-element products and the load of
-    f (the estimator still reads residual_fields).
+    cached on the state space, not assembled from a_u_fields, and the
+    state solve forms its residual from reference-element products and
+    the load of f (the estimator still reads residual_fields).
     """
 
-    name: str
     alpha: float
-    p: float | None
-    eps: float | None
     f: Callable
     u_des: Callable
     q_des: Callable
@@ -134,10 +131,7 @@ def make_poisson_control(alpha):
         return -(f(x, y) + ctx.val("q")), ctx.grad("u")
 
     return ProblemDefinition(
-        name="poisson_control",
         alpha=alpha,
-        p=None,
-        eps=None,
         f=f,
         u_des=u_des,
         q_des=q_des,
@@ -206,10 +200,7 @@ def make_plaplace_control(alpha, p, eps):
         return K, None
 
     return ProblemDefinition(
-        name="plaplace_control",
         alpha=alpha,
-        p=p,
-        eps=eps,
         f=f,
         u_des=u_des,
         q_des=q_des,

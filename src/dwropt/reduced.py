@@ -11,8 +11,8 @@ steps.  It returns the state with the Jacobian factorized at it, which
 the KKT triple keeps and reuses for every adjoint, tangent and
 Hessian-vector solve at that point (and refactorizes there after a
 release or a handover).  A linear operator's Jacobian is the Laplacian,
-factorized once per :class:`SpacePair`, and its residual, like the cost
-derivatives, is a product with constant operators plus data integrals
+factorized once per state space and cached there, and its residual, like
+the cost derivatives, is a product with constant operators plus data integrals
 cached on the spaces, without a quadrature sweep.  The reduced Hessian and the
 goal-adjoint chain are composed from that factorization and operators
 applied cell by cell (:func:`fem.reference_apply`): the control-to-state
@@ -33,7 +33,6 @@ by the unconstrained DOFs of their test space.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -56,34 +55,21 @@ CHORD_RATE = 0.1  # keep a state Jacobian while it contracts the residual this m
 BACKTRACK_FACTOR = 0.5
 MAX_BACKTRACKS = 20
 MAX_CG_ITERATIONS = 500
+MAX_STATE_ITERATIONS = 50  # chord steps of one state solve
+MAX_NEWTON_ITERATIONS = 50  # reduced-Newton updates of one solve
 
 
 @dataclass(frozen=True)
 class SpacePair:
-    """State and control spaces of one discretization level.
+    """State and control spaces of one discretization level, the solvers' input.
 
-    Control enters both shipped operators as a_q(q, v) = -(q, v) and the
-    tracking cost makes J_uu the state mass.  These masses are applied
-    cell by cell from reference element data cached on the spaces; the
-    one operator the pair stores is the factorized Laplacian.
+    Masses and coupling are applied cell by cell from reference data
+    cached on the spaces, and the factorized Laplacian is cached on the
+    state space.
     """
 
     state: object
     control: object
-
-    @cached_property
-    def stiffness_factor(self):
-        """Factorized Laplacian: the Jacobian of a linear state operator."""
-        return Factorization(reference_matrix(self.state))
-
-    def release(self):
-        """Forget the factor and what the spaces cache.
-
-        Each is rebuilt on its next use, bitwise the same.
-        """
-        vars(self).pop("stiffness_factor", None)
-        self.state.drop_cached()
-        self.control.drop_cached()
 
 
 @dataclass
@@ -96,7 +82,6 @@ class KKTTriple:
     freed its solver state.
     """
 
-    pair: SpacePair
     u: DiscreteFunction
     q: DiscreteFunction
     z: DiscreteFunction
@@ -112,7 +97,7 @@ class KKTTriple:
         refactorized Jacobian is bitwise the same.
         """
         if self.lin is None:
-            self.lin = _jacobian(self.problem, self.pair, self.u, self.q)
+            self.lin = _jacobian(self.problem, self.u, self.q)
         return self.lin
 
     def take_factor(self):
@@ -124,10 +109,11 @@ class KKTTriple:
         return fac
 
     def release(self):
-        """Free the factor, the Lagrangian's state Hessian and the pair's
-        factor and space caches; each is rebuilt on next use."""
+        """Free the factor, the Lagrangian's state Hessian and what both
+        spaces cache; each is rebuilt on next use, bitwise the same."""
         self.lin = self.l_uu = None
-        self.pair.release()
+        self.u.space.drop_cached()
+        self.q.space.drop_cached()
 
 
 @dataclass
@@ -184,13 +170,13 @@ def _ju_vector(problem, u, q):
             - load_vector(state, problem.u_des, gauss_points(state, q.space)))
 
 
-def _jacobian(problem, pair, u, q):
-    """Factorized state Jacobian at (u, q); the pair's Laplacian if linear."""
+def _jacobian(problem, u, q):
+    """Factorized state Jacobian at (u, q); if linear, the Laplacian cached on u's space."""
+    space = u.space
     if problem.a_uu_fields is None:
-        return pair.stiffness_factor
-    return Factorization(
-        assemble_matrix(problem.a_u_fields, u.space, coeffs={"u": u, "q": q})
-    )
+        return space.cached("stiffness_factor",
+                            lambda: Factorization(reference_matrix(space)))
+    return Factorization(assemble_matrix(problem.a_u_fields, space, {"u": u, "q": q}))
 
 
 def lagrangian_uu(triple, x):
@@ -227,7 +213,7 @@ def dual_norm(pair, g):
 
 
 def solve_state(problem, q, pair, warm_start=None, tol_abs=1e-10,
-                tol_rel=1e-12, max_iter=50, fac=None):
+                tol_rel=1e-12, fac=None):
     """Damped chord solve of the state equation at the control q.
 
     fac, if given, is a factorized Jacobian near warm_start (a line-search
@@ -236,29 +222,29 @@ def solve_state(problem, q, pair, warm_start=None, tol_abs=1e-10,
     kept while each step reduces the residual norm by at least the ratio
     CHORD_RATE; after a weaker step the Jacobian is factorized afresh at
     the new iterate, and a line search that stalls on a stale factor is
-    retried once with a fresh one.  A linear operator's Jacobian is the pair's
-    factorized Laplacian, so refactorizing it costs nothing.  Returns
-    (u, fac, its): the state, the Jacobian factorized at it and the number
-    of chord steps.
+    retried once with a fresh one.  A linear operator's Jacobian is the
+    Laplacian cached on the state space, so refactorizing it costs nothing.
+    At most MAX_STATE_ITERATIONS steps are taken.  Returns (u, fac, its):
+    the state, the Jacobian factorized at it and the number of chord steps.
     """
     space = pair.state
-    u = warm_start.copy() if warm_start is not None else zero_function(space)
+    u = zero_function(space) if warm_start is None else warm_start
     u = DiscreteFunction(space, space.distribute(u.coefs))
     res = state_residual(problem, u, q)
     norm0 = float(np.linalg.norm(res))
     norm = norm0
     fresh = False  # fac is the Jacobian at u
-    for it in range(max_iter):
+    for it in range(MAX_STATE_ITERATIONS):
         converged = norm <= tol_abs or norm <= tol_rel * norm0
         if fac is None or (converged and not fresh):
             fac = None  # free the stale factor before building the next
-            fac, fresh = _jacobian(problem, pair, u, q), True
+            fac, fresh = _jacobian(problem, u, q), True
         if converged:
             return u, fac, it
         step = _damped_step(problem, q, u, res, norm, fac)
         if step is None and not fresh:
             fac = None
-            fac, fresh = _jacobian(problem, pair, u, q), True
+            fac, fresh = _jacobian(problem, u, q), True
             step = _damped_step(problem, q, u, res, norm, fac)
         if step is None:
             raise LineSearchError(
@@ -270,7 +256,7 @@ def solve_state(problem, q, pair, warm_start=None, tol_abs=1e-10,
             fac = None  # refactorize at the new iterate
         norm = norm_new
     raise NonConvergenceError(
-        f"state Newton did not reach tolerance in {max_iter} iterations "
+        f"state Newton did not reach tolerance in {MAX_STATE_ITERATIONS} iterations "
         f"(residual {norm:.3e})"
     )
 
@@ -293,17 +279,16 @@ def _damped_step(problem, q, u, res, norm, fac):
     return None
 
 
-def _with_adjoint(problem, pair, q, u, fac, its):
+def _with_adjoint(problem, q, u, fac, its):
     """Consistent KKT triple at the solved state u = S(q): adds the adjoint."""
     z = function_from_free(u.space, fac.solve_transposed(_ju_vector(problem, u, q)))
-    return KKTTriple(pair=pair, u=u, q=q, z=z, lin=fac, state_iterations=its,
-                     problem=problem)
+    return KKTTriple(u=u, q=q, z=z, lin=fac, state_iterations=its, problem=problem)
 
 
 def make_consistent(problem, q, pair, warm_u=None, tol_abs=1e-10, tol_rel=1e-12):
     """State + adjoint solve at q, yielding a consistent KKT triple."""
     u, fac, its = solve_state(problem, q, pair, warm_u, tol_abs, tol_rel)
-    return _with_adjoint(problem, pair, q, u, fac, its)
+    return _with_adjoint(problem, q, u, fac, its)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +382,7 @@ def solve_reduced_system(triple, rhs, krylov_tol=1e-10):
 # reduced Newton: one loop, two stopping rules
 
 
-def _newton_update(triple, g, krylov_tol):
+def _newton_update(triple, pair, g, krylov_tol):
     """One Newton step with Armijo backtracking on the reduced cost.
 
     Near convergence the predicted decrease falls below the accuracy of
@@ -405,7 +390,7 @@ def _newton_update(triple, g, krylov_tol):
     that evaluation noise so the final tiny steps are not rejected.
     Returns (triple, step size, CG iterations of the step solve).
     """
-    problem, pair = triple.problem, triple.pair
+    problem = triple.problem
     dq, cg_its = solve_reduced_system(triple, -g, krylov_tol=krylov_tol)
     slope = float(g @ dq.coefs[pair.control.free_dofs])
     triple.l_uu = None  # the trial solves below peak in memory; free it first
@@ -420,24 +405,25 @@ def _newton_update(triple, g, krylov_tol):
         u, fac, its = solve_state(problem, q_trial, pair,
                                   warm_start=triple.u, fac=triple.take_factor())
         if problem.j_value(u, q_trial) <= j0 + ARMIJO_C * s * slope + j_noise:
-            return _with_adjoint(problem, pair, q_trial, u, fac, its), s, cg_its
+            return _with_adjoint(problem, q_trial, u, fac, its), s, cg_its
         fac = None  # free the rejected trial's factor before refactorizing
         s *= BACKTRACK_FACTOR
     raise LineSearchError("reduced Newton line search failed")
 
 
-def _newton(problem, pair, q0, guard, tol_abs, tol_rel, krylov_tol, max_iter,
-            warm_u):
+def _newton(problem, pair, q0, guard, tol_abs, tol_rel, krylov_tol, warm_u):
     """Reduced Newton loop; guard is None or (combined goal, threshold).
 
     With a guard, each iterate refreezes the goal, solves for its adjoint
     p and records |j'(q)(p)|, stopping once that reaches the threshold;
-    without one it records the gradient norm.  The absolute, relative and
-    max_iter exits follow.  Returns (triple, p or None, log).
+    without one it records the gradient norm.  The absolute and relative
+    exits follow; MAX_NEWTON_ITERATIONS updates without an exit raise.
+    Returns (triple, goal, p, log): with a guard, the goal refrozen at the
+    returned triple and its adjoint p, otherwise None and None.
     """
     triple = make_consistent(problem, q0, pair, warm_u)
     log = NewtonLog()
-    p = ng0 = None
+    goal_k = p = ng0 = None
     while True:
         g = reduced_gradient(triple)
         ng = dual_norm(pair, g)
@@ -458,40 +444,39 @@ def _newton(problem, pair, q0, guard, tol_abs, tol_rel, krylov_tol, max_iter,
             log.stop_reason = "absolute"
         elif ng <= tol_rel * ng0:
             log.stop_reason = "relative"
-        elif log.iterations >= max_iter:
-            log.stop_reason = "maxiter"
+        elif log.iterations >= MAX_NEWTON_ITERATIONS:
             raise NonConvergenceError(
-                f"reduced Newton: {max_iter} iterations, residual {measure:.3e}"
+                f"reduced Newton: {MAX_NEWTON_ITERATIONS} iterations, residual {measure:.3e}"
             )
         if log.stop_reason:
-            return triple, p, log
-        triple, s, cg_its = _newton_update(triple, g, krylov_tol)
+            return triple, goal_k, p, log
+        triple, s, cg_its = _newton_update(triple, pair, g, krylov_tol)
         log.step_sizes.append(s)
         log.cg_iterations.append(cg_its)
 
 
 def newton_standard(problem, pair, q0, tol_abs=1e-7, tol_rel=8e-5,
-                    krylov_tol=1e-10, max_iter=50, warm_u=None):
+                    krylov_tol=1e-10, warm_u=None):
     """Reduced Newton with the classical gradient-norm stopping rule.
 
-    warm_u, if given, starts the first state solve.
+    warm_u, if given, starts the first state solve.  Returns (triple, log).
     """
-    triple, _, log = _newton(problem, pair, q0, None, tol_abs, tol_rel,
-                             krylov_tol, max_iter, warm_u)
+    triple, _, _, log = _newton(problem, pair, q0, None, tol_abs, tol_rel,
+                                krylov_tol, warm_u)
     return triple, log
 
 
 def newton_reduced_adaptive(problem, goal_combined, pair, q0, gamma, eta_prev,
-                            krylov_tol=1e-10, max_iter=50,
-                            tol_abs=1e-7, tol_rel=8e-5, warm_u=None):
+                            krylov_tol=1e-10, tol_abs=1e-7, tol_rel=8e-5, warm_u=None):
     """Reduced Newton stopped by the goal-weighted iteration-error guard.
 
     The loop of :func:`newton_standard` with one extra exit, taken once
     |j'(q)(p)| drops below gamma times the previous discretization
     estimate, so it can only stop earlier.  warm_u, if given, starts the
-    first state solve.  Returns the triple, the goal adjoint p, the log.
+    first state solve.  Returns the triple, goal_combined refrozen at it,
+    that goal's adjoint p and the log.
     """
     if gamma <= 0 or eta_prev <= 0:
         raise NonConvergenceError("gamma and eta_prev must be positive")
     return _newton(problem, pair, q0, (goal_combined, gamma * eta_prev),
-                   tol_abs, tol_rel, krylov_tol, max_iter, warm_u)
+                   tol_abs, tol_rel, krylov_tol, warm_u)

@@ -95,6 +95,21 @@ class TestConfig:
                             ).smoothing_delta == 1e-6
         assert parse_config("p = 3\npreset = example3").p == 3.0
 
+    @pytest.mark.parametrize("key, mode, other", [
+        ("gamma", "stopping", "standard"),
+        ("eta0", "stopping", "standard"),
+        ("theta", "refinement", "uniform"),
+    ])
+    def test_keys_of_an_unused_mode_rejected(self, key, mode, other):
+        value = getattr(Config(), key) / 2
+        with pytest.raises(ConfigError, match=f"^{mode} = {other} does not use {key}$"):
+            parse_config(f"{mode} = {other}\n{key} = {value}")
+        with pytest.raises(ConfigError, match=f"does not use {key}"):
+            preset_config("example1_cost", **{mode: other, key: value})
+        # the mode that reads the key accepts it, and the other mode its default
+        assert getattr(parse_config(f"{key} = {value}"), key) == value
+        assert getattr(preset_config("example1_cost", **{mode: other}), mode) == other
+
     @settings(max_examples=200, deadline=None)
     @given(CONFIG_ENTRIES)
     def test_any_text_parses_or_raises_config_error(self, entries):
@@ -429,16 +444,17 @@ class TestLevelRelease:
 @pytest.mark.parametrize("name", ["example2_uq", "example3"])
 def test_goals_evaluated_once_at_enriched_solution(name):
     # the combined goal's references double as its first freeze values, and
-    # the low solution's combined goal is a refreeze of the same goal
+    # the low solution's combined goal is a refreeze of the same goal: the
+    # adaptive Newton guard's at its last iterate, which the level reuses
     from dwropt.driver import _solve_level
 
     cfg = preset_config(name, max_levels=1)
     problem, goals, mesh = instantiate(cfg)
-    spaces = {g.name: [] for g in goals}
+    calls = {g.name: [] for g in goals}
 
     def counting(goal):
         def value(u, q):
-            spaces[goal.name].append(u.space)
+            calls[goal.name].append((u, q))
             return goal.value(u, q)
 
         return replace(goal, value=value)
@@ -446,10 +462,12 @@ def test_goals_evaluated_once_at_enriched_solution(name):
     assert cfg.stopping == "adaptive"
     sol = _solve_level(problem, [counting(g) for g in goals], mesh, cfg,
                        (None, None, cfg.eta0))
-    for seen in spaces.values():
-        assert sum(s is sol["pair2"].state for s in seen) == 1
-        # the guard's refreeze at each low iterate, then the final one
-        assert sum(s is sol["pair"].state for s in seen) >= 2
+    low = sol["triple"]
+    for seen in calls.values():
+        assert sum(u.space is sol["pair2"].state for u, _ in seen) == 1
+        # the guard's refreeze at each low iterate, the last one included
+        assert sum(u.space is sol["pair"].state for u, _ in seen) >= 2
+        assert sum(u is low.u and q is low.q for u, q in seen) == 1
 
 
 @pytest.mark.parametrize("name", ["example1_cost", "example2_uq"])
@@ -462,15 +480,15 @@ def test_degree_2_run(monkeypatch, name):
 
     def recording_localize(combined, low, enriched):
         bd = localize(combined, low, enriched)
-        seen.append((low[0].pair, enriched[0].pair, bd))
+        seen.append((low[0].u.space, low[0].q.space, enriched[0].u.space,
+                     enriched[0].q.space, bd))
         return bd
 
     monkeypatch.setattr(drv, "localize_pu", recording_localize)
     reports = run_adaptive(preset_config(name, degree=2, max_levels=3))
     assert len(seen) == len(reports) == 3
-    for pair, pair2, bd in seen:
-        assert [(s.family, s.degree) for s in (pair.state, pair.control,
-                                               pair2.state, pair2.control)] == [
+    for *spaces, bd in seen:
+        assert [(s.family, s.degree) for s in spaces] == [
             ("cg", 2), ("dg", 1), ("cg", 3), ("dg", 2)]
         assert bd.eta_h2 == pytest.approx(0.5 * sum(bd.parts()), abs=1e-13)
         assert float(np.sum(bd.vertex_values)) == pytest.approx(bd.eta_h2, rel=1e-10)
@@ -705,6 +723,10 @@ class TestCli:
         "p = 3",
         "epsilon = 0.5",
         "smoothing_delta = 1e-6",
+        # keys of a stopping rule or refinement the run does not use
+        "stopping = standard\ngamma = 0.02",
+        "stopping = standard\neta0 = 1e-4",
+        "refinement = uniform\ntheta = 0.3",
         b"\xff\xfe preset",  # not UTF-8
     ])
     def test_bad_config_exit_2(self, tmp_path, capsys, line):
@@ -748,6 +770,24 @@ class TestCli:
         assert (tmp_path / "cmp" / "comparison.csv").exists()
         assert (tmp_path / "cmp" / "adaptive" / "levels.csv").exists()
         assert (tmp_path / "cmp" / "standard" / "levels.csv").exists()
+
+    def test_compare_stopping_accepts_adaptive_keys(self, tmp_path, monkeypatch):
+        # the command runs the adaptive rule too, which reads gamma and eta0
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("preset = example1_cost\ngamma = 0.02\neta0 = 1e-4\n"
+                           f"output_dir = {tmp_path / 'cmp'}\n")
+        seen = []
+
+        def recording_run_each(config, runs):
+            seen.append((config, runs))
+            os.makedirs(config.output_dir)
+            return [], []
+
+        monkeypatch.setattr("dwropt.driver._run_each", recording_run_each)
+        assert cli_main(["compare-stopping", str(cfgfile)]) == 0
+        (config, runs), = seen
+        assert (config.gamma, config.eta0) == (0.02, 1e-4)
+        assert [kw for _, kw in runs] == [{"stopping": "standard"}, {"stopping": "adaptive"}]
 
     def test_sweep_alpha_cli(self, tmp_path):
         cfgfile = tmp_path / "s.cfg"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dwropt import kernels
 from dwropt.driver import _solve_level, instantiate, preset_config
 from dwropt.errors import DwroptError
 from dwropt.estimator import (
@@ -19,6 +20,7 @@ from dwropt.fem import (
     function_from_free,
     integrate,
     interpolate,
+    sweep,
     transfer,
     zero_function,
 )
@@ -34,7 +36,7 @@ from dwropt.reduced import (
     reduced_gradient,
     solve_state,
 )
-from dwropt.estimator import ErrorBreakdown
+from dwropt.estimator import _PART_ATTR, ErrorBreakdown, _part_fields
 
 
 def l2_norm(f):
@@ -231,7 +233,6 @@ def _transferred_enriched(sol, keep_adjoint=False):
     t = sol["triple"]
     a = sol["adj_low"]
     kkt2 = KKTTriple(
-        pair=pair2,
         u=transfer(t.u, pair2.state),
         q=transfer(t.q, pair2.control),
         z=transfer(t.z, pair2.state),
@@ -371,6 +372,73 @@ class TestEffectivities:
         assert eff.i_eff_c == pytest.approx(1.0)
 
     def test_zero_error_undefined(self):
-        eff = effectivities(ErrorBreakdown(eta_h2=0.5), 0.0)
-        assert not eff.defined
-        assert np.isnan(eff.i_eff)
+        for err in (0.0, np.nan, np.inf):
+            assert effectivities(ErrorBreakdown(eta_h2=0.5), err) is None
+
+
+# ---------------------------------------------------------------------------
+# reference: the estimator's own sweep loop before it assembled through fem
+
+
+def _hand_written_estimator_sweep(goal, low, enriched, pu_space):
+    """Global residual parts and PU vertex vector, summed chunk by chunk."""
+    low_kkt, low_adj = low
+    enr_kkt, enr_adj = enriched
+    funcs = {
+        "u": low_kkt.u, "q": low_kkt.q, "z": low_kkt.z,
+        "v": low_adj.v, "p": low_adj.p, "y": low_adj.y,
+        "u2": enr_kkt.u, "q2": enr_kkt.q, "z2": enr_kkt.z,
+        "v2": enr_adj.v, "p2": enr_adj.p, "y2": enr_adj.y,
+    }
+    part_sums = np.zeros(6)
+    cells, entries = [], []
+    for ctx in sweep(pu_space.mesh, funcs, (pu_space,)):
+        G_acc = H_acc = None
+        for k, (g, h, wname) in enumerate(_part_fields(low_kkt.problem, goal, ctx)):
+            wv = ctx.val(wname + "2") - ctx.val(wname)
+            F = np.zeros_like(wv)
+            if g is not None:
+                F += g * wv
+            if h is not None:
+                wg = ctx.grad(wname + "2") - ctx.grad(wname)
+                F += h[..., 0] * wg[..., 0] + h[..., 1] * wg[..., 1]
+            part_sums[k] += float(kernels.cell_integrals(ctx.wdet, F).sum())
+            G_acc = F if G_acc is None else G_acc + F
+            if h is not None:
+                Hw = h * wv[..., None]
+                H_acc = Hw if H_acc is None else H_acc + Hw
+        cells.append(ctx.cells)
+        entries.append(kernels.local_vector(
+            ctx.wdet, *ctx.basis(pu_space), ctx.inv_h,
+            0.5 * G_acc, None if H_acc is None else 0.5 * H_acc,
+        ))
+    dofs = pu_space.cell_dofs[np.concatenate(cells)]
+    pu_raw = np.bincount(
+        dofs.ravel(), weights=np.concatenate(entries).ravel(), minlength=pu_space.ndofs
+    )
+    return part_sums, pu_space.C.T @ pu_raw
+
+
+@pytest.fixture(scope="module")
+def plaplace_hanging_level():
+    """One solved p-Laplace level on a mesh with hanging vertices."""
+    cfg = preset_config("example2_uq", max_levels=1)
+    problem, goals, mesh = instantiate(cfg)
+    mesh = refine(mesh, CellSet(frozenset(range(0, mesh.ncells, 3)), mesh.generation))
+    sol = _solve_level(problem, goals, mesh, cfg, (None, None, cfg.eta0))
+    return {"mesh": mesh, **sol}
+
+
+@pytest.mark.parametrize("level", ["ex1_level", "plaplace_hanging_level"])
+def test_localize_pu_matches_the_hand_written_sweep(request, level):
+    # the estimator's vector form through fem.assemble_vector sums every
+    # part and vertex entry in the order of its old loop: bitwise the same
+    sol = request.getfixturevalue(level)
+    low, enriched = (sol["triple"], sol["adj_low"]), (sol["triple2"], sol["adj2"])
+    pu = build_space(sol["mesh"], "cg", 1, constrain_dirichlet=False)
+    if level == "plaplace_hanging_level":
+        assert pu.nfree < pu.ndofs  # hanging vertices fold into their masters
+    part_sums, vertex = _hand_written_estimator_sweep(sol["combined"], low, enriched, pu)
+    bd = localize_pu(sol["combined"], low, enriched)
+    assert [getattr(bd, name) for name in _PART_ATTR] == part_sums.tolist()
+    assert np.array_equal(bd.vertex_values, vertex)

@@ -139,12 +139,12 @@ def test_no_dead_definitions():
 SPARSE_SOLVERS = {"splu", "spilu", "spsolve", "factorized"}
 
 
-def sparse_solver_calls(source):
-    """(enclosing definition, callee) of every call of a SciPy sparse solver.
+def named_calls(source, names):
+    """(enclosing definition, callee) of every call of one of names.
 
-    A call counts when its callee is a name or attribute in SPARSE_SOLVERS;
-    the enclosing definition is the dotted path of the classes and
-    functions around it, "" at module level.
+    A call counts when its callee is a name or attribute in names; the
+    enclosing definition is the dotted path of the classes and functions
+    around it, "" at module level.
     """
     calls = []
 
@@ -156,7 +156,7 @@ def sparse_solver_calls(source):
             if isinstance(child, ast.Call):
                 f = child.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name in SPARSE_SOLVERS:
+                if name in names:
                     calls.append((path, name))
             visit(child, path)
 
@@ -171,7 +171,7 @@ def test_detector_finds_sparse_solver_calls():
               "class F:\n    def __init__(self, A):\n"
               "        self.lu = spla.splu(A, relax=1)\n"
               "def g(A):\n    return spla.factorized(A), spla.eigsh(A)\n")
-    assert sparse_solver_calls(source) == [
+    assert named_calls(source, SPARSE_SOLVERS) == [
         ("", "spsolve"), ("F.__init__", "splu"), ("g", "factorized")]
 
 
@@ -179,8 +179,32 @@ def test_detector_finds_sparse_solver_calls():
 def test_only_factorization_calls_a_sparse_solver(module):
     # every factorization then gets the ordering and SuperLU options of
     # fem.Factorization
-    calls = sparse_solver_calls((SRC / module).read_text(encoding="utf-8"))
+    calls = named_calls((SRC / module).read_text(encoding="utf-8"), SPARSE_SOLVERS)
     want = [("Factorization.__init__", "splu")] if module == "fem.py" else []
+    assert calls == want
+
+
+#: the quadrature sweep and the element kernels of a hand-written assembly loop
+ASSEMBLY_LOOP = {"sweep", "local_vector", "local_matrix"}
+
+
+def test_detector_finds_assembly_loop_calls():
+    source = ("from . import kernels\nfrom .fem import sweep\n"
+              "def f(mesh, space):\n"
+              "    for ctx in sweep(mesh, spaces=(space,)):\n"
+              "        kernels.local_vector(ctx.wdet, *ctx.basis(space), ctx.inv_h,\n"
+              "                             kernels.cell_integrals(ctx.wdet, 1), None)\n")
+    assert named_calls(source, ASSEMBLY_LOOP) == [("f", "sweep"), ("f", "local_vector")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_fem_assemblers_loop_over_quadrature_chunks(module):
+    # a form goes through assemble_matrix, assemble_vector or integrate,
+    # which sweep the chunks, check the fields and scatter in one order
+    calls = named_calls((SRC / module).read_text(encoding="utf-8"), ASSEMBLY_LOOP)
+    want = [("assemble_matrix", "sweep"), ("assemble_matrix", "local_matrix"),
+            ("assemble_vector", "sweep"), ("assemble_vector", "local_vector"),
+            ("integrate", "sweep")] if module == "fem.py" else []
     assert calls == want
 
 

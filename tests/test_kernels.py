@@ -166,6 +166,12 @@ class TestChunkIndependence:
 
     Split at an odd cell and at a whole number of 64-cell blocks, on the
     shapes of Q1 and Q2 spaces swept with 3 or 4 Gauss points per direction.
+    On every shape of a sweep, DG0 and Q3 included, and for all four
+    kernels, splits into whole 64-cell blocks of at least 1,024 cells (the
+    sweep's chunks when it splits a mesh) leave every row of an aligned
+    cell count unchanged.  Other splits can change the last bits of rows:
+    the last cells of a count past a whole block, a chunk of a few blocks,
+    and on DG0 and Q3 shapes odd splits.
     """
 
     @staticmethod
@@ -177,9 +183,8 @@ class TestChunkIndependence:
             assert np.array_equal(chunks, one), k
 
     @staticmethod
-    def random_cells(nloc, nq):
+    def random_cells(nloc, nq, nc=1865):
         rng = np.random.default_rng(2)
-        nc = 1865
         return {
             "wdet": rng.random((nc, nq)),
             "phi": rng.random((nq, nloc)),
@@ -189,6 +194,8 @@ class TestChunkIndependence:
             "hf": rng.standard_normal((nc, nq, 2)),
             "dofs": rng.integers(0, 4000, size=(nc, nloc)),
             "coefs": rng.standard_normal(4000),
+            "K": rng.standard_normal((nc, nq, 2, 2)),
+            "cf": rng.standard_normal((nc, nq)),
         }
 
     @pytest.mark.parametrize("nloc", [4, 9])
@@ -215,3 +222,29 @@ class TestChunkIndependence:
                                         d["inv_h"][cells], gf, hf)
 
         self.assert_split_independent(rows)
+
+    @pytest.mark.parametrize("nloc, nq", [(1, 9), (4, 9), (9, 16), (16, 25)],
+                             ids=["dg0", "q1", "q2", "q3"])
+    @pytest.mark.parametrize("kernel", ["eval_values", "eval_gradients",
+                                        "local_vector", "local_matrix"])
+    def test_aligned_splits(self, kernel, nloc, nq):
+        d = self.random_cells(nloc, nq, nc=70 * 64)
+
+        def rows(cells):
+            if kernel == "eval_values":
+                return kernels.eval_values(d["dofs"][cells], d["coefs"], d["phi"])
+            if kernel == "eval_gradients":
+                return kernels.eval_gradients(d["dofs"][cells], d["coefs"], d["gphi"],
+                                              d["inv_h"][cells])
+            if kernel == "local_vector":
+                return kernels.local_vector(d["wdet"][cells], d["phi"], d["gphi"],
+                                            d["inv_h"][cells], d["gf"][cells],
+                                            d["hf"][cells])
+            return kernels.local_matrix(d["wdet"][cells], d["phi"], d["gphi"], d["phi"],
+                                        d["gphi"], d["inv_h"][cells], d["K"][cells],
+                                        d["cf"][cells])
+
+        one = rows(slice(None))
+        for k in (1088, 2048, 3456):  # chunks of 1,024 to 3,392 cells
+            chunks = np.concatenate([rows(slice(None, k)), rows(slice(k, None))])
+            assert np.array_equal(chunks, one), k

@@ -482,7 +482,7 @@ class TestNewtonAdaptive:
         prob, mesh, pair = poisson_setup()
         t0 = make_consistent(prob, zero_function(pair.control), pair)
         goal = self._combined(prob, pair, t0)
-        triple, p, log = newton_reduced_adaptive(
+        triple, _, p, log = newton_reduced_adaptive(
             prob, goal, pair, zero_function(pair.control), gamma=1e-2, eta_prev=1e12
         )
         assert log.iterations == 0
@@ -493,7 +493,7 @@ class TestNewtonAdaptive:
         prob, mesh, pair = poisson_setup()
         t0 = make_consistent(prob, zero_function(pair.control), pair)
         goal = self._combined(prob, pair, t0)
-        triple, p, log = newton_reduced_adaptive(
+        triple, _, p, log = newton_reduced_adaptive(
             prob, goal, pair, zero_function(pair.control), gamma=1e-2, eta_prev=1e-5
         )
         assert log.iterations == 1
@@ -511,7 +511,7 @@ class TestNewtonAdaptive:
         # a guard that never fires leaves the gradient-norm exits: same iterates
         prob, pair, q0, goal = self._plaplace_start()
         std, log_std = newton_standard(prob, pair, q0, tol_abs=1e-8)
-        ada, p, log_ada = newton_reduced_adaptive(
+        ada, _, p, log_ada = newton_reduced_adaptive(
             prob, goal, pair, q0, gamma=1e-2, eta_prev=1e-300, tol_abs=1e-8
         )
         assert log_ada.iterations >= 1 and p is not None
@@ -520,13 +520,14 @@ class TestNewtonAdaptive:
         assert log_ada.step_sizes == log_std.step_sizes
         assert log_ada.stop_reason == log_std.stop_reason != "adaptive"
 
-    def test_max_iter_zero_raises(self):
+    def test_max_iter_zero_raises(self, monkeypatch):
         prob, pair, q0, goal = self._plaplace_start()
+        monkeypatch.setattr(red, "MAX_NEWTON_ITERATIONS", 0)
         with pytest.raises(NonConvergenceError, match="0 iterations"):
-            newton_standard(prob, pair, q0, tol_abs=1e-8, max_iter=0)
+            newton_standard(prob, pair, q0, tol_abs=1e-8)
         with pytest.raises(NonConvergenceError, match="0 iterations"):
             newton_reduced_adaptive(prob, goal, pair, q0, gamma=1e-2,
-                                    eta_prev=1e-300, tol_abs=1e-8, max_iter=0)
+                                    eta_prev=1e-300, tol_abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -534,10 +535,11 @@ class TestNewtonAdaptive:
 # replaced.  Both problems take the control as a_q(q, v) = -(q, v), with
 # J_uu the mass and J_qq alpha times it.
 
+PLAPLACE_P, PLAPLACE_EPS = 4.0, 1.0  # the p-Laplace problem these oracles check
 
-def _ref_a_uu_vector(prob):
+
+def _ref_a_uu_vector(p, eps):
     """Vector form a_uu(u)(w, .; z) of the p-Laplacian, coefficients u, w, z."""
-    p, eps = prob.p, prob.eps
 
     def fields(ctx):
         gu, gw, gz = ctx.grad("u"), ctx.grad("w"), ctx.grad("z")
@@ -562,7 +564,8 @@ def _ref_l_uu(prob, t, d):
     rhs = assemble_vector(lambda ctx: (ctx.val("d"), None), state, coeffs={"d": d})
     if prob.a_uu_fields is not None:
         rhs -= assemble_vector(
-            _ref_a_uu_vector(prob), state, coeffs={"u": t.u, "w": d, "z": t.z}
+            _ref_a_uu_vector(PLAPLACE_P, PLAPLACE_EPS), state,
+            coeffs={"u": t.u, "w": d, "z": t.z},
         )
     return rhs
 
@@ -626,7 +629,7 @@ class TestAssembledOperatorsMatchClosures:
         if which == "poisson":
             prob = make_poisson_control(ALPHA)
         else:
-            prob = make_plaplace_control(0.1, 4.0, 1.0)
+            prob = make_plaplace_control(0.1, PLAPLACE_P, PLAPLACE_EPS)
         (goal,) = make_goals("example2_uq", prob)
         rng = np.random.default_rng(13)
         t = make_consistent(prob, random_control(pair.control, rng), pair)
@@ -699,8 +702,7 @@ class TestProductsMatchQuadrature:
             assert _close(red._ju_vector(prob, u, q), _ref_ju_vector(prob, u, q))
             assert _close(state_residual(prob, u, q), _ref_state_residual(prob, u, q))
             # with a zero adjoint the reduced gradient is its J_q term
-            t = KKTTriple(pair=pair, u=u, q=q, z=zero_function(pair.state),
-                          problem=prob)
+            t = KKTTriple(u=u, q=q, z=zero_function(pair.state), problem=prob)
             assert _close(reduced_gradient(t), _ref_jq_vector(prob, q))
 
 
