@@ -40,7 +40,6 @@ from .problem import (
 from .reduced import (
     KKTTriple,
     NewtonLog,
-    SpacePair,
     goal_gradient,
     hessvec,
     make_consistent,

@@ -146,8 +146,9 @@ def main(argv=None):
                 emit_outputs(partial, exc.config)
                 print(f"flushed {len(partial)} completed level(s) to "
                       f"{exc.config.output_dir}", file=sys.stderr)
-            except Exception:
-                pass
+            except Exception as flush_exc:
+                print(f"could not flush completed levels to "
+                      f"{exc.config.output_dir}: {flush_exc}", file=sys.stderr)
         return 1
     return 0
 

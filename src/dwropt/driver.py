@@ -19,11 +19,11 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import ConfigError, DwroptError, RegionError, SizingError
 from .estimator import adjoint_chain, compute_eta_k, effectivities, localize_pu
-from .fem import build_space, interpolate, region_cell_mask, transfer
+from .fem import build_space, interpolate, region_cell_mask, transfer, zero_function
 from .mesh import CellSet, DOMAINS, build_initial, check_cell_size, dorfler_mark, refine
 from .multigoal import build_combined
 from .problem import make_goals, make_plaplace_control, make_poisson_control
-from .reduced import NewtonLog, SpacePair, newton_reduced_adaptive, newton_standard
+from .reduced import NewtonLog, newton_reduced_adaptive, newton_standard
 
 
 @dataclass
@@ -238,19 +238,20 @@ class LevelReport:
     peak_rss_mb: float = 0.0  # the process's peak resident set size at the level's end
 
 
-def _initial_guess(problem, prev, pair):
-    """Starting control and state on pair from a coarser (u, q), or None.
+def _initial_guess(problem, prev, state, control):
+    """Starting control and state (q0, u0) on the given spaces.
 
-    Without one, the control starts at the desired control (a zero start
-    can make goal derivatives degenerate) and the state at zero.  The
-    state is carried over only for a nonlinear operator: a linear state
-    equation is solved by one Newton step from any start.
+    prev is a coarser level's (u, q), or None.  Without one, the control
+    starts at the desired control (a zero start can make goal derivatives
+    degenerate) and the state at zero.  The state is carried over only
+    for a nonlinear operator: a linear state equation is solved by one
+    Newton step from any start, so it starts at zero.
     """
     if prev is None:
-        return interpolate(pair.control, problem.q_des), None
+        return interpolate(control, problem.q_des), zero_function(state)
     u, q = prev
-    u0 = transfer(u, pair.state) if problem.a_uu_fields is not None else None
-    return transfer(q, pair.control), u0
+    u0 = transfer(u, state) if problem.a_uu_fields is not None else zero_function(state)
+    return transfer(q, control), u0
 
 
 def _solve_level(problem, goals, mesh, config, warm):
@@ -265,16 +266,16 @@ def _solve_level(problem, goals, mesh, config, warm):
     KKTTriple.release): a later solve with one refactorizes its Jacobian.
     """
     r = config.degree
-    pair = SpacePair(build_space(mesh, "cg", r), build_space(mesh, "dg", r - 1))
-    pair2 = SpacePair(build_space(mesh, "cg", r + 1), build_space(mesh, "dg", r))
+    state, control = build_space(mesh, "cg", r), build_space(mesh, "dg", r - 1)
+    state2, control2 = build_space(mesh, "cg", r + 1), build_space(mesh, "dg", r)
 
     low_prev, high_prev, eta_prev = warm
-    q0, u0 = _initial_guess(problem, low_prev, pair)
-    q20, u20 = _initial_guess(problem, high_prev, pair2)
+    q0, u0 = _initial_guess(problem, low_prev, state, control)
+    q20, u20 = _initial_guess(problem, high_prev, state2, control2)
 
     # enriched optimization (classical stopping), warm-started
     triple2, log2 = newton_standard(
-        problem, pair2, q20, warm_u=u20,
+        problem, q20, u20,
         tol_abs=config.newton_tol_abs, tol_rel=config.newton_tol_rel,
         krylov_tol=config.krylov_tol,
     )
@@ -286,14 +287,14 @@ def _solve_level(problem, goals, mesh, config, warm):
     # solution (the adaptive Newton's guard refreezes it at every iterate)
     if config.stopping == "adaptive":
         triple, combined, p_low, log = newton_reduced_adaptive(
-            problem, seed, pair, q0, warm_u=u0,
+            problem, seed, q0, u0,
             gamma=config.gamma, eta_prev=eta_prev,
             krylov_tol=config.krylov_tol,
             tol_abs=config.newton_tol_abs, tol_rel=config.newton_tol_rel,
         )
     else:
         triple, log = newton_standard(
-            problem, pair, q0, warm_u=u0,
+            problem, q0, u0,
             tol_abs=config.newton_tol_abs, tol_rel=config.newton_tol_rel,
             krylov_tol=config.krylov_tol,
         )
@@ -311,8 +312,6 @@ def _solve_level(problem, goals, mesh, config, warm):
     breakdown = localize_pu(combined, (triple, adj_low), (triple2, adj2))
     breakdown.eta_k = eta_k
     return {
-        "pair": pair,
-        "pair2": pair2,
         "triple": triple,
         "triple2": triple2,
         "adj_low": adj_low,
@@ -327,7 +326,7 @@ def _solve_level(problem, goals, mesh, config, warm):
 def _make_report(level, mesh, sol):
     combined = sol["combined"]
     bd = sol["breakdown"]
-    pair, pair2 = sol["pair"], sol["pair2"]
+    low, enriched = sol["triple"], sol["triple2"]
     names = [g.name for g in combined.goals]
     goal_values = dict(zip(names, combined.freeze_values))
     goal_reldev = dict(zip(names, combined.relative_deviations()))
@@ -339,10 +338,10 @@ def _make_report(level, mesh, sol):
     return LevelReport(
         level=level,
         cells=mesh.ncells,
-        dofs_state=pair.state.ndofs,
-        dofs_control=pair.control.ndofs,
-        dofs_total=pair.state.ndofs + pair.control.ndofs,
-        dofs_enriched=pair2.state.ndofs + pair2.control.ndofs,
+        dofs_state=low.u.space.ndofs,
+        dofs_control=low.q.space.ndofs,
+        dofs_total=low.u.space.ndofs + low.q.space.ndofs,
+        dofs_enriched=enriched.u.space.ndofs + enriched.q.space.ndofs,
         goal_values=goal_values,
         goal_reldev=goal_reldev,
         goal_combined=combined.value_at_freeze(),
@@ -679,10 +678,10 @@ def self_reference_values(config, capture, extra_refinements=2):
     for _ in range(extra_refinements):
         mesh = refine_all(mesh)
     r = config.degree + 1
-    pair = SpacePair(build_space(mesh, "cg", r), build_space(mesh, "dg", r))
-    q0, u0 = _initial_guess(problem, capture["high"], pair)
+    q0, u0 = _initial_guess(problem, capture["high"],
+                            build_space(mesh, "cg", r), build_space(mesh, "dg", r))
     triple, _ = newton_standard(
-        problem, pair, q0, warm_u=u0,
+        problem, q0, u0,
         tol_abs=config.newton_tol_abs, tol_rel=config.newton_tol_rel,
         krylov_tol=config.krylov_tol,
     )

@@ -54,9 +54,6 @@ class ErrorBreakdown:
     indicators: np.ndarray | None = None
     vertex_values: np.ndarray | None = None
 
-    def parts(self):
-        return (self.rho_u, self.rho_q, self.rho_z, self.rho_v, self.rho_p, self.rho_y)
-
     @property
     def primal_sum(self):
         return self.rho_u + self.rho_z + self.rho_q
@@ -218,9 +215,7 @@ def localize_pu(goal, low, enriched):
     part_sums, vertex = _estimator_sweep(goal, low, enriched, pu_space)
 
     # cell indicators: |vertex value| split by the number of adjacent cells
-    col_of = np.full(pu_space.ndofs, -1, dtype=np.int64)
-    col_of[pu_space.free_dofs] = np.arange(pu_space.nfree)
-    col = col_of[pu_space.cell_dofs]  # -1 marks hanging corners
+    col = pu_space.col_of[pu_space.cell_dofs]  # -1 marks hanging corners
     cell, corner = np.nonzero(col >= 0)
     vcol = col[cell, corner]
     deg = np.bincount(vcol, minlength=pu_space.nfree)

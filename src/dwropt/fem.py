@@ -240,10 +240,8 @@ class Space:
             raise AssemblyError("a hanging node's master is itself hanging")
         self.free_dofs = np.nonzero(~(zero | hanging))[0]
         self.nfree = len(self.free_dofs)
-        col_of = np.full(n, -1, dtype=np.int64)
-        col_of[self.free_dofs] = np.arange(self.nfree)
         rows = np.concatenate([self.free_dofs, np.repeat(slaves, r + 1)])
-        cols = np.concatenate([np.arange(self.nfree), col_of[masters].ravel()])
+        cols = np.concatenate([np.arange(self.nfree), self.col_of[masters].ravel()])
         data = np.concatenate([np.ones(self.nfree), weights.ravel()])
         keep = cols >= 0  # Dirichlet masters contribute zero
         self.C = sp.csr_matrix(
@@ -265,6 +263,16 @@ class Space:
         self._cache.clear()
 
     # -- constraint application ------------------------------------------
+
+    @property
+    def col_of(self):
+        """The column of each DOF in C, or -1 for a constrained DOF.
+
+        Built on each read rather than kept, so it costs no memory between uses.
+        """
+        col = np.full(self.ndofs, -1, dtype=np.int64)
+        col[self.free_dofs] = np.arange(self.nfree)
+        return col
 
     def distribute(self, coefs):
         """Overwrite constrained entries from their masters (idempotent)."""

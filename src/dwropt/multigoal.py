@@ -20,7 +20,7 @@ from .errors import WeightDegeneracyError
 class CombinedGoal:
     """Sign-frozen differentiable realization of the combined functional.
 
-    value(u, q) = sum_l s_l (r_l - I_l(u, q)) / w_l  with r_l evaluated on
+    The functional is sum_l s_l (r_l - I_l(u, q)) / w_l with r_l evaluated on
     enriched spaces, w_l = |I_l(freeze)| (or 1 on degeneracy) and s_l the
     deviation sign at the freeze point.  At the freeze point the value
     coincides with the absolute-value form exactly.  Its derivative forms
@@ -62,14 +62,6 @@ class CombinedGoal:
 
         return fields
 
-    def value(self, u, q):
-        return float(
-            sum(
-                s * (r - g.value(u, q)) / w
-                for g, r, s, w in zip(self.goals, self.refs, self.signs, self.weights)
-            )
-        )
-
     def value_at_freeze(self):
         """Combined relative deviation at the freeze point (nonnegative)."""
         return float(sum(self.relative_deviations()))
@@ -84,8 +76,8 @@ class CombinedGoal:
     def reference_error(self):
         """Combined-functional error against the member reference values.
 
-        Equals value(exact) - value(freeze); None when any member lacks a
-        reference value.
+        The functional at the exact solution minus its value at the freeze
+        point; None when any member lacks a reference value.
         """
         if any(g.reference is None for g in self.goals):
             return None

@@ -59,19 +59,6 @@ MAX_STATE_ITERATIONS = 50  # chord steps of one state solve
 MAX_NEWTON_ITERATIONS = 50  # reduced-Newton updates of one solve
 
 
-@dataclass(frozen=True)
-class SpacePair:
-    """State and control spaces of one discretization level, the solvers' input.
-
-    Masses and coupling are applied cell by cell from reference data
-    cached on the spaces, and the factorized Laplacian is cached on the
-    state space.
-    """
-
-    state: object
-    control: object
-
-
 @dataclass
 class KKTTriple:
     """State, control and adjoint with the factorized state Jacobian at u.
@@ -202,34 +189,32 @@ def lagrangian_uu(triple, x):
     return triple.l_uu @ x
 
 
-def dual_norm(pair, g):
-    """Mass-weighted dual norm sqrt(g' M^-1 g); mesh-size independent."""
-    ctrl = pair.control
-    return float(np.sqrt(max(g @ reference_apply(g, ctrl, ctrl, inverse=True), 0.0)))
+def dual_norm(control, g):
+    """Dual norm sqrt(g' M^-1 g) with the control mass M; mesh-size independent."""
+    return float(np.sqrt(max(g @ reference_apply(g, control, control, inverse=True), 0.0)))
 
 
 # ---------------------------------------------------------------------------
 # state and adjoint solves
 
 
-def solve_state(problem, q, pair, warm_start=None, tol_abs=1e-10,
-                tol_rel=1e-12, fac=None):
-    """Damped chord solve of the state equation at the control q.
+def solve_state(problem, q, u0, tol_abs=1e-10, tol_rel=1e-12, fac=None):
+    """Damped chord solve of the state equation at the control q, from u0.
 
-    fac, if given, is a factorized Jacobian near warm_start (a line-search
-    trial passes the one of the accepted iterate, which it then owns, so
-    the refactorization at its converged state frees it).  A factor is
-    kept while each step reduces the residual norm by at least the ratio
-    CHORD_RATE; after a weaker step the Jacobian is factorized afresh at
-    the new iterate, and a line search that stalls on a stale factor is
-    retried once with a fresh one.  A linear operator's Jacobian is the
-    Laplacian cached on the state space, so refactorizing it costs nothing.
-    At most MAX_STATE_ITERATIONS steps are taken.  Returns (u, fac, its):
-    the state, the Jacobian factorized at it and the number of chord steps.
+    u0 carries the state space.  fac, if given, is a factorized Jacobian
+    near u0 (a line-search trial passes the one of the accepted iterate,
+    which it then owns, so the refactorization at its converged state
+    frees it).  A factor is kept while each step reduces the residual norm
+    by at least the ratio CHORD_RATE; after a weaker step the Jacobian is
+    factorized afresh at the new iterate, and a line search that stalls
+    on a stale factor is retried once with a fresh one.  A linear
+    operator's Jacobian is the Laplacian cached on the state space, so
+    refactorizing it costs nothing.  At most MAX_STATE_ITERATIONS steps
+    are taken.  Returns (u, fac, its): the state, the Jacobian factorized
+    at it and the number of chord steps.
     """
-    space = pair.state
-    u = zero_function(space) if warm_start is None else warm_start
-    u = DiscreteFunction(space, space.distribute(u.coefs))
+    space = u0.space
+    u = DiscreteFunction(space, space.distribute(u0.coefs))
     res = state_residual(problem, u, q)
     norm0 = float(np.linalg.norm(res))
     norm = norm0
@@ -285,9 +270,9 @@ def _with_adjoint(problem, q, u, fac, its):
     return KKTTriple(u=u, q=q, z=z, lin=fac, state_iterations=its, problem=problem)
 
 
-def make_consistent(problem, q, pair, warm_u=None, tol_abs=1e-10, tol_rel=1e-12):
-    """State + adjoint solve at q, yielding a consistent KKT triple."""
-    u, fac, its = solve_state(problem, q, pair, warm_u, tol_abs, tol_rel)
+def make_consistent(problem, q, u0, tol_abs=1e-10, tol_rel=1e-12):
+    """State + adjoint solve at q from u0, yielding a consistent KKT triple."""
+    u, fac, its = solve_state(problem, q, u0, tol_abs, tol_rel)
     return _with_adjoint(problem, q, u, fac, its)
 
 
@@ -382,7 +367,7 @@ def solve_reduced_system(triple, rhs, krylov_tol=1e-10):
 # reduced Newton: one loop, two stopping rules
 
 
-def _newton_update(triple, pair, g, krylov_tol):
+def _newton_update(triple, g, krylov_tol):
     """One Newton step with Armijo backtracking on the reduced cost.
 
     Near convergence the predicted decrease falls below the accuracy of
@@ -390,20 +375,20 @@ def _newton_update(triple, pair, g, krylov_tol):
     that evaluation noise so the final tiny steps are not rejected.
     Returns (triple, step size, CG iterations of the step solve).
     """
-    problem = triple.problem
+    problem, ctrl = triple.problem, triple.q.space
     dq, cg_its = solve_reduced_system(triple, -g, krylov_tol=krylov_tol)
-    slope = float(g @ dq.coefs[pair.control.free_dofs])
+    slope = float(g @ dq.coefs[ctrl.free_dofs])
     triple.l_uu = None  # the trial solves below peak in memory; free it first
     j0 = problem.j_value(triple.u, triple.q)
     j_noise = 1e-12 * max(1.0, abs(j0))
     s = 1.0
     for _ in range(MAX_BACKTRACKS):
-        q_trial = DiscreteFunction(pair.control, triple.q.coefs + s * dq.coefs)
+        q_trial = DiscreteFunction(ctrl, triple.q.coefs + s * dq.coefs)
         # the trial owns the accepted factor, so that one factor is alive
         # when it refactorizes; a rejected trial's successor refactorizes
         # the accepted point, bitwise the same
-        u, fac, its = solve_state(problem, q_trial, pair,
-                                  warm_start=triple.u, fac=triple.take_factor())
+        u, fac, its = solve_state(problem, q_trial, triple.u,
+                                  fac=triple.take_factor())
         if problem.j_value(u, q_trial) <= j0 + ARMIJO_C * s * slope + j_noise:
             return _with_adjoint(problem, q_trial, u, fac, its), s, cg_its
         fac = None  # free the rejected trial's factor before refactorizing
@@ -411,8 +396,8 @@ def _newton_update(triple, pair, g, krylov_tol):
     raise LineSearchError("reduced Newton line search failed")
 
 
-def _newton(problem, pair, q0, guard, tol_abs, tol_rel, krylov_tol, warm_u):
-    """Reduced Newton loop; guard is None or (combined goal, threshold).
+def _newton(problem, q0, u0, guard, tol_abs, tol_rel, krylov_tol):
+    """Reduced Newton loop from (q0, u0); guard is None or (combined goal, threshold).
 
     With a guard, each iterate refreezes the goal, solves for its adjoint
     p and records |j'(q)(p)|, stopping once that reaches the threshold;
@@ -421,12 +406,12 @@ def _newton(problem, pair, q0, guard, tol_abs, tol_rel, krylov_tol, warm_u):
     Returns (triple, goal, p, log): with a guard, the goal refrozen at the
     returned triple and its adjoint p, otherwise None and None.
     """
-    triple = make_consistent(problem, q0, pair, warm_u)
+    triple = make_consistent(problem, q0, u0)
     log = NewtonLog()
     goal_k = p = ng0 = None
     while True:
         g = reduced_gradient(triple)
-        ng = dual_norm(pair, g)
+        ng = dual_norm(q0.space, g)
         ng0 = ng if ng0 is None else ng0
         measure = ng
         if guard is not None:
@@ -436,7 +421,7 @@ def _newton(problem, pair, q0, guard, tol_abs, tol_rel, krylov_tol, warm_u):
             p, _ = solve_reduced_system(
                 triple, -goal_gradient(goal_k, triple), krylov_tol=krylov_tol
             )
-            measure = abs(float(g @ p.coefs[pair.control.free_dofs]))
+            measure = abs(float(g @ p.coefs[q0.space.free_dofs]))
         log.record(measure, triple)
         if guard is not None and measure <= guard[1]:
             log.stop_reason = "adaptive"
@@ -450,33 +435,32 @@ def _newton(problem, pair, q0, guard, tol_abs, tol_rel, krylov_tol, warm_u):
             )
         if log.stop_reason:
             return triple, goal_k, p, log
-        triple, s, cg_its = _newton_update(triple, pair, g, krylov_tol)
+        triple, s, cg_its = _newton_update(triple, g, krylov_tol)
         log.step_sizes.append(s)
         log.cg_iterations.append(cg_its)
 
 
-def newton_standard(problem, pair, q0, tol_abs=1e-7, tol_rel=8e-5,
-                    krylov_tol=1e-10, warm_u=None):
+def newton_standard(problem, q0, u0, tol_abs=1e-7, tol_rel=8e-5, krylov_tol=1e-10):
     """Reduced Newton with the classical gradient-norm stopping rule.
 
-    warm_u, if given, starts the first state solve.  Returns (triple, log).
+    Starts at the control q0, its first state solve at u0.  Returns
+    (triple, log).
     """
-    triple, _, _, log = _newton(problem, pair, q0, None, tol_abs, tol_rel,
-                                krylov_tol, warm_u)
+    triple, _, _, log = _newton(problem, q0, u0, None, tol_abs, tol_rel, krylov_tol)
     return triple, log
 
 
-def newton_reduced_adaptive(problem, goal_combined, pair, q0, gamma, eta_prev,
-                            krylov_tol=1e-10, tol_abs=1e-7, tol_rel=8e-5, warm_u=None):
+def newton_reduced_adaptive(problem, goal_combined, q0, u0, gamma, eta_prev,
+                            krylov_tol=1e-10, tol_abs=1e-7, tol_rel=8e-5):
     """Reduced Newton stopped by the goal-weighted iteration-error guard.
 
     The loop of :func:`newton_standard` with one extra exit, taken once
     |j'(q)(p)| drops below gamma times the previous discretization
-    estimate, so it can only stop earlier.  warm_u, if given, starts the
-    first state solve.  Returns the triple, goal_combined refrozen at it,
+    estimate, so it can only stop earlier.  Starts at the control q0, its
+    first state solve at u0.  Returns the triple, goal_combined refrozen at it,
     that goal's adjoint p and the log.
     """
     if gamma <= 0 or eta_prev <= 0:
         raise NonConvergenceError("gamma and eta_prev must be positive")
-    return _newton(problem, pair, q0, (goal_combined, gamma * eta_prev),
-                   tol_abs, tol_rel, krylov_tol, warm_u)
+    return _newton(problem, q0, u0, (goal_combined, gamma * eta_prev),
+                   tol_abs, tol_rel, krylov_tol)

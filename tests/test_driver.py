@@ -24,6 +24,7 @@ from dwropt.driver import (
     run_adaptive,
 )
 from dwropt.errors import ConfigError
+from dwropt.estimator import _PART_ATTR
 
 #: random "key = value" entries: every Config field plus an unknown key,
 #: with numbers, non-numbers and non-finite values
@@ -464,9 +465,9 @@ def test_goals_evaluated_once_at_enriched_solution(name):
                        (None, None, cfg.eta0))
     low = sol["triple"]
     for seen in calls.values():
-        assert sum(u.space is sol["pair2"].state for u, _ in seen) == 1
+        assert sum(u.space is sol["triple2"].u.space for u, _ in seen) == 1
         # the guard's refreeze at each low iterate, the last one included
-        assert sum(u.space is sol["pair"].state for u, _ in seen) >= 2
+        assert sum(u.space is low.u.space for u, _ in seen) >= 2
         assert sum(u is low.u and q is low.q for u, q in seen) == 1
 
 
@@ -490,7 +491,8 @@ def test_degree_2_run(monkeypatch, name):
     for *spaces, bd in seen:
         assert [(s.family, s.degree) for s in spaces] == [
             ("cg", 2), ("dg", 1), ("cg", 3), ("dg", 2)]
-        assert bd.eta_h2 == pytest.approx(0.5 * sum(bd.parts()), abs=1e-13)
+        parts = [getattr(bd, name) for name in _PART_ATTR]
+        assert bd.eta_h2 == pytest.approx(0.5 * sum(parts), abs=1e-13)
         assert float(np.sum(bd.vertex_values)) == pytest.approx(bd.eta_h2, rel=1e-10)
     assert all(r.i_eff is not None and np.isfinite(r.i_eff) for r in reports)
 
@@ -874,6 +876,33 @@ class TestPartialFlush:
         csv = (tmp_path / "out" / "levels.csv").read_text()
         assert len(csv.strip().splitlines()) == 2  # header + level 0
 
+    def test_failed_flush_is_reported(self, tmp_path, monkeypatch, capsys):
+        # a flush that raises is named on stderr; the exit code stays 1
+        import dwropt.cli
+        import dwropt.driver as drv
+        from dwropt.errors import DwroptError
+
+        real = drv._solve_level
+        calls = {"n": 0}
+
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] >= 2:
+                raise DwroptError("injected failure")
+            return real(*args, **kwargs)
+
+        def unwritable(reports, config):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(drv, "_solve_level", flaky)
+        monkeypatch.setattr(dwropt.cli, "emit_outputs", unwritable)
+        out = tmp_path / "out"
+        assert cli_main(["preset", "example1_cost", "--max-levels", "3",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].startswith("solver failure: level 1")
+        assert str(out) in err[1] and "no space left on device" in err[1]
+
     def test_failed_run_of_comparison_flushes_to_its_subdirectory(
             self, tmp_path, monkeypatch, capsys):
         import dwropt.driver as drv
@@ -902,24 +931,65 @@ class TestPartialFlush:
         assert str(out / "adaptive") in capsys.readouterr().err
 
 
+class TestInitialGuess:
+    """_initial_guess returns a start state on the given space in every case."""
+
+    def _spaces(self, name, refine_once):
+        from dwropt.fem import build_space
+        from dwropt.mesh import refine_all
+
+        problem, _, mesh = instantiate(preset_config(name))
+        fine = refine_all(mesh) if refine_once else mesh
+        return problem, mesh, build_space(fine, "cg", 1), build_space(fine, "dg", 0)
+
+    def test_level_0_starts_at_zero_state(self):
+        from dwropt.driver import _initial_guess
+        from dwropt.fem import DiscreteFunction
+
+        problem, _, state, control = self._spaces("example2_uq", False)
+        q0, u0 = _initial_guess(problem, None, state, control)
+        assert isinstance(u0, DiscreteFunction) and u0.space is state
+        assert q0.space is control
+        assert not np.any(u0.coefs)
+
+    @pytest.mark.parametrize("name", ["example1_cost", "example2_uq"])
+    def test_coarser_level_start(self, name):
+        # a linear state equation restarts at zero; p-Laplace carries the
+        # coarser state over
+        from dwropt.driver import _initial_guess
+        from dwropt.fem import DiscreteFunction, build_space, interpolate, transfer
+
+        problem, mesh, state, control = self._spaces(name, True)
+        coarse = build_space(mesh, "cg", 1)
+        u = interpolate(coarse, lambda x, y: 1.0 + x * y)
+        q = interpolate(build_space(mesh, "dg", 0), lambda x, y: x - y)
+        q0, u0 = _initial_guess(problem, (u, q), state, control)
+        assert isinstance(u0, DiscreteFunction) and u0.space is state
+        np.testing.assert_array_equal(q0.coefs, transfer(q, control).coefs)
+        if problem.a_uu_fields is None:
+            assert not np.any(u0.coefs)
+        else:
+            np.testing.assert_array_equal(u0.coefs, transfer(u, state).coefs)
+
+
 class TestWarmStartInvariance:
     def test_final_control_start_independent(self):
         # second-level solve from scratch vs transferred warm start
         from dwropt.driver import instantiate
         from dwropt.fem import build_space, integrate, transfer, zero_function
         from dwropt.mesh import refine, CellSet
-        from dwropt.reduced import SpacePair, newton_standard
+        from dwropt.reduced import newton_standard
 
         cfg = preset_config("example1_cost")
         problem, goals, mesh = instantiate(cfg)
-        pair0 = SpacePair(build_space(mesh, "cg", 1), build_space(mesh, "dg", 1))
-        t0, _ = newton_standard(problem, pair0, zero_function(pair0.control),
+        state0, ctrl0 = build_space(mesh, "cg", 1), build_space(mesh, "dg", 1)
+        t0, _ = newton_standard(problem, zero_function(ctrl0), zero_function(state0),
                                 tol_abs=1e-10)
         mesh1 = refine(mesh, CellSet(frozenset(range(mesh.ncells)), mesh.generation))
-        pair1 = SpacePair(build_space(mesh1, "cg", 1), build_space(mesh1, "dg", 1))
-        cold, _ = newton_standard(problem, pair1, zero_function(pair1.control),
+        state1, ctrl1 = build_space(mesh1, "cg", 1), build_space(mesh1, "dg", 1)
+        cold, _ = newton_standard(problem, zero_function(ctrl1), zero_function(state1),
                                   tol_abs=1e-10)
-        warm, _ = newton_standard(problem, pair1, transfer(t0.q, pair1.control),
+        warm, _ = newton_standard(problem, transfer(t0.q, ctrl1), zero_function(state1),
                                   tol_abs=1e-10)
         diff = integrate(
             lambda ctx: (ctx.val("a") - ctx.val("b")) ** 2,
@@ -932,27 +1002,27 @@ class TestWarmStartInvariance:
         # second level from the transferred control, with and without the
         # transferred state as the first state solve's start
         from dwropt.driver import instantiate
-        from dwropt.fem import build_space, integrate, interpolate, transfer
+        from dwropt.fem import build_space, integrate, interpolate, transfer, zero_function
         from dwropt.mesh import refine, CellSet
-        from dwropt.reduced import SpacePair, make_consistent, newton_standard
+        from dwropt.reduced import make_consistent, newton_standard
 
         cfg = preset_config("example2_uq")
         problem, goals, mesh = instantiate(cfg)
-        pair0 = SpacePair(build_space(mesh, "cg", 1), build_space(mesh, "dg", 0))
-        t0, _ = newton_standard(problem, pair0, interpolate(pair0.control, problem.q_des),
-                                tol_abs=1e-10)
+        state0, ctrl0 = build_space(mesh, "cg", 1), build_space(mesh, "dg", 0)
+        t0, _ = newton_standard(problem, interpolate(ctrl0, problem.q_des),
+                                zero_function(state0), tol_abs=1e-10)
         mesh1 = refine(mesh, CellSet(frozenset(range(mesh.ncells)), mesh.generation))
-        pair1 = SpacePair(build_space(mesh1, "cg", 1), build_space(mesh1, "dg", 0))
-        q1 = transfer(t0.q, pair1.control)
-        u1 = transfer(t0.u, pair1.state)
+        state1, ctrl1 = build_space(mesh1, "cg", 1), build_space(mesh1, "dg", 0)
+        q1 = transfer(t0.q, ctrl1)
+        u1 = transfer(t0.u, state1)
         factorizations[0] = 0
         # chord steps can tie; the Jacobian factorizations are what it saves
-        make_consistent(problem, q1, pair1)
+        make_consistent(problem, q1, zero_function(state1))
         cold_factors = factorizations[0]
-        make_consistent(problem, q1, pair1, warm_u=u1)
+        make_consistent(problem, q1, u1)
         assert factorizations[0] - cold_factors < cold_factors
-        cold, _ = newton_standard(problem, pair1, q1, tol_abs=1e-10)
-        warm, _ = newton_standard(problem, pair1, q1, tol_abs=1e-10, warm_u=u1)
+        cold, _ = newton_standard(problem, q1, zero_function(state1), tol_abs=1e-10)
+        warm, _ = newton_standard(problem, q1, u1, tol_abs=1e-10)
         diff = integrate(
             lambda ctx: (ctx.val("a") - ctx.val("b")) ** 2,
             mesh1,

@@ -88,10 +88,11 @@ def test_no_unused_parameters(module):
 def dead_definitions(sources):
     """Module-level functions, classes and methods the package never names.
 
-    sources maps module name to source text.  A definition counts as used
-    when its name occurs as a ``Name`` or an ``Attribute`` anywhere in the
-    sources outside its own definition.  Dunder methods are exempt: the
-    language calls them.
+    sources maps module name to source text.  A function or class counts
+    as used when its name occurs as a ``Name`` or an ``Attribute`` anywhere
+    in the sources outside its own definition, a method only when it occurs
+    as an ``Attribute``: a local variable of the same name is not a use.
+    Dunder methods are exempt: the language calls them.
     """
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     defs, refs = [], []
@@ -105,14 +106,16 @@ def dead_definitions(sources):
                          and not (f.name.startswith("__") and f.name.endswith("__"))]
         for n in ast.walk(tree):
             if isinstance(n, ast.Name):
-                refs.append((mod, n.id, n.lineno))
+                refs.append((mod, n.id, n.lineno, False))
             elif isinstance(n, ast.Attribute):
-                refs.append((mod, n.attr, n.lineno))
+                refs.append((mod, n.attr, n.lineno, True))
     dead = []
     for mod, qualname, node in defs:
         name = qualname.rsplit(".", 1)[-1]
-        if not any(r == name and not (m == mod and node.lineno <= line <= node.end_lineno)
-                   for m, r, line in refs):
+        method = "." in qualname
+        if not any(r == name and (attr or not method)
+                   and not (m == mod and node.lineno <= line <= node.end_lineno)
+                   for m, r, line, attr in refs):
             dead.append(f"{mod}.{qualname}")
     return dead
 
@@ -123,10 +126,12 @@ def test_detector_finds_a_dead_definition():
               "def dead():\n    return dead()\n"
               "class K:\n    def __init__(self):\n        pass\n"
               "    def m(self):\n        return self.m()\n"
-              "    def n(self):\n        return 0\n"),
-        "b": "from .a import used, K\nprint(used(), K().n)\n",
+              "    def n(self):\n        return 0\n"
+              "    def parts(self):\n        return 0\n"),
+        "b": ("from .a import used, K\nprint(used(), K().n)\n"
+              "def f():\n    parts = [1]\n    return parts\nf()\n"),
     }
-    assert dead_definitions(sources) == ["a.dead", "a.K.m"]
+    assert dead_definitions(sources) == ["a.dead", "a.K.m", "a.K.parts"]
 
 
 def test_no_dead_definitions():

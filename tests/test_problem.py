@@ -13,6 +13,7 @@ from dwropt.fem import (
 from dwropt.mesh import HOLED_RECT, UNIT_SQUARE, build_initial
 from dwropt.multigoal import build_combined
 from dwropt.problem import (
+    GoalFunctional,
     make_goals,
     make_plaplace_control,
     make_poisson_control,
@@ -280,7 +281,14 @@ class TestGoals:
         u, q = random_pair()
         du, dq = random_pair()
         if name == "combined":
-            goal = build_combined(goals, random_pair()).refreeze(u, q)
+            # the sign-frozen sum sum_l s_l (r_l - I_l) / w_l with the combined forms
+            comb = build_combined(goals, random_pair()).refreeze(u, q)
+            terms = list(zip(comb.goals, comb.refs, comb.signs, comb.weights))
+            goal = GoalFunctional(
+                "combined",
+                lambda u, q: sum(s * (r - g.value(u, q)) / w for g, r, s, w in terms),
+                comb.iu_fields, comb.iq_fields,
+            )
         else:
             goal = next(g for g in goals if g.name == name)
         _assert_fd_consistent(goal, u, q, du, dq)
