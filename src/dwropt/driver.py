@@ -1,12 +1,13 @@
 """End-to-end adaptive driver, experiment presets and report emission.
 
-One refinement level solves the enriched and low-order optimization
-problems (each warm-started from the previous level's control, and for a
-nonlinear state equation from its state too), builds the
-combined goal functional from enriched references frozen at the low
-solution, runs the goal-adjoint recovery chain on both space sets,
-evaluates the error estimator with its partition-of-unity localization,
-and finally marks and refines.  Levels are strictly sequential.
+One refinement level solves the enriched optimization problem, started
+from the previous level's enriched solution, then the low-order one,
+started from this level's enriched optimum (the control, and for a
+nonlinear state equation the state too).  It builds the combined goal
+functional from enriched references frozen at the low solution, runs the
+goal-adjoint recovery chain on both space sets, evaluates the error
+estimator with its partition-of-unity localization, and finally marks
+and refines.  Levels are strictly sequential.
 """
 
 from __future__ import annotations
@@ -241,11 +242,12 @@ class LevelReport:
 def _initial_guess(problem, prev, state, control):
     """Starting control and state (q0, u0) on the given spaces.
 
-    prev is a coarser level's (u, q), or None.  Without one, the control
-    starts at the desired control (a zero start can make goal derivatives
-    degenerate) and the state at zero.  The state is carried over only
-    for a nonlinear operator: a linear state equation is solved by one
-    Newton step from any start, so it starts at zero.
+    prev is a solution (u, q) on the spaces' mesh or a coarser one, or
+    None.  Without one, the control starts at the desired control (a zero
+    start can make goal derivatives degenerate) and the state at zero.
+    The state is carried over only for a nonlinear operator: a linear
+    state equation is solved by one Newton step from any start, so it
+    starts at zero.
     """
     if prev is None:
         return interpolate(control, problem.q_des), zero_function(state)
@@ -254,26 +256,25 @@ def _initial_guess(problem, prev, state, control):
     return transfer(q, control), u0
 
 
-def _solve_level(problem, goals, mesh, config, warm):
+def _solve_level(problem, goals, mesh, config, prev, eta_prev):
     """All solves and estimates of one level.
 
     State spaces are continuous Q^r; controls are discontinuous one
     degree lower (piecewise constants for r = 1), which reproduces the
     reference DOF counts and convergence orders.  Enrichment raises both
-    degrees by one on the same mesh.  warm is (low, enriched, eta_prev):
-    the previous level's low and enriched (u, q), or None on level 0, and
-    its discretization estimate.  The returned triples are released (see
-    KKTTriple.release): a later solve with one refactorizes its Jacobian.
+    degrees by one on the same mesh.  prev is the previous level's
+    enriched (u, q), or None on level 0, and eta_prev its discretization
+    estimate (the adaptive Newton guard's seed).  The enriched problem
+    starts from prev, the low-order one from this level's enriched
+    optimum.  The returned triples are released (see KKTTriple.release):
+    a later solve with one refactorizes its Jacobian.
     """
     r = config.degree
     state, control = build_space(mesh, "cg", r), build_space(mesh, "dg", r - 1)
     state2, control2 = build_space(mesh, "cg", r + 1), build_space(mesh, "dg", r)
 
-    low_prev, high_prev, eta_prev = warm
-    q0, u0 = _initial_guess(problem, low_prev, state, control)
-    q20, u20 = _initial_guess(problem, high_prev, state2, control2)
-
-    # enriched optimization (classical stopping), warm-started
+    # enriched optimization (classical stopping)
+    q20, u20 = _initial_guess(problem, prev, state2, control2)
     triple2, log2 = newton_standard(
         problem, q20, u20,
         tol_abs=config.newton_tol_abs, tol_rel=config.newton_tol_rel,
@@ -283,8 +284,10 @@ def _solve_level(problem, goals, mesh, config, warm):
     # the combined goal's references, frozen at the enriched solution
     seed = build_combined(goals, (triple2.u, triple2.q))
 
-    # low-order optimization, and the combined goal refrozen at its
-    # solution (the adaptive Newton's guard refreezes it at every iterate)
+    # low-order optimization from the enriched optimum, and the combined
+    # goal refrozen at its solution (the adaptive Newton's guard
+    # refreezes it at every iterate)
+    q0, u0 = _initial_guess(problem, (triple2.u, triple2.q), state, control)
     if config.stopping == "adaptive":
         triple, combined, p_low, log = newton_reduced_adaptive(
             problem, seed, q0, u0,
@@ -375,14 +378,12 @@ def run_adaptive(config, capture=None):
     """
     config.validate()
     problem, goals, mesh = instantiate(config)
-    low_prev = high_prev = None
-    eta_prev = config.eta0
+    prev, eta_prev = None, config.eta0
     reports = []
     for level in range(config.max_levels):
         t0 = time.perf_counter()
         try:
-            sol = _solve_level(problem, goals, mesh, config,
-                               (low_prev, high_prev, eta_prev))
+            sol = _solve_level(problem, goals, mesh, config, prev, eta_prev)
         except DwroptError as exc:
             # completed levels and the config they ran with ride along, so
             # callers can flush them to this run's own output_dir
@@ -411,14 +412,12 @@ def run_adaptive(config, capture=None):
             if len(marked) == 0:
                 stop = True
         reports.append(report)
+        prev = (sol["triple2"].u, sol["triple2"].q)
         if capture is not None:
-            capture.update(problem=problem, goals=goals, mesh=mesh,
-                           high=(sol["triple2"].u, sol["triple2"].q))
+            capture.update(problem=problem, goals=goals, mesh=mesh, high=prev)
         if stop:
             break
         mesh = refine(mesh, marked)
-        low_prev = (sol["triple"].u, sol["triple"].q)
-        high_prev = (sol["triple2"].u, sol["triple2"].q)
         if abs(bd.eta_h2) > 0:
             eta_prev = abs(bd.eta_h2)
     return reports

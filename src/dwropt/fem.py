@@ -790,13 +790,13 @@ class Factorization:
             raise SingularSystemError(str(exc)) from exc
 
     def solve(self, b):
-        x = self._lu.solve(np.asarray(b, dtype=np.float64))
-        if not np.all(np.isfinite(x)):
-            raise SingularSystemError("factorization produced non-finite solution")
-        return x
+        return self._solve(b, "N")
 
     def solve_transposed(self, b):
-        x = self._lu.solve(np.asarray(b, dtype=np.float64), trans="T")
+        return self._solve(b, "T")
+
+    def _solve(self, b, trans):
+        x = self._lu.solve(np.asarray(b, dtype=np.float64), trans=trans)
         if not np.all(np.isfinite(x)):
             raise SingularSystemError("factorization produced non-finite solution")
         return x

@@ -523,15 +523,14 @@ class TestIndicatorLocality:
 
         cfg = preset_config("example2_uq", alpha=0.01, max_levels=6)
         problem, goals, mesh = instantiate(cfg)
-        warm = (None, None, cfg.eta0)
+        prev, eta_prev = None, cfg.eta0
         for _ in range(5):
-            sol = _solve_level(problem, goals, mesh, cfg, warm)
+            sol = _solve_level(problem, goals, mesh, cfg, prev, eta_prev)
             marked = dorfler_mark(sol["breakdown"].indicators, cfg.theta, mesh)
-            warm = ((sol["triple"].u, sol["triple"].q),
-                    (sol["triple2"].u, sol["triple2"].q),
-                    abs(sol["breakdown"].eta_h2))
+            prev = (sol["triple2"].u, sol["triple2"].q)
+            eta_prev = abs(sol["breakdown"].eta_h2)
             mesh = refine(mesh, marked)
-        sol = _solve_level(problem, goals, mesh, cfg, warm)
+        sol = _solve_level(problem, goals, mesh, cfg, prev, eta_prev)
         ind = sol["breakdown"].indicators
         org = mesh.cell_origin()
         h = mesh.cell_h()

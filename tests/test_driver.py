@@ -289,7 +289,7 @@ class TestCompareStopping:
 #: keeps these.  CG and hessvec counts are left out: roundoff moves them.
 TRAJECTORIES = {
     "example1_cost": [
-        (4, 9, 4, 13, 41, 0, 1, "adaptive"),
+        (4, 9, 4, 13, 41, 1, 1, "adaptive"),
         (10, 18, 10, 28, 95, 1, 1, "adaptive"),
         (19, 30, 19, 49, 173, 1, 1, "adaptive"),
         (40, 59, 40, 99, 357, 1, 1, "adaptive"),
@@ -303,14 +303,14 @@ TRAJECTORIES = {
         (64, 86, 64, 150, 555, 1, 1, "adaptive"),
     ],
     "example2_uq": [
-        (116, 159, 116, 275, 1019, 2, 2, "adaptive"),
+        (116, 159, 116, 275, 1019, 1, 2, "relative"),
         (254, 326, 254, 580, 2181, 1, 1, "adaptive"),
         (389, 485, 389, 874, 3309, 1, 1, "adaptive"),
         (719, 919, 719, 1638, 6157, 1, 1, "adaptive"),
         (1253, 1498, 1253, 2751, 10519, 1, 1, "adaptive"),
     ],
     "example3": [
-        (464, 555, 464, 1019, 3899, 6, 4, "absolute"),
+        (464, 555, 464, 1019, 3899, 2, 4, "absolute"),
         (548, 655, 548, 1203, 4603, 1, 2, "adaptive"),
         (740, 887, 740, 1627, 6219, 1, 2, "adaptive"),
         (1127, 1332, 1127, 2459, 9431, 1, 1, "adaptive"),
@@ -329,6 +329,47 @@ def test_preset_trajectory_pinned(tmp_path, capsys, name):
     with open(out / "levels.csv", newline="") as fh:
         rows = [tuple(r[c] for c in TRAJECTORY_COLUMNS) for r in csv.DictReader(fh)]
     assert rows == [tuple(map(str, level)) for level in TRAJECTORIES[name]]
+
+
+@pytest.mark.parametrize("stopping", ["adaptive", "standard"])
+@pytest.mark.parametrize("name, nonlinear", [("example1_cost", False),
+                                              ("example2_uq", True)])
+def test_low_solve_starts_from_enriched_optimum(monkeypatch, name, nonlinear,
+                                                stopping):
+    # every level's low-order Newton starts at this level's enriched optimum:
+    # its control transferred, and for a nonlinear state its state; a linear
+    # state starts at zero
+    import dwropt.driver as drv
+    from dwropt.fem import transfer
+
+    standard, adaptive = drv.newton_standard, drv.newton_reduced_adaptive
+    pending, starts = [], []  # the enriched optimum awaiting its low solve
+
+    def check_start(q0, u0):
+        u2, q2 = pending.pop()
+        assert (q0.space.degree, u0.space.degree) == (q2.space.degree - 1,
+                                                      u2.space.degree - 1)
+        want_u = (transfer(u2, u0.space).coefs if nonlinear
+                  else np.zeros(u0.space.ndofs))
+        starts.append((q0.coefs.tobytes() == transfer(q2, q0.space).coefs.tobytes(),
+                       u0.coefs.tobytes() == want_u.tobytes()))
+
+    def recording_standard(problem, q0, u0, **kw):
+        if pending:  # the level's second call: the low solve
+            check_start(q0, u0)
+            return standard(problem, q0, u0, **kw)
+        triple, log = standard(problem, q0, u0, **kw)
+        pending.append((triple.u, triple.q))
+        return triple, log
+
+    def recording_adaptive(problem, goal, q0, u0, **kw):
+        check_start(q0, u0)
+        return adaptive(problem, goal, q0, u0, **kw)
+
+    monkeypatch.setattr(drv, "newton_standard", recording_standard)
+    monkeypatch.setattr(drv, "newton_reduced_adaptive", recording_adaptive)
+    reports = run_adaptive(preset_config(name, max_levels=3, stopping=stopping))
+    assert starts == [(True, True)] * len(reports) and len(reports) == 3
 
 
 @pytest.fixture
@@ -418,7 +459,7 @@ class TestLevelRelease:
         monkeypatch.setattr(drv, "localize_pu", checking_localize)
         cfg = preset_config(name, max_levels=1)
         problem, goals, mesh = instantiate(cfg)
-        drv._solve_level(problem, goals, mesh, cfg, (None, None, cfg.eta0))
+        drv._solve_level(problem, goals, mesh, cfg, None, cfg.eta0)
         assert built[0] >= 2 and at_estimate == [0]
 
     @pytest.mark.parametrize("name", ["example1_cost", "example2_uq"])
@@ -430,7 +471,7 @@ class TestLevelRelease:
 
         cfg = preset_config(name, max_levels=1)
         problem, goals, mesh = instantiate(cfg)
-        sol = _solve_level(problem, goals, mesh, cfg, (None, None, cfg.eta0))
+        sol = _solve_level(problem, goals, mesh, cfg, None, cfg.eta0)
         triple, triple2, combined = sol["triple"], sol["triple2"], sol["combined"]
         assert triple.lin is None and triple2.lin is None
         low = adjoint_chain(combined, triple, p=sol["adj_low"].p,
@@ -462,7 +503,7 @@ def test_goals_evaluated_once_at_enriched_solution(name):
 
     assert cfg.stopping == "adaptive"
     sol = _solve_level(problem, [counting(g) for g in goals], mesh, cfg,
-                       (None, None, cfg.eta0))
+                       None, cfg.eta0)
     low = sol["triple"]
     for seen in calls.values():
         assert sum(u.space is sol["triple2"].u.space for u, _ in seen) == 1

@@ -282,7 +282,7 @@ class TestEstimator:
         cfg = preset_config("example1_cost", cell_size=0.25)
         problem, goals, mesh = instantiate(cfg)
         mesh = refine(mesh, CellSet(frozenset({0, 5}), mesh.generation))
-        sol = _solve_level(problem, goals, mesh, cfg, (None, None, cfg.eta0))
+        sol = _solve_level(problem, goals, mesh, cfg, None, cfg.eta0)
         bd = sol["breakdown"]
         pu = build_space(mesh, "cg", 1, constrain_dirichlet=False)
         assert pu.nfree < pu.ndofs  # the mesh has hanging vertices
@@ -429,7 +429,7 @@ def plaplace_hanging_level():
     cfg = preset_config("example2_uq", max_levels=1)
     problem, goals, mesh = instantiate(cfg)
     mesh = refine(mesh, CellSet(frozenset(range(0, mesh.ncells, 3)), mesh.generation))
-    sol = _solve_level(problem, goals, mesh, cfg, (None, None, cfg.eta0))
+    sol = _solve_level(problem, goals, mesh, cfg, None, cfg.eta0)
     return {"mesh": mesh, **sol}
 
 
